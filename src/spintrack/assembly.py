@@ -118,14 +118,6 @@ class DiscreteHamiltonian:
         np.add.at(flat_out, self.coup_rows, self.coup_vals * flat_in[self.coup_cols])
         return out
 
-    def gershgorin_bound(self):
-        """Cheap upper bound on the spectral radius, for step-size warnings."""
-        radius = np.max(np.abs(self.upper)) + np.max(np.abs(self.lower))
-        if len(self.coup_vals):
-            radius += np.max(np.abs(self.coup_vals))
-        center = np.max(self.kin_diag) + np.max(np.abs(self.channel_shift))
-        return float(center + radius)
-
 
 @dataclass(eq=False)
 class CNSystem:

@@ -328,6 +328,7 @@ def write_run_artifacts(result, out_dir):
             )
             if rec.energy[0] != 0.0
             else 0.0,
+            "max_step_residual": rec.max_step_residual,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
         },

@@ -34,8 +34,28 @@ class ClassProbabilities:
 
 def channel_probs(state, t=0.0):
     """Per-channel probabilities of a state; they sum to the state's norm2."""
-    probs = state.dx * np.sum(np.abs(state.values) ** 2, axis=1)
+    values = state.values
+    # Row dot products of the (M, 2 Nx) real view.  A BLAS dot is several
+    # times faster than np.abs(values)**2 (or einsum) on an evolved state,
+    # whose far tails square to subnormal numbers.
+    re_im = values.view(values.real.dtype)
+    probs = state.dx * np.vecdot(re_im, re_im)
     return ChannelProbabilities(probs=probs, t=t)
+
+
+def class_tags(sides, num_channels):
+    """ConfigClass tag of every channel, checked against the channel count."""
+    tags = classify_all(sides)
+    if len(tags) != num_channels:
+        raise ValueError(
+            f"{num_channels} channels but side assignment implies {len(tags)}"
+        )
+    return tags
+
+
+def class_sums(probs, tags):
+    """Channel probabilities summed per ConfigClass, indexed by class value."""
+    return np.bincount(tags, weights=probs, minlength=len(ConfigClass))
 
 
 def class_probs(cp, sides):
@@ -45,12 +65,7 @@ def class_probs(cp, sides):
     layout they agree, and their sum is the total probability of seeing a
     track on either side.
     """
-    tags = classify_all(sides)
-    if len(tags) != len(cp.probs):
-        raise ValueError(
-            f"{len(cp.probs)} channels but side assignment implies {len(tags)}"
-        )
-    sums = np.bincount(tags, weights=cp.probs, minlength=5)
+    sums = class_sums(cp.probs, class_tags(sides, len(cp.probs)))
     return ClassProbabilities(
         unchanged=float(sums[ConfigClass.UNCHANGED]),
         one_spin=float(sums[ConfigClass.ONE_SPIN]),

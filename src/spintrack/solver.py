@@ -140,21 +140,52 @@ def solve_linear(a_matrix, rhs, config):
         )
         if info != 0:
             raise SolverError("GMRES did not converge")
-    _check_residual(a_matrix, x, rhs, config.rtol)
+    _check_residual(a_matrix @ x - rhs, rhs, config.rtol)
     return x
 
 
-def _check_residual(a_matrix, x, rhs, rtol):
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return 0.0
-    residual = np.linalg.norm(a_matrix @ x - rhs) / rhs_norm
-    if residual > rtol:
+def _norm(v):
+    # BLAS dot: np.linalg.norm squares elementwise, which is several times
+    # slower on wavefunction tails whose squares underflow to subnormals
+    return np.sqrt(np.vdot(v, v).real)
+
+
+def _check_residual(r, rhs, rtol):
+    """Relative residual ||r|| / ||rhs|| of r = A x - rhs, raising SolverError above rtol.
+
+    A non-finite entry in x or rhs makes the residual NaN or inf, which the
+    negated comparison rejects, so this is also the finiteness check.  A zero
+    right-hand side falls back to the absolute residual.
+    """
+    rhs_norm = _norm(rhs)
+    residual = float(_norm(r) / (rhs_norm if rhs_norm != 0.0 else 1.0))
+    if not residual <= rtol:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds tolerance {rtol:.3e}",
             residual=residual,
         )
     return residual
+
+
+def _advance(linear_solver, b_matrix, flat, rhs, rtol):
+    """Solve A x = rhs and return (x, B x, relative residual).
+
+    Because A + B = 2I exactly, A x = 2x - B x: the residual check reuses
+    the B x that is the right-hand side of the next step.
+    """
+    x = linear_solver.solve(rhs, x0=flat)
+    bx = b_matrix @ x
+    r = 2.0 * x
+    r -= bx
+    r -= rhs
+    return x, bx, _check_residual(r, rhs, rtol)
+
+
+def _check_shape(system, state):
+    shape = (system.h.num_channels, system.h.num_points)
+    if state.values.shape != shape:
+        raise ValueError(f"state shape {state.values.shape} does not match system {shape}")
+    return shape
 
 
 def step(system, state, config=None, linear_solver=None):
@@ -164,18 +195,10 @@ def step(system, state, config=None, linear_solver=None):
     otherwise one is built for this call.
     """
     config = config or SolveConfig()
-    if state.values.shape != (system.h.num_channels, system.h.num_points):
-        raise ValueError(
-            f"state shape {state.values.shape} does not match system "
-            f"({system.h.num_channels}, {system.h.num_points})"
-        )
+    _check_shape(system, state)
     solver = linear_solver or make_linear_solver(system, config)
     flat = state.values.ravel()
-    rhs = system.b @ flat
-    x = solver.solve(rhs, x0=flat)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite values in solution")
-    _check_residual(system.a, x, rhs, config.rtol)
+    x, _, _ = _advance(solver, system.b, flat, system.b @ flat, config.rtol)
     return StateVector(x.reshape(state.values.shape), state.dx)
 
 
@@ -185,6 +208,8 @@ class RunRecord:
 
     All series have length num_steps + 1 and include t = 0.  The class
     probability series are None when the run was not given side labels.
+    `max_step_residual` is the largest relative residual of any step, None
+    when the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -197,6 +222,7 @@ class RunRecord:
     multi_track: np.ndarray | None
     final_state: StateVector
     snapshots: list = field(default_factory=list)
+    max_step_residual: float | None = None
 
     @property
     def num_steps(self):
@@ -213,6 +239,11 @@ def run(
     snapshot_stride=None,
 ):
     """Advance `num_steps` Crank-Nicolson steps, recording diagnostics.
+
+    Each step costs one linear solve and one B-matvec: the product B x is
+    the next right-hand side, and it also yields the residual check
+    (A x = 2x - B x) and the energy (B = I - i f H with f = dt / 2 hbar, so
+    Re <x, H x> = -Im <x, B x> / f).
 
     Parameters
     ----------
@@ -236,47 +267,47 @@ def run(
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     config = config or SolveConfig()
-    # Accuracy (not stability) guard: compare dt against the phase period of
-    # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
-    # cutoff energy and would flag every well-resolved run.
-    initial_energy = observables.energy(initial, system.h)
-    if initial_energy != 0.0 and system.dt > 2.0 * system.hbar / abs(initial_energy):
-        warnings.warn(
-            f"dt={system.dt:g} exceeds 2*hbar/|<H>|~{2.0 * system.hbar / abs(initial_energy):g}; "
-            "the scheme stays stable but phases will be inaccurate"
-        )
-    solver = make_linear_solver(system, config)
+    shape = _check_shape(system, initial)
+    tags = observables.class_tags(sides, shape[0]) if sides is not None else None
+    dx = initial.dx
+    energy_scale = -dx * 2.0 * system.hbar / system.dt
     times = system.dt * np.arange(num_steps + 1)
     norm2 = np.empty(num_steps + 1)
     energy = np.empty(num_steps + 1)
-    classes = np.empty((num_steps + 1, 5)) if sides is not None else None
+    classes = np.empty((num_steps + 1, 5)) if tags is not None else None
 
-    def record(k, state):
-        probs = observables.channel_probs(state, t=times[k])
-        norm2[k] = probs.total
-        energy[k] = observables.energy(state, system.h)
+    def record(k, state, bx):
+        probs = observables.channel_probs(state, t=times[k]).probs
+        norm2[k] = probs.sum()
+        energy[k] = energy_scale * np.vdot(state.values, bx).imag
         if classes is not None:
-            cls = observables.class_probs(probs, sides)
-            classes[k] = (
-                cls.unchanged,
-                cls.one_spin,
-                cls.left_track,
-                cls.right_track,
-                cls.multi_track,
-            )
+            classes[k] = observables.class_sums(probs, tags)
 
-    state = initial.copy()
-    record(0, state)
+    flat = initial.values.ravel()
+    bx = system.b @ flat
+    record(0, initial, bx)
+    # Accuracy (not stability) guard: compare dt against the phase period of
+    # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
+    # cutoff energy and would flag every well-resolved run.
+    if energy[0] != 0.0 and system.dt > 2.0 * system.hbar / abs(energy[0]):
+        warnings.warn(
+            f"dt={system.dt:g} exceeds 2*hbar/|<H>|~{2.0 * system.hbar / abs(energy[0]):g}; "
+            "the scheme stays stable but phases will be inaccurate"
+        )
+    solver = make_linear_solver(system, config)
     snapshots = [(0, initial.copy())]
+    worst = 0.0
     for k in range(1, num_steps + 1):
         try:
-            state = step(system, state, config, solver)
+            flat, bx, residual = _advance(solver, system.b, flat, bx, config.rtol)
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
+        worst = max(worst, residual)
+        state = StateVector(flat.reshape(shape), dx)
         view = state.readonly()
         for observer in observers:
             observer(k, times[k], view)
-        record(k, state)
+        record(k, state, bx)
         if snapshot_stride and k % snapshot_stride == 0 and k != num_steps:
             snapshots.append((k, state.copy()))
     return RunRecord(
@@ -290,4 +321,5 @@ def run(
         multi_track=classes[:, 4] if classes is not None else None,
         final_state=state,
         snapshots=snapshots,
+        max_step_residual=worst,
     )

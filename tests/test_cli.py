@@ -109,6 +109,7 @@ def test_run_writes_artifacts(tmp_path):
     # packet has not reached the detectors yet at this t_final
     assert res["UC"] == pytest.approx(1.0, abs=1e-6)
     assert res["norm2_max_drift"] <= 1e-10
+    assert 0.0 < res["max_step_residual"] <= summary["resolved"]["solver"]["rtol"]
 
 
 def test_run_rho_zero_override(tmp_path):

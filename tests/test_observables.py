@@ -32,6 +32,8 @@ def test_channel_probs_sum_is_norm(rng):
     state = StateVector(values, 0.031)
     cp = channel_probs(state)
     assert cp.total == pytest.approx(state.norm2(), rel=1e-13)
+    reference = state.dx * np.sum(np.abs(values) ** 2, axis=1)
+    np.testing.assert_allclose(cp.probs, reference, rtol=1e-13, atol=0.0)
 
 
 def test_class_probs_all_in_channel_zero():

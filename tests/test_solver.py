@@ -16,6 +16,7 @@ from spintrack import (
     solve_linear,
     step,
 )
+from spintrack import observables
 from spintrack.solver import DirectSolver
 
 from conftest import scaled_params, small_instance
@@ -56,6 +57,82 @@ def test_solve_linear_residual_contract(rng):
     cfg = SolveConfig(rtol=1e-12)
     x = solve_linear(a, rhs, cfg)
     assert np.linalg.norm(a @ x - rhs) <= cfg.rtol * np.linalg.norm(rhs)
+
+
+def test_solve_linear_rejects_nan_rhs():
+    eye = sparse.identity(4, dtype=complex, format="csc")
+    with pytest.raises(SolverError):
+        solve_linear(eye, np.array([1.0, np.nan, 2.0, 3.0], dtype=complex), SolveConfig())
+
+
+def _with_entry(state, value):
+    values = state.values.copy()
+    values[0, 50] = value
+    return StateVector(values, state.dx)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_step_rejects_nonfinite_state(value):
+    system, psi0, _ = _system()
+    with pytest.raises(SolverError):
+        step(system, _with_entry(psi0, value))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_run_rejects_nonfinite_state(value):
+    system, psi0, layout = _system()
+    with pytest.raises(SolverError, match="step 1"):
+        run(system, _with_entry(psi0, value), 5, sides=layout.sides)
+
+
+def _captured_run(system, psi0, layout, num_steps):
+    states = [psi0.values.copy()]
+    record = run(
+        system,
+        psi0,
+        num_steps,
+        sides=layout.sides,
+        observers=(lambda k, t, state: states.append(state.values.copy()),),
+    )
+    return record, [StateVector(v, psi0.dx) for v in states]
+
+
+def test_run_matches_full_path():
+    # run() takes the residual and the energy from B x; check both, and the
+    # recorded probabilities, against the explicit A x, H x and observables
+    system, psi0, layout = _system(num_points=120)
+    cfg = SolveConfig()
+    record, states = _captured_run(system, psi0, layout, 30)
+
+    for prev, cur in zip(states[:-1], states[1:]):
+        rhs = system.b @ prev.values.ravel()
+        residual = np.linalg.norm(system.a @ cur.values.ravel() - rhs) / np.linalg.norm(rhs)
+        assert residual <= cfg.rtol
+    assert 0.0 < record.max_step_residual <= cfg.rtol
+
+    for k, state in enumerate(states):
+        full = observables.energy(state, system.h)
+        assert record.energy[k] == pytest.approx(full, rel=1e-12, abs=0.0)
+        cp = observables.channel_probs(state)
+        assert record.norm2[k] == pytest.approx(cp.total, abs=1e-14)
+        cls = observables.class_probs(cp, layout.sides)
+        for name in ("unchanged", "one_spin", "left_track", "right_track", "multi_track"):
+            assert getattr(record, name)[k] == pytest.approx(getattr(cls, name), abs=1e-14)
+
+    shared = make_linear_solver(system, cfg)
+    state = psi0
+    for _ in range(30):
+        state = step(system, state, cfg, shared)
+    np.testing.assert_array_equal(record.final_state.values, state.values)
+
+
+def test_run_energy_matches_full_path_backward():
+    # with dt < 0 the factor dt / 2 hbar in the energy changes sign
+    system, psi0, layout = _system(num_points=120, dt=-0.065 / 350)
+    record, states = _captured_run(system, psi0, layout, 30)
+    for k, state in enumerate(states):
+        full = observables.energy(state, system.h)
+        assert record.energy[k] == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 def test_factorization_reuse_consistency():
