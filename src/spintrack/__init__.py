@@ -14,10 +14,8 @@ decoherence.
 from .assembly import (
     CNSystem,
     DiscreteHamiltonian,
-    apply_h,
     assemble_cn,
     assemble_hamiltonian,
-    dump_pattern,
 )
 from .model import (
     ConfigurationError,
@@ -47,7 +45,6 @@ from .solver import (
     SolverError,
     make_linear_solver,
     run,
-    solve_linear,
     step,
 )
 from .spinspace import (
@@ -56,9 +53,6 @@ from .spinspace import (
     SideAssignment,
     classify,
     classify_all,
-    complement,
-    flip_neighbors,
-    flip_partner,
     mirror,
     spin_sum,
     spin_sums,
@@ -86,7 +80,6 @@ __all__ = [
     "SolverError",
     "StateVector",
     "TimeGrid",
-    "apply_h",
     "arrival_time",
     "assemble_cn",
     "assemble_hamiltonian",
@@ -95,11 +88,7 @@ __all__ = [
     "class_probs",
     "classify",
     "classify_all",
-    "complement",
-    "dump_pattern",
     "energy",
-    "flip_neighbors",
-    "flip_partner",
     "initial_state",
     "make_linear_solver",
     "mirror",
@@ -107,7 +96,6 @@ __all__ = [
     "place_detectors",
     "preset_from_epsilon",
     "run",
-    "solve_linear",
     "spin_sum",
     "spin_sums",
     "step",

@@ -30,7 +30,6 @@ import scipy.sparse as sparse
 
 from .model import ConfigurationError
 from .spinspace import spin_sums
-from .state import StateVector
 
 BOUNDARY_MODES = ("ghost", "symmetrized")
 
@@ -226,26 +225,3 @@ def assemble_cn(h, dt, hbar):
     a = (eye + factor * hs).tocsc()
     b = (eye - factor * hs).tocsr()
     return CNSystem(a=a, b=b, h=h, dt=dt, hbar=hbar)
-
-
-def apply_h(h, state):
-    """H applied to a StateVector, as a new StateVector."""
-    return StateVector(h.apply(state.values), state.dx)
-
-
-def dump_pattern(h, stream):
-    """Write the sparse entries as text lines "row col real imag".
-
-    `stream` may be a writable file object or a path.
-    """
-    if hasattr(stream, "write"):
-        _write_pattern(h, stream)
-    else:
-        with open(stream, "w", encoding="ascii") as fh:
-            _write_pattern(h, fh)
-
-
-def _write_pattern(h, fh):
-    coo = h.to_sparse("coo")
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

@@ -29,7 +29,6 @@ from . import model, observables, oracle, solver
 from .assembly import assemble_cn, assemble_hamiltonian
 from .model import ConfigurationError
 from .solver import SolveConfig, SolverError
-from .spinspace import SideAssignment
 
 SCHEMA_VERSION = 1
 
@@ -39,22 +38,25 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
-_TOP_KEYS = {"preset", "explicit", "solver", "out_dir", "snapshot_stride", "arrival_drop"}
-_PRESET_KEYS = {
-    "epsilon", "num_spins", "rho", "kappa", "boundary_mode",
-    "num_points", "num_steps", "t_final",
+_TOP_KEYS = {"preset", "explicit", "solver", "out_dir", "arrival_drop"}
+# optional preset keys -> (model.preset_from_epsilon argument, value type);
+# a key left out takes that function's default
+_PRESET_OPTIONS = {
+    "rho": ("rho", float),
+    "kappa": ("coupling_factor", int),
+    "num_points": ("num_points", int),
+    "num_steps": ("num_steps", int),
+    "t_final": ("t_final", float),
 }
+_PRESET_KEYS = {"epsilon", "num_spins", "boundary_mode", *_PRESET_OPTIONS}
 _EXPLICIT_KEYS = {
     "hbar", "mass", "alpha", "beta", "rho", "p0", "sigma", "trunc_a", "x0",
     "kappa", "boundary_mode", "half_length", "cluster_distance", "spacing",
     "num_spins", "num_points", "t_final", "num_steps",
 }
-_EXPLICIT_REQUIRED = _EXPLICIT_KEYS - {"x0", "kappa", "boundary_mode"}
-_SOLVER_KEYS = {"method", "rtol", "max_iter"}
-_SWEEP_KEYS = {
-    "epsilon", "num_spins", "rho", "kappa", "boundary_mode", "num_points",
-    "num_steps", "t_final", "solver", "out_dir", "parallelism", "arrival_drop",
-}
+# solver keys -> value type; a key left out takes the SolveConfig default
+_SOLVER_KEYS = {"method": str, "rtol": float, "max_iter": int}
+_SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
 def _fmt(x):
@@ -74,7 +76,6 @@ class RunSetup:
     solve_config: SolveConfig
     boundary_mode: str
     out_dir: str
-    snapshot_stride: int | None
     arrival_drop: float
 
 
@@ -95,10 +96,38 @@ def _reject_unknown(section, keys, allowed):
             raise ConfigurationError(f"unknown key {key!r} in {section} config")
 
 
-def _require(section, cfg, key):
-    if key not in cfg:
-        raise ConfigurationError(f"{section} config missing key {key!r}")
-    return cfg[key]
+_MISSING = object()
+
+
+def _reader(section, cfg):
+    """read(key, kind, default): cfg[key] converted by `kind`.
+
+    A missing key takes `default`, or is an error when no default is given;
+    a value `kind` cannot convert is a ConfigurationError naming the key.
+    """
+
+    def read(key, kind, default=_MISSING):
+        if key not in cfg:
+            if default is _MISSING:
+                raise ConfigurationError(f"{section} config missing key {key!r}")
+            return default
+        try:
+            return kind(cfg[key])
+        except (TypeError, ValueError) as err:
+            raise ConfigurationError(f"{section} config key {key!r}: {err}") from err
+
+    return read
+
+
+def _sorted_list(kind):
+    """Converter for a non-empty JSON list whose entries `kind` converts."""
+
+    def convert(values):
+        if not isinstance(values, list) or not values:
+            raise ValueError("must be a non-empty list")
+        return sorted(kind(v) for v in values)
+
+    return convert
 
 
 def load_config(path):
@@ -119,12 +148,10 @@ def _solve_config_from(cfg):
     if not isinstance(section, dict):
         raise ConfigurationError("'solver' must be an object")
     _reject_unknown("solver", section, _SOLVER_KEYS)
+    read = _reader("solver", section)
+    given = {key: read(key, kind) for key, kind in _SOLVER_KEYS.items() if key in section}
     try:
-        return SolveConfig(
-            method=section.get("method", "direct"),
-            rtol=float(section.get("rtol", 1e-12)),
-            max_iter=int(section.get("max_iter", 200)),
-        )
+        return SolveConfig(**given)
     except ValueError as err:
         raise ConfigurationError(f"solver config: {err}") from err
 
@@ -135,56 +162,51 @@ def resolve_run_config(cfg):
     if ("preset" in cfg) == ("explicit" in cfg):
         raise ConfigurationError("exactly one of 'preset' or 'explicit' is required")
 
-    if "preset" in cfg:
-        p = cfg["preset"]
-        _reject_unknown("preset", p, _PRESET_KEYS)
+    section = "preset" if "preset" in cfg else "explicit"
+    values = cfg[section]
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"'{section}' must be an object")
+    read = _reader(section, values)
+    if section == "preset":
+        _reject_unknown("preset", values, _PRESET_KEYS)
+        options = {
+            arg: read(key, kind)
+            for key, (arg, kind) in _PRESET_OPTIONS.items()
+            if values.get(key) is not None
+        }
         params, geom, grid, tgrid = model.preset_from_epsilon(
-            eps=float(_require("preset", p, "epsilon")),
-            num_spins=int(_require("preset", p, "num_spins")),
-            rho=None if p.get("rho") is None else float(p["rho"]),
-            coupling_factor=int(p.get("kappa", 1)),
-            num_points=int(p.get("num_points", 1000)),
-            num_steps=int(p.get("num_steps", 350)),
-            t_final=float(p.get("t_final", 0.065)),
+            eps=read("epsilon", float), num_spins=read("num_spins", int), **options
         )
-        boundary_mode = p.get("boundary_mode", "ghost")
     else:
-        e = cfg["explicit"]
-        _reject_unknown("explicit", e, _EXPLICIT_KEYS)
-        for key in sorted(_EXPLICIT_REQUIRED):
-            _require("explicit", e, key)
+        _reject_unknown("explicit", values, _EXPLICIT_KEYS)
         params = model.PhysicalParams(
-            hbar=float(e["hbar"]),
-            mass=float(e["mass"]),
-            alpha=float(e["alpha"]),
-            beta=float(e["beta"]),
-            rho=float(e["rho"]),
-            p0=float(e["p0"]),
-            sigma_w=float(e["sigma"]),
-            trunc_a=float(e["trunc_a"]),
-            x0=float(e.get("x0", 0.0)),
-            coupling_factor=int(e.get("kappa", 1)),
+            hbar=read("hbar", float),
+            mass=read("mass", float),
+            alpha=read("alpha", float),
+            beta=read("beta", float),
+            rho=read("rho", float),
+            p0=read("p0", float),
+            sigma_w=read("sigma", float),
+            trunc_a=read("trunc_a", float),
+            x0=read("x0", float, 0.0),
+            coupling_factor=read("kappa", int, 1),
         )
         geom = model.Geometry(
-            half_length=float(e["half_length"]),
-            cluster_distance=float(e["cluster_distance"]),
-            spacing=float(e["spacing"]),
-            num_spins=int(e["num_spins"]),
+            half_length=read("half_length", float),
+            cluster_distance=read("cluster_distance", float),
+            spacing=read("spacing", float),
+            num_spins=read("num_spins", int),
         )
-        grid = model.build_grid(geom.half_length, int(e["num_points"]))
-        tgrid = model.TimeGrid(t_final=float(e["t_final"]), num_steps=int(e["num_steps"]))
-        boundary_mode = e.get("boundary_mode", "ghost")
+        grid = model.build_grid(geom.half_length, read("num_points", int))
+        tgrid = model.TimeGrid(t_final=read("t_final", float), num_steps=read("num_steps", int))
+    boundary_mode = values.get("boundary_mode", "ghost")
 
     if boundary_mode not in ("ghost", "symmetrized"):
         raise ConfigurationError(f"boundary_mode must be 'ghost' or 'symmetrized', got {boundary_mode!r}")
     layout = model.place_detectors(geom, grid)
 
-    stride = cfg.get("snapshot_stride")
-    if stride is not None:
-        stride = int(stride)
-        if stride < 1:
-            raise ConfigurationError("snapshot_stride must be >= 1 or null")
-    drop = float(cfg.get("arrival_drop", 0.01))
+    top = _reader("run", cfg)
+    drop = top("arrival_drop", float, 0.01)
     if not 0.0 < drop < 1.0:
         raise ConfigurationError("arrival_drop must be in (0, 1)")
 
@@ -196,8 +218,7 @@ def resolve_run_config(cfg):
         layout=layout,
         solve_config=_solve_config_from(cfg),
         boundary_mode=boundary_mode,
-        out_dir=str(cfg.get("out_dir", "spintrack_out")),
-        snapshot_stride=stride,
+        out_dir=top("out_dir", str, "spintrack_out"),
         arrival_drop=drop,
     )
 
@@ -240,7 +261,6 @@ def resolved_dict(setup):
             "rtol": setup.solve_config.rtol,
             "max_iter": setup.solve_config.max_iter,
         },
-        "snapshot_stride": setup.snapshot_stride,
         "arrival_drop": setup.arrival_drop,
     }
 
@@ -260,7 +280,6 @@ def simulate(setup):
         setup.tgrid.num_steps,
         config=setup.solve_config,
         sides=setup.layout.sides,
-        snapshot_stride=setup.snapshot_stride,
     )
     wall = time.perf_counter() - start
     final_channels = observables.channel_probs(record.final_state, t=setup.tgrid.t_final)
@@ -397,24 +416,9 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _sweep_point(point):
-    """Run one sweep point; must stay a top-level function for process pools."""
-    cfg = {
-        "preset": {
-            "epsilon": point["epsilon"],
-            "num_spins": point["num_spins"],
-            "rho": point["rho"],
-            "kappa": point["kappa"],
-            "boundary_mode": point["boundary_mode"],
-            "num_points": point["num_points"],
-            "num_steps": point["num_steps"],
-            "t_final": point["t_final"],
-        },
-        "solver": point["solver"],
-        "out_dir": point["out_dir"],
-        "arrival_drop": point["arrival_drop"],
-    }
-    row = {"N": point["num_spins"], "rho": point["rho"]}
+def _sweep_point(cfg):
+    """Run one sweep point's run config; must stay a top-level function for process pools."""
+    row = {"N": cfg["preset"]["num_spins"], "rho": cfg["preset"]["rho"]}
     try:
         setup = resolve_run_config(cfg)
         result = simulate(setup)
@@ -450,40 +454,28 @@ def cmd_sweep(args):
     try:
         cfg = load_config(args.config)
         _reject_unknown("sweep", cfg, _SWEEP_KEYS)
-        eps = float(_require("sweep", cfg, "epsilon"))
-        spins = _require("sweep", cfg, "num_spins")
-        rhos = _require("sweep", cfg, "rho")
-        if not isinstance(spins, list) or not spins:
-            raise ConfigurationError("'num_spins' must be a non-empty list")
-        if not isinstance(rhos, list) or not rhos:
-            raise ConfigurationError("'rho' must be a non-empty list")
-        if any(int(n) % 2 or int(n) < 2 for n in spins):
+        read = _reader("sweep", cfg)
+        spins = read("num_spins", _sorted_list(int))
+        rhos = read("rho", _sorted_list(float))
+        if any(n % 2 or n < 2 for n in spins):
             raise ConfigurationError("every entry of 'num_spins' must be even and >= 2")
-        solver_section = cfg.get("solver", {})
-        _solve_config_from(cfg)  # fail early on bad solver options
-        out_root = Path(args.out_dir or cfg.get("out_dir", "spintrack_sweep"))
-        parallelism = args.parallelism or int(cfg.get("parallelism", 0)) or (os.cpu_count() or 1)
+        out_root = Path(args.out_dir or read("out_dir", str, "spintrack_sweep"))
+        parallelism = args.parallelism or read("parallelism", int, 0) or (os.cpu_count() or 1)
+        preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
+        shared = {key: cfg[key] for key in ("solver", "arrival_drop") if key in cfg}
+        points = [
+            {
+                "preset": {**preset, "num_spins": n, "rho": r},
+                **shared,
+                "out_dir": str(out_root / f"N{n}_rho{r:g}"),
+            }
+            for n in spins
+            for r in rhos
+        ]
+        resolve_run_config(points[0])  # fail early on a bad shared key
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-
-    points = [
-        {
-            "epsilon": eps,
-            "num_spins": int(n),
-            "rho": float(r),
-            "kappa": int(cfg.get("kappa", 1)),
-            "boundary_mode": cfg.get("boundary_mode", "ghost"),
-            "num_points": int(cfg.get("num_points", 1000)),
-            "num_steps": int(cfg.get("num_steps", 350)),
-            "t_final": float(cfg.get("t_final", 0.065)),
-            "solver": solver_section,
-            "arrival_drop": float(cfg.get("arrival_drop", 0.01)),
-            "out_dir": str(out_root / f"N{int(n)}_rho{float(r):g}"),
-        }
-        for n in sorted(int(n) for n in spins)
-        for r in sorted(float(r) for r in rhos)
-    ]
 
     workers = max(1, min(parallelism, len(points)))
     if workers > 1:
@@ -555,36 +547,6 @@ def cmd_info(args):
 # validate: structural and oracle cross-checks
 
 
-def _scaled_small_params(rho, beta, kappa):
-    return model.PhysicalParams(
-        hbar=0.1, mass=1.0, alpha=1e-4, beta=beta, rho=rho,
-        p0=40.0 / 3.0, sigma_w=0.025, trunc_a=0.5, coupling_factor=kappa,
-    )
-
-
-def _small_instance(num_spins, num_points):
-    """A coarse, fast instance: full-size domain, wider detector spacing."""
-    grid = model.build_grid(1.5, num_points)
-    if num_spins % 2 == 0:
-        geom = model.Geometry(
-            half_length=1.5, cluster_distance=0.5,
-            spacing=max(0.1, 3.0 * grid.dx), num_spins=num_spins,
-        )
-        layout = model.place_detectors(geom, grid)
-    else:
-        # odd counts have no symmetric layout; place by hand
-        want = np.linspace(-0.52, 0.5, num_spins)
-        idx = np.ceil((want + 1.5) / grid.dx - 0.5).astype(np.int64)
-        pos = grid.xs[idx]
-        layout = model.DetectorLayout(
-            positions=pos,
-            grid_indices=idx,
-            sides=SideAssignment(tuple(-1 if y < 0 else 1 for y in pos)),
-            nominal_positions=want,
-        )
-    return grid, layout
-
-
 def _production_final_state(params, grid, layout, tgrid, boundary_mode="ghost"):
     h = assemble_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
     system = assemble_cn(h, tgrid.dt, params.hbar)
@@ -602,8 +564,8 @@ def _validate_checks(perturb_kappa=False):
                 params, geom, grid, _ = model.preset_from_epsilon(0.1, n)
                 layout = model.place_detectors(geom, grid)
             else:
-                grid, layout = _small_instance(n, nx)
-                params = _scaled_small_params(rho=100.0, beta=1e-4, kappa=1)
+                grid, layout = oracle.small_instance(n, nx)
+                params = oracle.scaled_params()
             h = assemble_hamiltonian(params, grid, layout)
             expect = (3 * nx - 2) * 2**n + n * 2**n
             stored = h.to_sparse("csr").nnz
@@ -614,8 +576,8 @@ def _validate_checks(perturb_kappa=False):
             )
 
     # every cross-channel entry has its conjugate-transpose partner
-    grid, layout = _small_instance(3, 200)
-    h = assemble_hamiltonian(_scaled_small_params(100.0, 1e-4, 1), grid, layout)
+    grid, layout = oracle.small_instance(3, 200)
+    h = assemble_hamiltonian(oracle.scaled_params(), grid, layout)
     entries = dict(zip(zip(h.coup_rows, h.coup_cols), h.coup_vals))
     paired = all(
         (c, r) in entries and entries[(c, r)] == np.conj(v)
@@ -624,12 +586,12 @@ def _validate_checks(perturb_kappa=False):
     yield ("coupling partner symmetry", paired, f"{len(entries)} entries")
 
     # rho = 0 removes every cross-channel entry
-    h0 = assemble_hamiltonian(_scaled_small_params(0.0, 1e-4, 1), grid, layout)
+    h0 = assemble_hamiltonian(oracle.scaled_params(rho=0.0), grid, layout)
     yield ("rho=0 decoupling", len(h0.coup_vals) == 0, f"{len(h0.coup_vals)} couplings stored")
 
     # A + B = 2I exactly
-    grid2, layout2 = _small_instance(2, 100)
-    h2 = assemble_hamiltonian(_scaled_small_params(100.0, 1e-4, 1), grid2, layout2)
+    grid2, layout2 = oracle.small_instance(2, 100)
+    h2 = assemble_hamiltonian(oracle.scaled_params(), grid2, layout2)
     system = assemble_cn(h2, 0.065 / 350, 0.1)
     import scipy.sparse as sparse
 
@@ -638,25 +600,25 @@ def _validate_checks(perturb_kappa=False):
     yield ("A + B = 2I", worst == 0.0, f"max deviation {worst:g}")
 
     # dense reference Hermitian in symmetrized mode; eigenvalues real
-    params = _scaled_small_params(100.0, 1e-4, 1)
-    grid_h, layout_h = _small_instance(2, 60)
+    params = oracle.scaled_params()
+    grid_h, layout_h = oracle.small_instance(2, 60)
     hd = oracle.dense_hamiltonian(params, grid_h, layout_h, boundary_mode="symmetrized")
     herm = float(np.max(np.abs(hd - hd.conj().T)))
     yield ("dense Hermiticity (symmetrized)", herm == 0.0, f"max |H - H^dag| = {herm:g}")
 
-    grid_e, layout_e = _small_instance(1, 50)
+    grid_e, layout_e = oracle.small_instance(1, 50)
     he = oracle.dense_hamiltonian(params, grid_e, layout_e, boundary_mode="symmetrized")
     imag = float(np.max(np.abs(np.linalg.eigvals(he).imag)))
     yield ("dense eigenvalues real", imag <= 1e-10, f"max |Im(eig)| = {imag:.3e}")
 
     # oracle vs production across the coupling matrix
     for n, nx, steps in ((2, 100, 50), (3, 128, 40)):
-        grid_c, layout_c = _small_instance(n, nx)
+        grid_c, layout_c = oracle.small_instance(n, nx)
         tgrid = model.TimeGrid(t_final=0.065 * steps / 350.0, num_steps=steps)
         for rho in (0.0, 10.0, 100.0):
             for beta in (0.0, 1e-4):
                 for kappa in (1, 2):
-                    params_o = _scaled_small_params(rho, beta, kappa)
+                    params_o = oracle.scaled_params(rho, beta, kappa)
                     prod_kappa = 2 if (perturb_kappa and kappa == 1) else kappa
                     params_p = replace(params_o, coupling_factor=prod_kappa)
                     rec, _ = _production_final_state(params_p, grid_c, layout_c, tgrid)
@@ -672,8 +634,8 @@ def _validate_checks(perturb_kappa=False):
                     )
 
     # norm conservation and time reversal on a small instance
-    grid_n, layout_n = _small_instance(2, 100)
-    params_n = _scaled_small_params(100.0, 1e-4, 1)
+    grid_n, layout_n = oracle.small_instance(2, 100)
+    params_n = oracle.scaled_params()
     tgrid_n = model.TimeGrid(t_final=0.065 * 50 / 350.0, num_steps=50)
     rec, h_n = _production_final_state(params_n, grid_n, layout_n, tgrid_n)
     drift = float(np.max(np.abs(rec.norm2 - 1.0)))

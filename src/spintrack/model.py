@@ -112,9 +112,6 @@ class TimeGrid:
     def dt(self):
         return self.t_final / self.num_steps
 
-    def times(self):
-        return self.dt * np.arange(self.num_steps + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class DetectorLayout:

@@ -1,19 +1,55 @@
-"""Dense reference implementation for small instances.
+"""Dense reference implementation and the small instances it is checked on.
 
 Everything here is written directly from the stencil definitions, entry by
 entry, on purpose sharing no construction code with `assembly`: a
 transcription slip in either implementation shows up as a mismatch when the
 two evolutions are compared.  Size is capped so the dense matrices stay
-trivially cheap.
+trivially cheap.  `scaled_params` and `small_instance` build the coarse
+instances that `spintrack validate` and the test suite run on.
 """
 
 import numpy as np
 import scipy.linalg
 
 from . import model
+from .spinspace import SideAssignment
 from .state import StateVector
 
 MAX_DENSE_DIM = 2048
+
+
+def scaled_params(rho=100.0, beta=1e-4, kappa=1, alpha=1e-4):
+    """The epsilon = 0.1 physical constants with overridable couplings."""
+    return model.PhysicalParams(
+        hbar=0.1, mass=1.0, alpha=alpha, beta=beta, rho=rho,
+        p0=40.0 / 3.0, sigma_w=0.025, trunc_a=0.5, coupling_factor=kappa,
+    )
+
+
+def small_instance(num_spins=2, num_points=100):
+    """Coarse grid over the standard domain with wide detector spacing.
+
+    Returns (grid, layout).  Even counts go through the production placement;
+    odd counts (used only to exercise assembly and the oracle) are placed by
+    hand since they have no symmetric layout.
+    """
+    grid = model.build_grid(1.5, num_points)
+    if num_spins % 2 == 0:
+        geom = model.Geometry(
+            half_length=1.5, cluster_distance=0.5,
+            spacing=max(0.1, 3.0 * grid.dx), num_spins=num_spins,
+        )
+        return grid, model.place_detectors(geom, grid)
+    want = np.linspace(-0.52, 0.5, num_spins)
+    idx = np.ceil((want + 1.5) / grid.dx - 0.5).astype(np.int64)
+    pos = grid.xs[idx]
+    layout = model.DetectorLayout(
+        positions=pos,
+        grid_indices=idx,
+        sides=SideAssignment(tuple(-1 if y < 0 else 1 for y in pos)),
+        nominal_positions=want,
+    )
+    return grid, layout
 
 
 def _check_size(num_channels, num_points):

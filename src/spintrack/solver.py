@@ -3,12 +3,12 @@
 The implicit operator A is constant in time, so the direct strategy factors
 it once (SuperLU) and reuses the factorization for every step.  The
 iterative strategy runs GMRES preconditioned by the decoupled per-channel
-tridiagonal solves, which is the natural fallback when the channel count
-makes the direct factorization too heavy.
+tridiagonal solves and stores no factorization; it has not been measured
+faster than the direct solve at any size run so far.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -125,25 +125,6 @@ def make_linear_solver(system, config):
     return BlockPreconditionedSolver(system, config)
 
 
-def solve_linear(a_matrix, rhs, config):
-    """One-shot solve of A x = rhs honoring the configured residual tolerance."""
-    if config.method == "direct":
-        x = DirectSolver(a_matrix).solve(rhs)
-    else:
-        x, info = sparse_linalg.gmres(
-            a_matrix.tocsr(),
-            rhs,
-            rtol=config.rtol,
-            atol=0.0,
-            restart=config.restart,
-            maxiter=config.max_iter,
-        )
-        if info != 0:
-            raise SolverError("GMRES did not converge")
-    _check_residual(a_matrix @ x - rhs, rhs, config.rtol)
-    return x
-
-
 def _norm(v):
     # BLAS dot: np.linalg.norm squares elementwise, which is several times
     # slower on wavefunction tails whose squares underflow to subnormals
@@ -221,23 +202,10 @@ class RunRecord:
     right_track: np.ndarray | None
     multi_track: np.ndarray | None
     final_state: StateVector
-    snapshots: list = field(default_factory=list)
     max_step_residual: float | None = None
 
-    @property
-    def num_steps(self):
-        return len(self.times) - 1
 
-
-def run(
-    system,
-    initial,
-    num_steps,
-    config=None,
-    sides=None,
-    observers=(),
-    snapshot_stride=None,
-):
+def run(system, initial, num_steps, config=None, sides=None):
     """Advance `num_steps` Crank-Nicolson steps, recording diagnostics.
 
     Each step costs one linear solve and one B-matvec: the product B x is
@@ -253,12 +221,6 @@ def run(
     config : SolveConfig, optional
     sides : SideAssignment, optional
         When given, the configuration-class probability series are recorded.
-    observers : iterable of callables
-        Each is invoked after every step as observer(k, t_k, state) with a
-        read-only state view.
-    snapshot_stride : int, optional
-        Store a full state copy every `snapshot_stride` steps, in addition to
-        the initial snapshot that is always kept.
 
     Returns
     -------
@@ -295,7 +257,6 @@ def run(
             "the scheme stays stable but phases will be inaccurate"
         )
     solver = make_linear_solver(system, config)
-    snapshots = [(0, initial.copy())]
     worst = 0.0
     for k in range(1, num_steps + 1):
         try:
@@ -304,12 +265,7 @@ def run(
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
         worst = max(worst, residual)
         state = StateVector(flat.reshape(shape), dx)
-        view = state.readonly()
-        for observer in observers:
-            observer(k, times[k], view)
         record(k, state, bx)
-        if snapshot_stride and k % snapshot_stride == 0 and k != num_steps:
-            snapshots.append((k, state.copy()))
     return RunRecord(
         times=times,
         norm2=norm2,
@@ -320,6 +276,5 @@ def run(
         right_track=classes[:, 3] if classes is not None else None,
         multi_track=classes[:, 4] if classes is not None else None,
         final_state=state,
-        snapshots=snapshots,
         max_step_residual=worst,
     )

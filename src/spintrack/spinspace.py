@@ -82,21 +82,6 @@ def symmetric_sides(num_spins):
     return SideAssignment((LEFT,) * half + (RIGHT,) * half)
 
 
-def flip_partner(mask, j, num_spins):
-    """The unique configuration differing from `mask` only at detector j."""
-    _check_num_spins(num_spins)
-    _check_mask(mask, num_spins)
-    if not 0 <= j < num_spins:
-        raise IndexError(f"detector index {j} out of range for {num_spins} spins")
-    return mask ^ (1 << j)
-
-
-def flip_neighbors(mask, num_spins):
-    """All single-flip partners of `mask` as (detector index, partner mask) pairs."""
-    _check_mask(mask, num_spins)
-    return [(j, flip_partner(mask, j, num_spins)) for j in range(num_spins)]
-
-
 def spin_sum(mask, num_spins):
     """Sum of the +-1 spin values, i.e. 2*popcount(mask) - N."""
     _check_num_spins(num_spins)
@@ -109,12 +94,6 @@ def spin_sums(num_spins):
     _check_num_spins(num_spins)
     masks = np.arange(1 << num_spins, dtype=np.int64)
     return 2 * np.bitwise_count(masks).astype(np.int64) - num_spins
-
-
-def complement(mask, num_spins):
-    """Mask with every spin flipped."""
-    _check_mask(mask, num_spins)
-    return mask ^ ((1 << num_spins) - 1)
 
 
 def mirror(mask, num_spins):

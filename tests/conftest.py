@@ -1,59 +1,7 @@
-"""Shared builders for small, fast test instances."""
+"""Shared fixtures; the small-instance builders live in `spintrack.oracle`."""
 
 import numpy as np
 import pytest
-
-from spintrack import (
-    DetectorLayout,
-    Geometry,
-    PhysicalParams,
-    SideAssignment,
-    build_grid,
-    place_detectors,
-)
-
-
-def scaled_params(rho=100.0, beta=1e-4, kappa=1, alpha=1e-4):
-    """The epsilon = 0.1 physical constants with overridable couplings."""
-    return PhysicalParams(
-        hbar=0.1,
-        mass=1.0,
-        alpha=alpha,
-        beta=beta,
-        rho=rho,
-        p0=40.0 / 3.0,
-        sigma_w=0.025,
-        trunc_a=0.5,
-        coupling_factor=kappa,
-    )
-
-
-def small_instance(num_spins=2, num_points=100):
-    """Coarse grid over the standard domain with wide detector spacing.
-
-    Even counts go through the production placement; odd counts (used only to
-    exercise assembly and the oracle) are placed by hand since they have no
-    symmetric layout.
-    """
-    grid = build_grid(1.5, num_points)
-    if num_spins % 2 == 0:
-        geom = Geometry(
-            half_length=1.5,
-            cluster_distance=0.5,
-            spacing=max(0.1, 3.0 * grid.dx),
-            num_spins=num_spins,
-        )
-        return grid, place_detectors(geom, grid)
-    want = np.linspace(-0.52, 0.5, num_spins)
-    idx = np.ceil((want + 1.5) / grid.dx - 0.5).astype(np.int64)
-    pos = grid.xs[idx]
-    layout = DetectorLayout(
-        positions=pos,
-        grid_indices=idx,
-        sides=SideAssignment(tuple(-1 if y < 0 else 1 for y in pos)),
-        nominal_positions=want,
-    )
-    return grid, layout
 
 
 @pytest.fixture

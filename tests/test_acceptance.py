@@ -169,8 +169,7 @@ def test_criterion_10_coupling_factor_resolution(cache):
 
 
 def test_criterion_11_oracle_equivalence():
-    from conftest import scaled_params, small_instance
-    from spintrack.oracle import compare, dense_run
+    from spintrack.oracle import compare, dense_run, scaled_params, small_instance
 
     for rho in (0.0, 10.0, 100.0):
         params = scaled_params(rho=rho)
@@ -191,7 +190,7 @@ def test_criterion_11_oracle_equivalence():
 
 
 def test_criterion_12_sparsity_structure():
-    from conftest import scaled_params, small_instance
+    from spintrack.oracle import scaled_params, small_instance
 
     for n in (2, 4, 6, 8):
         for nx in (50, 1000):

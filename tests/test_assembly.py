@@ -1,7 +1,5 @@
 """Hamiltonian structure, entry values, and the Crank-Nicolson operators."""
 
-import io
-
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -11,18 +9,15 @@ from spintrack import (
     DetectorLayout,
     SideAssignment,
     StateVector,
-    apply_h,
     assemble_cn,
     assemble_hamiltonian,
     build_grid,
-    dump_pattern,
     place_detectors,
     preset_from_epsilon,
     spin_sum,
 )
 from spintrack.assembly import DiscreteHamiltonian
-
-from conftest import scaled_params, small_instance
+from spintrack.oracle import scaled_params, small_instance
 
 
 def _zero_hamiltonian(num_points=5):
@@ -200,7 +195,7 @@ def test_apply_h_zero_and_linearity(rng):
     grid, layout = small_instance(2, 90)
     h = assemble_hamiltonian(params, grid, layout)
     zero = StateVector.zeros(4, 90, grid.dx)
-    assert np.all(apply_h(h, zero).values == 0.0)
+    assert np.all(h.apply(zero.values) == 0.0)
 
     u = rng.standard_normal((4, 90)) + 1j * rng.standard_normal((4, 90))
     v = rng.standard_normal((4, 90)) + 1j * rng.standard_normal((4, 90))
@@ -244,18 +239,3 @@ def test_small_dense_eigenvalues_real():
     eigs = np.linalg.eigvals(h.to_sparse("csr").toarray())
     assert np.max(np.abs(eigs.imag)) <= 1e-10
 
-
-def test_dump_pattern_roundtrip():
-    grid, layout = small_instance(2, 50)
-    h = assemble_hamiltonian(scaled_params(), grid, layout)
-    buf = io.StringIO()
-    dump_pattern(h, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == h.nnz
-    rebuilt = {}
-    for line in lines:
-        r, c, re_, im_ = line.split()
-        rebuilt[(int(r), int(c))] = float(re_) + 1j * float(im_)
-    dense = h.to_sparse("csr").toarray()
-    for (r, c), v in rebuilt.items():
-        assert dense[r, c] == v

@@ -80,6 +80,21 @@ def test_missing_required_key_named(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("run", {"preset": {"epsilon": "abc", "num_spins": 4}}, "epsilon"),
+        ("info", {"preset": {"epsilon": "abc", "num_spins": 4}}, "epsilon"),
+        ("run", {"preset": {"epsilon": 0.1, "num_spins": 4, "num_points": "many"}}, "num_points"),
+        ("sweep", {"epsilon": 0.1, "num_spins": ["x"], "rho": [100.0]}, "num_spins"),
+    ],
+)
+def test_malformed_value_is_config_error(tmp_path, capsys, command, payload, key):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert cli.main([command, "-c", cfg]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_preset_and_explicit_mutually_exclusive(tmp_path, capsys):
     payload = small_explicit_config(tmp_path / "out")
     payload["preset"] = {"epsilon": 0.1, "num_spins": 4}
@@ -181,6 +196,37 @@ def test_sweep_small_grid(tmp_path):
     # per-point artifacts exist
     assert (out / "N2_rho0" / "summary.json").exists()
     assert (out / "N2_rho10" / "timeseries.csv").exists()
+
+
+def test_sweep_point_resolves_as_run(tmp_path, capsys):
+    shared = {
+        "epsilon": 0.1,
+        "kappa": 2,
+        "boundary_mode": "symmetrized",
+        "num_points": 120,
+        "num_steps": 10,
+        "t_final": 0.01,
+    }
+    out = tmp_path / "sweep"
+    sweep = {
+        **shared,
+        "num_spins": [2],
+        "rho": [50.0],
+        "solver": {"rtol": 1e-10},
+        "arrival_drop": 0.02,
+        "parallelism": 1,
+        "out_dir": str(out),
+    }
+    assert cli.main(["sweep", "-c", _write(tmp_path / "sweep.json", sweep)]) == 0
+    resolved = json.loads((out / "N2_rho50" / "summary.json").read_text())["resolved"]
+    run = {
+        "preset": {**shared, "num_spins": 2, "rho": 50.0},
+        "solver": {"rtol": 1e-10},
+        "arrival_drop": 0.02,
+    }
+    capsys.readouterr()
+    assert cli.main(["info", "-c", _write(tmp_path / "run.json", run), "--json"]) == 0
+    assert resolved == json.loads(capsys.readouterr().out)
 
 
 def test_sweep_empty_list_rejected(tmp_path, capsys):

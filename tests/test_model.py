@@ -14,8 +14,7 @@ from spintrack import (
     validate_regime,
 )
 from spintrack.model import cluster_offsets
-
-from conftest import scaled_params
+from spintrack.oracle import scaled_params
 
 
 def test_build_grid_reference_spacing():

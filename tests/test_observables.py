@@ -13,9 +13,8 @@ from spintrack import (
     initial_state,
     symmetric_sides,
 )
+from spintrack.oracle import scaled_params, small_instance
 from spintrack.solver import RunRecord
-
-from conftest import scaled_params, small_instance
 
 
 def test_channel_probs_initial_state():

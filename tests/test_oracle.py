@@ -12,9 +12,13 @@ from spintrack import (
     initial_state,
     run,
 )
-from spintrack.oracle import compare, dense_hamiltonian, dense_run
-
-from conftest import scaled_params, small_instance
+from spintrack.oracle import (
+    compare,
+    dense_hamiltonian,
+    dense_run,
+    scaled_params,
+    small_instance,
+)
 
 
 def test_size_cap():

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 from spintrack import (
     SolveConfig,
@@ -13,13 +12,11 @@ from spintrack import (
     initial_state,
     make_linear_solver,
     run,
-    solve_linear,
     step,
 )
 from spintrack import observables
+from spintrack.oracle import scaled_params, small_instance
 from spintrack.solver import DirectSolver
-
-from conftest import scaled_params, small_instance
 
 
 def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065 / 350):
@@ -42,29 +39,6 @@ def test_solve_config_validation():
         SolveConfig(max_iter=0)
 
 
-def test_solve_linear_identity():
-    rhs = np.arange(6, dtype=complex)
-    eye = sparse.identity(6, dtype=complex, format="csc")
-    x = solve_linear(eye, rhs, SolveConfig())
-    np.testing.assert_array_equal(x, rhs)
-
-
-def test_solve_linear_residual_contract(rng):
-    n = 40
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    a = sparse.csc_matrix(np.eye(n) + 0.05j * (m + m.conj().T))
-    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    cfg = SolveConfig(rtol=1e-12)
-    x = solve_linear(a, rhs, cfg)
-    assert np.linalg.norm(a @ x - rhs) <= cfg.rtol * np.linalg.norm(rhs)
-
-
-def test_solve_linear_rejects_nan_rhs():
-    eye = sparse.identity(4, dtype=complex, format="csc")
-    with pytest.raises(SolverError):
-        solve_linear(eye, np.array([1.0, np.nan, 2.0, 3.0], dtype=complex), SolveConfig())
-
-
 def _with_entry(state, value):
     values = state.values.copy()
     values[0, 50] = value
@@ -85,16 +59,14 @@ def test_run_rejects_nonfinite_state(value):
         run(system, _with_entry(psi0, value), 5, sides=layout.sides)
 
 
-def _captured_run(system, psi0, layout, num_steps):
-    states = [psi0.values.copy()]
-    record = run(
-        system,
-        psi0,
-        num_steps,
-        sides=layout.sides,
-        observers=(lambda k, t, state: states.append(state.values.copy()),),
-    )
-    return record, [StateVector(v, psi0.dx) for v in states]
+def _stepped_run(system, psi0, layout, num_steps):
+    """run() plus the per-step states from step() calls on one shared solver."""
+    record = run(system, psi0, num_steps, sides=layout.sides)
+    shared = make_linear_solver(system, SolveConfig())
+    states = [psi0]
+    for _ in range(num_steps):
+        states.append(step(system, states[-1], linear_solver=shared))
+    return record, states
 
 
 def test_run_matches_full_path():
@@ -102,7 +74,7 @@ def test_run_matches_full_path():
     # recorded probabilities, against the explicit A x, H x and observables
     system, psi0, layout = _system(num_points=120)
     cfg = SolveConfig()
-    record, states = _captured_run(system, psi0, layout, 30)
+    record, states = _stepped_run(system, psi0, layout, 30)
 
     for prev, cur in zip(states[:-1], states[1:]):
         rhs = system.b @ prev.values.ravel()
@@ -119,17 +91,14 @@ def test_run_matches_full_path():
         for name in ("unchanged", "one_spin", "left_track", "right_track", "multi_track"):
             assert getattr(record, name)[k] == pytest.approx(getattr(cls, name), abs=1e-14)
 
-    shared = make_linear_solver(system, cfg)
-    state = psi0
-    for _ in range(30):
-        state = step(system, state, cfg, shared)
-    np.testing.assert_array_equal(record.final_state.values, state.values)
+    np.testing.assert_array_equal(record.final_state.values, states[-1].values)
 
 
 def test_run_energy_matches_full_path_backward():
     # with dt < 0 the factor dt / 2 hbar in the energy changes sign
     system, psi0, layout = _system(num_points=120, dt=-0.065 / 350)
-    record, states = _captured_run(system, psi0, layout, 30)
+    record, states = _stepped_run(system, psi0, layout, 30)
+    np.testing.assert_array_equal(record.final_state.values, states[-1].values)
     for k, state in enumerate(states):
         full = observables.energy(state, system.h)
         assert record.energy[k] == pytest.approx(full, rel=1e-12, abs=0.0)
@@ -219,26 +188,11 @@ def test_run_decoupled_stays_in_channel_zero():
 
 def test_run_series_shapes_and_observers():
     system, psi0, layout = _system(num_points=120)
-    seen = []
-
-    def observer(k, t, state):
-        seen.append((k, t))
-        assert not state.values.flags.writeable
-        with pytest.raises(ValueError):
-            state.values[0, 0] = 1.0
-
-    record = run(system, psi0, 20, sides=layout.sides, observers=(observer,))
-    assert len(seen) == 20
-    assert seen[0][0] == 1 and seen[-1][0] == 20
+    record = run(system, psi0, 20, sides=layout.sides)
     for series in (record.times, record.norm2, record.energy, record.unchanged):
         assert len(series) == 21
-    assert record.snapshots[0][0] == 0
-
-
-def test_run_snapshot_stride():
-    system, psi0, layout = _system(num_points=120)
-    record = run(system, psi0, 20, sides=layout.sides, snapshot_stride=7)
-    assert [k for k, _ in record.snapshots] == [0, 7, 14]
+    assert record.times[0] == 0.0
+    assert record.times[-1] == pytest.approx(20 * system.dt)
 
 
 def test_run_norm_and_energy_conserved():
@@ -246,6 +200,10 @@ def test_run_norm_and_energy_conserved():
     record = run(system, psi0, 60, sides=layout.sides)
     assert np.max(np.abs(record.norm2 - 1.0)) <= 1e-10
     assert np.max(np.abs(record.energy - record.energy[0])) <= 1e-8 * abs(record.energy[0])
+    # StateVector.norm2 is a BLAS dot; compare it with the abs^2 sum
+    final = record.final_state
+    reference = final.dx * np.sum(np.abs(final.values) ** 2)
+    assert final.norm2() == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 def test_time_reversal():
