@@ -2,9 +2,10 @@
 
 The dense oracle rebuilds the Hamiltonian entry by entry from the stencil
 definitions, shares no construction code with the sparse assembly, and
-evolves with dense LU instead of SuperLU.  On a small instance the two
-evolutions must agree to near machine precision; this is the cross-check
-the `spintrack validate` subcommand runs over a whole coupling matrix.
+evolves with dense LU instead of the structured direct solve.  On a small
+instance the two evolutions must agree to near machine precision; this is
+the cross-check the `spintrack validate` subcommand runs over a whole
+coupling matrix.
 """
 
 import numpy as np

@@ -440,8 +440,17 @@ def _sweep_point(cfg):
         row.update(
             LRC_one_side=None, two_LRC=None, OS=None, UC=None, MT=None,
             row_sum=None, arrival_time=None, wall_seconds=None, error=str(err),
+            exit_code=_exit_code(err),
         )
     return row
+
+
+def _exit_code(err):
+    """The code `spintrack run` exits with for this failure; 1 for an unexpected one."""
+    for kind, code in ((ConfigurationError, EXIT_CONFIG), (SolverError, EXIT_SOLVER), (OSError, EXIT_IO)):
+        if isinstance(err, kind):
+            return code
+    return EXIT_MISMATCH
 
 
 _SWEEP_COLUMNS = (
@@ -508,7 +517,7 @@ def cmd_sweep(args):
                 f"2LRC={row['two_LRC']:.6f} OS={row['OS']:.6f} ({row['wall_seconds']:.1f}s)"
             )
     print(f"sweep: {len(rows) - len(failed)}/{len(rows)} points ok -> {out_root / 'sweep.csv'}")
-    return EXIT_SOLVER if failed else EXIT_OK
+    return failed[0]["exit_code"] if failed else EXIT_OK
 
 
 def cmd_info(args):
@@ -536,7 +545,7 @@ def cmd_info(args):
     print(f"detectors (snapped) : {['%.6g' % y for y in info['detector_positions']]}")
     print(f"detector indices    : {info['detector_indices']}")
     print(f"predicted arrival   : D/p0 = {info['predicted_arrival']:.6g}")
-    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{6 * vec_bytes / 1e6:.1f} MB + factor fill")
+    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{18 * vec_bytes / 1e6:.1f} MB (A, B and the step's vectors)")
     print(f"solver              : {info['solver']['method']} (rtol={info['solver']['rtol']:g}, max_iter={info['solver']['max_iter']})")
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning             : {note}")

@@ -274,7 +274,7 @@ def preset_from_epsilon(
         mass=1.0,
         alpha=eps**4,
         beta=eps**4,
-        rho=eps**-2 if rho is None else rho,
+        rho=(1.0 / eps) ** 2 if rho is None else rho,
         p0=4.0 / (3.0 * eps),
         sigma_w=eps / 4.0,
         trunc_a=cluster_distance,

@@ -1,23 +1,36 @@
-"""Time integration: one sparse linear solve per Crank-Nicolson step.
+"""Time integration: one linear solve per Crank-Nicolson step.
 
-The implicit operator A is constant in time, so the direct strategy factors
-it once (SuperLU) and reuses the factorization for every step.  The
-iterative strategy runs GMRES preconditioned by the decoupled per-channel
-tridiagonal solves and stores no factorization; it has not been measured
-faster than the direct solve at any size run so far.
+The implicit operator A is constant in time.  The direct strategy uses its
+structure: one tridiagonal block per spin channel, coupled only at the
+detector points.  It factors the tridiagonal blocks once, one per distinct
+diagonal shift, and solves the small detector (capacitance) system exactly
+on every step; no sparse factorization of A is formed.  The iterative
+strategy runs GMRES preconditioned by the decoupled per-channel tridiagonal
+solves; it has not been measured faster than the direct solve at any size
+run so far.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as sparse_linalg
+from scipy.linalg import lapack
 
 from . import observables
+from .model import ConfigurationError
 from .state import StateVector
 
 SOLVE_METHODS = ("direct", "iterative")
+# The direct solver's capacitance sweeps stop at this relative residual and
+# raise SolverError after this many sweeps.
+CAPACITANCE_RTOL = 1e-15
+CAPACITANCE_MAX_SWEEPS = 20
+# Bits of the channel index that one matrix product of its eigenbasis
+# transform covers.
+TRANSFORM_CHUNK_BITS = 6
 
 
 class SolverError(RuntimeError):
@@ -53,14 +66,115 @@ class SolveConfig:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
 
 
-class DirectSolver:
-    """LU factorization of A, computed once, reused for every right-hand side."""
+class CapacitanceSolver:
+    """Exact solve of A x = r from tridiagonal solves and a small detector system.
 
-    def __init__(self, a_matrix):
-        self._lu = sparse_linalg.splu(a_matrix.tocsc())
+    A = T + E K E^T: T is block diagonal with one tridiagonal block per
+    channel, and that block depends on the channel only through its diagonal
+    shift, so the channels fall into groups that share one LU factor
+    (`zgttrf`).  K is the spin-flip coupling f (-gamma_j sigma_y) at detector
+    point j, and E selects the (channel, detector point) entries.  With v =
+    E^T x, the (M, N) values of x at the detector points,
+
+        (I + G K) v = E^T T^-1 r,   G = E^T T^-1 E,
+        x = T^-1 (r - E K v).
+
+    G is block diagonal over channels: an N x N block that depends only on
+    the channel's group.  If every group had the reference block G0, the
+    per-detector eigenvectors (1, +-i)/sqrt(2) of sigma_y would split the
+    capacitance system into M independent blocks I + G0 D.  That basis
+    change U acts bit by bit on the channel index and is never formed as an
+    M x M matrix.  U (I + G0 D)^-1 U^H therefore preconditions a few
+    correction sweeps, which absorb the group differences, small
+    (dt / 2 hbar) * alpha * N relative.  No sparse factor is formed.
+    """
+
+    def __init__(self, system):
+        h = system.h
+        factor = 1j * system.dt / (2.0 * system.hbar)
+        m, nx = h.num_channels, h.num_points
+        self._shape = (m, nx)
+        lower = factor * h.lower
+        upper = factor * h.upper
+        shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
+        # channels sorted by group, so each group is one contiguous row slice
+        self._order = np.argsort(group_of, kind="stable")
+        bounds = np.searchsorted(group_of[self._order], np.arange(len(shifts) + 1))
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._factors = [
+            _tridiagonal_factor(lower, 1.0 + factor * (h.kin_diag + shift), upper)
+            for shift in shifts
+        ]
+        gamma = _flip_couplings(h)
+        self._coupled = gamma is not None
+        if not self._coupled:
+            return
+        det = h.detector_indices
+        n = len(det)
+        # (M, N) flip coefficients and partner entries of K, in the layout
+        # assembly wrote them: coupling j of channel `mask` is entry j * M + mask
+        self._k = (factor * h.coup_vals).reshape(n, m).T.copy()
+        masks = np.arange(m)
+        self._partner = ((masks[:, None] ^ (1 << np.arange(n))) * n + np.arange(n)).ravel()
+        self._det = det
+        self._rows = []  # per group: (band slice, rows of T^-1 at the detectors)
+        blocks = []
+        for lu in self._factors:
+            band, rows = _detector_rows(lu, det)
+            self._rows.append((band, rows))
+            blocks.append(rows[det - band.start].T)  # G_g[j, k] = T_g^-1[i_j, i_k]
+        self._g = np.stack(blocks)[group_of]  # (M, N, N)
+        # reference block at the middle shift; exact when there is one group
+        mid = 0.5 * (shifts[0] + shifts[-1])
+        ref = self._factors[0] if len(shifts) == 1 else _tridiagonal_factor(
+            lower, 1.0 + factor * (h.kin_diag + mid), upper
+        )
+        band, rows = _detector_rows(ref, det)
+        g0 = rows[det - band.start].T
+        # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma_j of -gamma_j sigma_y
+        d = factor * gamma * np.where((masks[:, None] >> np.arange(n)) & 1, 1.0, -1.0)
+        self._block_inv = np.linalg.inv(np.eye(n) + g0 * d[:, None, :])
+        self._transform = _bitwise_transform(n)
+
+    def _apply_k(self, v):
+        return self._k * v.ravel()[self._partner].reshape(v.shape)
+
+    def _precondition(self, res):
+        y = _apply_bitwise(self._transform, res, adjoint=True)
+        y = np.matmul(self._block_inv, y[:, :, None])[:, :, 0]
+        return _apply_bitwise(self._transform, y, adjoint=False)
+
+    def _capacitance(self, w):
+        """Solve (I + G K) v = w by preconditioned correction sweeps."""
+        w_norm = _norm(w)
+        v = self._precondition(w)
+        for _ in range(CAPACITANCE_MAX_SWEEPS):
+            res = w - v - np.matmul(self._g, self._apply_k(v)[:, :, None])[:, :, 0]
+            residual = _norm(res) / w_norm if w_norm else _norm(res)
+            if residual <= CAPACITANCE_RTOL:
+                return v
+            if not np.isfinite(residual):
+                break
+            v += self._precondition(res)
+        raise SolverError(
+            f"detector capacitance solve stopped at relative residual {residual:.3e} "
+            f"(target {CAPACITANCE_RTOL:g} within {CAPACITANCE_MAX_SWEEPS} sweeps)",
+            residual=residual,
+        )
 
     def solve(self, rhs, x0=None):
-        return self._lu.solve(rhs)
+        r = rhs.reshape(self._shape)[self._order]  # a copy, solved in place
+        if self._coupled:
+            w = np.empty((len(r), len(self._det)), dtype=np.complex128)
+            for sl, (band, rows) in zip(self._slices, self._rows):
+                w[self._order[sl]] = r[sl, band] @ rows
+            kv = self._apply_k(self._capacitance(w))
+            r[:, self._det] -= kv[self._order]
+        for sl, lu in zip(self._slices, self._factors):
+            _tridiagonal_solve(lu, r[sl])
+        x = np.empty(self._shape, dtype=np.complex128)
+        x[self._order] = r
+        return x.ravel()
 
 
 class BlockPreconditionedSolver:
@@ -119,9 +233,105 @@ class BlockPreconditionedSolver:
         return x
 
 
+def _tridiagonal_factor(lower, diag, upper):
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(lower, diag, upper)
+    if info != 0:
+        raise SolverError(f"tridiagonal block is singular (zgttrf info {info})")
+    return dl, d, du, du2, ipiv
+
+
+def _tridiagonal_solve(lu, rows, trans="N"):
+    """Solve for each row of the C-ordered (k, Nx) array `rows`, in place; k >= 1.
+
+    Its transpose is the Fortran-ordered right-hand side LAPACK overwrites.
+    """
+    x, info = lapack.zgttrs(*lu, rows.T, trans=trans, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"zgttrs argument {-info} is invalid")
+    if not np.shares_memory(x, rows):
+        rows[...] = x.T
+
+
+def _detector_rows(lu, det):
+    """Rows of T^-1 at the detector points, transposed and band-limited.
+
+    Returns (band, y) with y[i, j] = T^-1[det[j], band.start + i].  Each row
+    decays geometrically away from its detector; entries below machine
+    epsilon of the row's peak are set to zero, because further out they
+    underflow to subnormals that slow every product with them, and the band
+    is cut to the span that keeps a nonzero entry.
+    """
+    y = np.zeros((len(det), len(lu[1])), dtype=np.complex128)
+    y[np.arange(len(det)), det] = 1.0
+    _tridiagonal_solve(lu, y, trans="T")
+    mag = np.abs(y)
+    y[mag < np.finfo(float).eps * mag.max(axis=1, keepdims=True)] = 0.0
+    kept = np.flatnonzero(np.any(y != 0.0, axis=0))
+    band = slice(kept[0], kept[-1] + 1)
+    return band, np.ascontiguousarray(y[:, band].T)
+
+
+def _flip_couplings(h):
+    """Per-detector flip strengths gamma_j, or None when nothing is coupled.
+
+    The capacitance solve relies on the coupling structure assembly builds:
+    entry j * M + mask couples (mask, i_j) to (mask ^ 2^j, i_j) with the
+    value -i sigma_j(mask) gamma_j, where gamma_j is one real number per
+    detector.  Any other coupling list is rejected here rather than solved
+    wrongly.
+    """
+    if len(h.coup_vals) == 0:
+        return None
+    det = np.asarray(h.detector_indices)
+    n, m, nx = len(det), h.num_channels, h.num_points
+    if n == 0 or m != 1 << n or len(h.coup_vals) != n * m:
+        raise ConfigurationError(
+            f"direct solver: {len(h.coup_vals)} couplings do not fit {m} channels "
+            f"and {n} detectors"
+        )
+    masks = np.arange(m)
+    bits = 1 << np.arange(n)[:, None]
+    sigma = np.where(masks & bits, 1.0, -1.0)
+    gamma = 1j * sigma * h.coup_vals.reshape(n, m)
+    if not (
+        np.array_equal(h.coup_rows, (masks * nx + det[:, None]).ravel())
+        and np.array_equal(h.coup_cols, ((masks ^ bits) * nx + det[:, None]).ravel())
+        and np.allclose(gamma, gamma.real[:, :1], rtol=1e-12, atol=0.0)
+    ):
+        raise ConfigurationError(
+            "direct solver: couplings must flip one spin at its own detector "
+            "point with a strength that depends only on that detector"
+        )
+    return gamma.real[:, 0]
+
+
+def _bitwise_transform(num_bits):
+    """The product of the 2 x 2 maps u = [[1, 1], [i, -i]] / sqrt(2) over all bits.
+
+    Stored as (lo, c, kron of c copies of u, its adjoint) per chunk of at
+    most TRANSFORM_CHUNK_BITS bits starting at bit lo.
+    """
+    u = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+    chunks = []
+    for lo in range(0, num_bits, TRANSFORM_CHUNK_BITS):
+        c = min(TRANSFORM_CHUNK_BITS, num_bits - lo)
+        mat = functools.reduce(np.kron, [u] * c)
+        chunks.append((lo, c, mat, mat.conj().T))
+    return chunks
+
+
+def _apply_bitwise(chunks, v, adjoint):
+    """Apply the bitwise transform (or its adjoint) along the channel axis of (M, N) v."""
+    m, n = v.shape
+    for lo, c, mat, mat_h in chunks:
+        op = mat_h if adjoint else mat
+        v = (op @ v.reshape(m >> (lo + c), 1 << c, (1 << lo) * n)).reshape(m, n)
+    return v
+
+
 def make_linear_solver(system, config):
     if config.method == "direct":
-        return DirectSolver(system.a)
+        return CapacitanceSolver(system)
     return BlockPreconditionedSolver(system, config)
 
 

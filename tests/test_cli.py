@@ -60,6 +60,12 @@ def test_info_human_readable(tmp_path, capsys):
     assert "0.0375" in out
 
 
+def test_info_default_rho_is_exact(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 4}})
+    assert cli.main(["info", "-c", cfg, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == 100.0
+
+
 def test_info_rejects_odd_spin_count(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 5}})
     assert cli.main(["info", "-c", cfg]) == cli.EXIT_CONFIG
@@ -238,10 +244,9 @@ def test_sweep_empty_list_rejected(tmp_path, capsys):
     assert "num_spins" in capsys.readouterr().err
 
 
-def test_sweep_records_failed_points(tmp_path, capsys):
-    out = tmp_path / "sweep"
-    # second point collides detectors on a deliberately coarse grid
-    cfg = _write(
+def _coarse_sweep(tmp_path):
+    # the N=8 point collides detectors on a deliberately coarse grid
+    return _write(
         tmp_path / "sweep.json",
         {
             "epsilon": 0.1,
@@ -251,14 +256,54 @@ def test_sweep_records_failed_points(tmp_path, capsys):
             "num_steps": 5,
             "t_final": 0.005,
             "parallelism": 1,
-            "out_dir": str(out),
+            "out_dir": str(tmp_path / "sweep"),
         },
     )
+
+
+def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys):
+    # a spin energy far above the preset's stalls the direct solver's
+    # detector-capacitance sweeps at their bound
+    out = tmp_path / "out"
+    payload = small_explicit_config(out, alpha=1e3, rho=1e6, num_spins=4)
+    cfg = _write(tmp_path / "cfg.json", payload)
+    with pytest.warns(UserWarning, match="phases will be inaccurate"):
+        assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
+    assert "capacitance" in capsys.readouterr().err
+
+
+def test_sweep_records_failed_points(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cfg = _coarse_sweep(tmp_path)
     code = cli.main(["sweep", "-c", cfg])
-    assert code == cli.EXIT_SOLVER
+    assert code == cli.EXIT_CONFIG  # the failed point's config error, as `run` exits
     rows = (out / "sweep.csv").read_text().strip().split("\n")
     assert len(rows) == 3
     assert "nan" in rows[2]
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (cli.SolverError("forced"), cli.EXIT_SOLVER),
+        (OSError("forced"), cli.EXIT_IO),
+        (RuntimeError("forced"), cli.EXIT_MISMATCH),
+    ],
+    ids=["solver", "io", "unexpected"],
+)
+def test_sweep_exits_with_first_failed_points_code(tmp_path, monkeypatch, capsys, error, code):
+    # the N=2 point fails with `error`, then the N=8 point with a config
+    # error; the sweep exits with the code of the first failure in sweep order
+    real = cli.simulate
+
+    def simulate(setup):
+        if setup.geom.num_spins == 2:
+            raise error
+        return real(setup)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    assert cli.main(["sweep", "-c", _coarse_sweep(tmp_path)]) == code
+    assert capsys.readouterr().err.count("FAILED") == 2
 
 
 def test_validate_passes(capsys):

@@ -2,21 +2,25 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sparse_linalg
 
 from spintrack import (
+    ConfigurationError,
     SolveConfig,
     SolverError,
     StateVector,
     assemble_cn,
     assemble_hamiltonian,
+    build_grid,
     initial_state,
     make_linear_solver,
     run,
     step,
 )
-from spintrack import observables
+from spintrack import cli, observables
+from spintrack.assembly import DiscreteHamiltonian
 from spintrack.oracle import scaled_params, small_instance
-from spintrack.solver import DirectSolver
+from spintrack.solver import CapacitanceSolver
 
 
 def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065 / 350):
@@ -117,11 +121,8 @@ def test_factorization_reuse_consistency():
     assert diff <= 1e-13
 
 
-def test_single_free_channel_norm_preserved():
-    # one channel, no detectors: plain free-particle Crank-Nicolson
-    from spintrack.assembly import DiscreteHamiltonian
-    from spintrack import build_grid
-
+def _free_channel_system():
+    """One channel, no detectors: plain free-particle Crank-Nicolson."""
     grid = build_grid(1.5, 200)
     hop = 0.1**2 / (2 * 1.0 * grid.dx**2)
     h = DiscreteHamiltonian(
@@ -136,7 +137,12 @@ def test_single_free_channel_norm_preserved():
         dx=grid.dx,
         boundary_mode="symmetrized",
     )
-    system = assemble_cn(h, 0.065 / 350, 0.1)
+    return assemble_cn(h, 0.065 / 350, 0.1)
+
+
+def test_single_free_channel_norm_preserved():
+    system = _free_channel_system()
+    grid = build_grid(1.5, 200)
     psi = initial_state(scaled_params(), grid, 1)
     before = psi.norm2()
     after = step(system, psi).norm2()
@@ -236,8 +242,88 @@ def test_coarse_step_warns():
 
 def test_direct_solver_reuses_factorization():
     system, psi0, _ = _system(num_points=120)
-    solver = DirectSolver(system.a)
+    solver = make_linear_solver(system, SolveConfig())
+    assert isinstance(solver, CapacitanceSolver)
     rhs = system.b @ psi0.values.ravel()
+    before = rhs.copy()
     x1 = solver.solve(rhs)
     x2 = solver.solve(rhs)
     np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(rhs, before)
+
+
+@pytest.mark.parametrize("dt", [0.065 / 350, -0.065 / 350], ids=["forward", "backward"])
+@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
+@pytest.mark.parametrize("num_spins", [2, 3, 4])
+def test_direct_matches_full_space_solve(num_spins, boundary_mode, dt, rng):
+    # the structured solve against a sparse LU of the assembled A
+    grid, layout = small_instance(num_spins, 100)
+    for rho in (0.0, 10.0, 100.0, 1e6):
+        for beta in (0.0, 1e-4):
+            for kappa in (1, 2):
+                params = scaled_params(rho=rho, beta=beta, kappa=kappa)
+                h = assemble_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
+                system = assemble_cn(h, dt, params.hbar)
+                rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+                x = make_linear_solver(system, SolveConfig()).solve(rhs)
+                reference = sparse_linalg.spsolve(system.a, rhs)
+                err = np.linalg.norm(x - reference) / np.linalg.norm(reference)
+                assert err <= 1e-12, (rho, beta, kappa)
+
+
+def test_direct_preset_run_matches_sparse_lu():
+    # the N=6 preset, 350 steps, against the same steps through a SuperLU factor
+    setup = cli.resolve_run_config({"preset": {"epsilon": 0.1, "num_spins": 6}})
+    h = assemble_hamiltonian(setup.params, setup.grid, setup.layout)
+    system = assemble_cn(h, setup.tgrid.dt, setup.params.hbar)
+    psi0 = initial_state(setup.params, setup.grid, h.num_channels)
+    record = run(system, psi0, setup.tgrid.num_steps, sides=setup.layout.sides)
+    lu = sparse_linalg.splu(system.a)
+    x = psi0.values.ravel()
+    for _ in range(setup.tgrid.num_steps):
+        x = lu.solve(system.b @ x)
+    final = record.final_state.values.ravel()
+    assert np.linalg.norm(final - x) <= 1e-12 * np.linalg.norm(x)
+    assert 0.0 < record.max_step_residual <= 1e-14
+
+
+def test_direct_rejects_coupling_outside_its_structure():
+    # a flip of spin 0 whose strength also depends on spin 1 is Hermitian but
+    # not one strength per detector: the solver must refuse it when built
+    system, _, _ = _system(num_points=120)
+    h = system.h
+    m = h.num_channels
+    vals = h.coup_vals.copy()
+    depends = (np.arange(m) >> 1) & 1
+    vals[:m] *= np.where(depends, 1.5, 1.0)
+    bad = DiscreteHamiltonian(**{**vars(h), "coup_vals": vals})
+    bad_system = assemble_cn(bad, system.dt, system.hbar)
+    with pytest.raises(ConfigurationError, match="direct solver"):
+        make_linear_solver(bad_system, SolveConfig())
+    # the same entries through the general GMRES path still solve
+    rhs = bad_system.b @ np.ones(bad_system.dim, dtype=complex)
+    x = make_linear_solver(bad_system, SolveConfig(method="iterative")).solve(rhs)
+    assert np.linalg.norm(bad_system.a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_direct_capacitance_bound_raises_with_residual(rng):
+    # a spin energy this large makes the groups' detector blocks differ so
+    # much that the correction sweeps cannot converge within their bound
+    params = scaled_params(rho=1e6, alpha=1e3)
+    grid, layout = small_instance(4, 100)
+    h = assemble_hamiltonian(params, grid, layout)
+    system = assemble_cn(h, 0.065 / 350, params.hbar)
+    rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    with pytest.raises(SolverError, match="capacitance") as err:
+        make_linear_solver(system, SolveConfig()).solve(rhs)
+    assert err.value.residual > 1e-15
+
+
+def test_direct_detector_free_solve(rng):
+    # one channel without detectors takes only the tridiagonal solve, which
+    # must not hand LAPACK an empty detector block
+    system = _free_channel_system()
+    rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    x = make_linear_solver(system, SolveConfig()).solve(rhs)
+    reference = sparse_linalg.spsolve(system.a, rhs)
+    assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
