@@ -23,6 +23,7 @@ wavepacket never reaches the boundary in a sane configuration, so the two
 modes agree to machine noise.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,18 +124,22 @@ class CNSystem:
     """The pair (A, B) with A psi_next = B psi for one Crank-Nicolson step.
 
     A = I + (i dt / 2 hbar) H and B = I - (i dt / 2 hbar) H, so A + B = 2I
-    holds entrywise and exactly.
+    holds entrywise and exactly.  No solve reads A: it is built on first
+    access, for the checks that compare it with B.
     """
 
-    a: sparse.csc_matrix
     b: sparse.csr_matrix
     h: DiscreteHamiltonian
     dt: float
     hbar: float
 
+    @functools.cached_property
+    def a(self):
+        return _identity_plus(self.h, 1j * self.dt / (2.0 * self.hbar)).tocsc()
+
     @property
     def dim(self):
-        return self.a.shape[0]
+        return self.h.dim
 
 
 def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
@@ -211,17 +216,20 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
     )
 
 
+def _identity_plus(h, scale):
+    """I + scale * H in CSR form."""
+    eye = sparse.identity(h.dim, dtype=np.complex128, format="csr")
+    return eye + scale * h.to_sparse("csr")
+
+
 def assemble_cn(h, dt, hbar):
     """Crank-Nicolson operators A = I + (i dt/2 hbar) H, B = I - (i dt/2 hbar) H.
 
-    A negative dt is allowed: it yields the exact inverse step, which the
+    Only B is built here; A is built when `CNSystem.a` is first read.  A
+    negative dt is allowed: it yields the exact inverse step, which the
     time-reversal checks rely on.
     """
     if dt == 0:
         raise ConfigurationError("dt must be nonzero")
-    factor = 1j * dt / (2.0 * hbar)
-    hs = h.to_sparse("csr")
-    eye = sparse.identity(h.dim, dtype=np.complex128, format="csr")
-    a = (eye + factor * hs).tocsc()
-    b = (eye - factor * hs).tocsr()
-    return CNSystem(a=a, b=b, h=h, dt=dt, hbar=hbar)
+    b = _identity_plus(h, -1j * dt / (2.0 * hbar))
+    return CNSystem(b=b, h=h, dt=dt, hbar=hbar)

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -39,23 +39,29 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 _TOP_KEYS = {"preset", "explicit", "solver", "out_dir", "arrival_drop"}
-# optional preset keys -> (model.preset_from_epsilon argument, value type);
-# a key left out takes that function's default
-_PRESET_OPTIONS = {
-    "rho": ("rho", float),
-    "kappa": ("coupling_factor", int),
-    "num_points": ("num_points", int),
-    "num_steps": ("num_steps", int),
-    "t_final": ("t_final", float),
-}
+# dataclass field (and model.preset_from_epsilon argument) -> config key,
+# where the two differ
+_CONFIG_NAMES = {"sigma_w": "sigma", "coupling_factor": "kappa"}
+_FIELD_NAMES = {key: name for name, key in _CONFIG_NAMES.items()}
+# optional preset keys -> value type; a key left out takes the default of
+# model.preset_from_epsilon
+_PRESET_OPTIONS = {"rho": float, "kappa": int, "num_points": int, "num_steps": int, "t_final": float}
 _PRESET_KEYS = {"epsilon", "num_spins", "boundary_mode", *_PRESET_OPTIONS}
+
+
+def _config_key(field):
+    return _CONFIG_NAMES.get(field.name, field.name)
+
+
 _EXPLICIT_KEYS = {
-    "hbar", "mass", "alpha", "beta", "rho", "p0", "sigma", "trunc_a", "x0",
-    "kappa", "boundary_mode", "half_length", "cluster_distance", "spacing",
-    "num_spins", "num_points", "t_final", "num_steps",
+    "num_points", "boundary_mode",
+    *(
+        _config_key(f)
+        for cls in (model.PhysicalParams, model.Geometry, model.TimeGrid)
+        for f in fields(cls)
+    ),
 }
-# solver keys -> value type; a key left out takes the SolveConfig default
-_SOLVER_KEYS = {"method": str, "rtol": float, "max_iter": int}
+_SOLVER_KEYS = {f.name for f in fields(SolveConfig)}
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
@@ -96,9 +102,6 @@ def _reject_unknown(section, keys, allowed):
             raise ConfigurationError(f"unknown key {key!r} in {section} config")
 
 
-_MISSING = object()
-
-
 def _reader(section, cfg):
     """read(key, kind, default): cfg[key] converted by `kind`.
 
@@ -106,9 +109,9 @@ def _reader(section, cfg):
     a value `kind` cannot convert is a ConfigurationError naming the key.
     """
 
-    def read(key, kind, default=_MISSING):
+    def read(key, kind, default=MISSING):
         if key not in cfg:
-            if default is _MISSING:
+            if default is MISSING:
                 raise ConfigurationError(f"{section} config missing key {key!r}")
             return default
         try:
@@ -130,6 +133,20 @@ def _sorted_list(kind):
     return convert
 
 
+def _from_fields(cls, read):
+    """Dataclass `cls` from the config keys of its fields.
+
+    Each field's type converts its value; a field with a default makes its
+    key optional.
+    """
+    return cls(**{f.name: read(_config_key(f), f.type, f.default) for f in fields(cls)})
+
+
+def _config_view(obj):
+    """The dataclass's field values under their config keys, in field order."""
+    return {_config_key(f): getattr(obj, f.name) for f in fields(obj)}
+
+
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -148,10 +165,8 @@ def _solve_config_from(cfg):
     if not isinstance(section, dict):
         raise ConfigurationError("'solver' must be an object")
     _reject_unknown("solver", section, _SOLVER_KEYS)
-    read = _reader("solver", section)
-    given = {key: read(key, kind) for key, kind in _SOLVER_KEYS.items() if key in section}
     try:
-        return SolveConfig(**given)
+        return _from_fields(SolveConfig, _reader("solver", section))
     except ValueError as err:
         raise ConfigurationError(f"solver config: {err}") from err
 
@@ -170,8 +185,8 @@ def resolve_run_config(cfg):
     if section == "preset":
         _reject_unknown("preset", values, _PRESET_KEYS)
         options = {
-            arg: read(key, kind)
-            for key, (arg, kind) in _PRESET_OPTIONS.items()
+            _FIELD_NAMES.get(key, key): read(key, kind)
+            for key, kind in _PRESET_OPTIONS.items()
             if values.get(key) is not None
         }
         params, geom, grid, tgrid = model.preset_from_epsilon(
@@ -179,26 +194,10 @@ def resolve_run_config(cfg):
         )
     else:
         _reject_unknown("explicit", values, _EXPLICIT_KEYS)
-        params = model.PhysicalParams(
-            hbar=read("hbar", float),
-            mass=read("mass", float),
-            alpha=read("alpha", float),
-            beta=read("beta", float),
-            rho=read("rho", float),
-            p0=read("p0", float),
-            sigma_w=read("sigma", float),
-            trunc_a=read("trunc_a", float),
-            x0=read("x0", float, 0.0),
-            coupling_factor=read("kappa", int, 1),
-        )
-        geom = model.Geometry(
-            half_length=read("half_length", float),
-            cluster_distance=read("cluster_distance", float),
-            spacing=read("spacing", float),
-            num_spins=read("num_spins", int),
-        )
+        params = _from_fields(model.PhysicalParams, read)
+        geom = _from_fields(model.Geometry, read)
         grid = model.build_grid(geom.half_length, read("num_points", int))
-        tgrid = model.TimeGrid(t_final=read("t_final", float), num_steps=read("num_steps", int))
+        tgrid = _from_fields(model.TimeGrid, read)
     boundary_mode = values.get("boundary_mode", "ghost")
 
     if boundary_mode not in ("ghost", "symmetrized"):
@@ -229,26 +228,13 @@ def resolved_dict(setup):
     m = 1 << geom.num_spins
     return {
         "schema_version": SCHEMA_VERSION,
-        "num_spins": geom.num_spins,
         "num_channels": m,
-        "hbar": params.hbar,
-        "mass": params.mass,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "rho": params.rho,
-        "p0": params.p0,
-        "sigma": params.sigma_w,
-        "trunc_a": params.trunc_a,
-        "x0": params.x0,
-        "kappa": params.coupling_factor,
+        **_config_view(params),
         "boundary_mode": setup.boundary_mode,
-        "half_length": geom.half_length,
-        "cluster_distance": geom.cluster_distance,
-        "spacing": geom.spacing,
+        **_config_view(geom),
         "num_points": grid.num_points,
         "dx": grid.dx,
-        "t_final": tgrid.t_final,
-        "num_steps": tgrid.num_steps,
+        **_config_view(tgrid),
         "dt": tgrid.dt,
         "detector_nominal": [float(y) for y in setup.layout.nominal_positions],
         "detector_positions": [float(y) for y in setup.layout.positions],
@@ -256,11 +242,7 @@ def resolved_dict(setup):
         "sides": list(setup.layout.sides.signs),
         "predicted_arrival": geom.cluster_distance / params.p0,
         "state_vector_bytes": m * grid.num_points * 16,
-        "solver": {
-            "method": setup.solve_config.method,
-            "rtol": setup.solve_config.rtol,
-            "max_iter": setup.solve_config.max_iter,
-        },
+        "solver": _config_view(setup.solve_config),
         "arrival_drop": setup.arrival_drop,
     }
 
@@ -545,7 +527,7 @@ def cmd_info(args):
     print(f"detectors (snapped) : {['%.6g' % y for y in info['detector_positions']]}")
     print(f"detector indices    : {info['detector_indices']}")
     print(f"predicted arrival   : D/p0 = {info['predicted_arrival']:.6g}")
-    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{18 * vec_bytes / 1e6:.1f} MB (A, B and the step's vectors)")
+    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{17 * vec_bytes / 1e6:.1f} MB (peak while B is assembled)")
     print(f"solver              : {info['solver']['method']} (rtol={info['solver']['rtol']:g}, max_iter={info['solver']['max_iter']})")
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning             : {note}")

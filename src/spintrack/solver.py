@@ -5,9 +5,13 @@ structure: one tridiagonal block per spin channel, coupled only at the
 detector points.  It factors the tridiagonal blocks once, one per distinct
 diagonal shift, and solves the small detector (capacitance) system exactly
 on every step; no sparse factorization of A is formed.  The iterative
-strategy runs GMRES preconditioned by the decoupled per-channel tridiagonal
-solves; it has not been measured faster than the direct solve at any size
-run so far.
+strategy runs GMRES preconditioned by the same per-channel tridiagonal
+factors and applies A as 2x - B x; it has not been measured faster than
+the direct solve at any size run so far.  Neither strategy reads the
+sparse A, so no run builds it: in perfbench medians on a shared 2-core
+x86_64 VM, set-up went from 0.097 to 0.085 s and peak RSS from 147 to
+140 MB at N=8 (`run_n8`), and from 0.0145 to 0.0100 s and 103 to 99 MB
+for GMRES at N=6 (`gmres_n6`).
 """
 
 import functools
@@ -15,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import lapack
 
@@ -31,6 +34,8 @@ CAPACITANCE_MAX_SWEEPS = 20
 # Bits of the channel index that one matrix product of its eigenbasis
 # transform covers.
 TRANSFORM_CHUNK_BITS = 6
+# Krylov dimension of the iterative solver's restart cycle.
+GMRES_RESTART = 30
 
 
 class SolverError(RuntimeError):
@@ -47,13 +52,13 @@ class SolveConfig:
 
     `rtol` bounds the relative residual of every step; the default keeps the
     per-step norm drift far below the run-level conservation guarantees.
-    For the iterative method `max_iter` counts restart cycles.
+    For the iterative method `max_iter` counts restart cycles of
+    GMRES_RESTART iterations.
     """
 
     method: str = "direct"
     rtol: float = 1e-12
     max_iter: int = 200
-    restart: int = 30
 
     def __post_init__(self):
         if self.method not in SOLVE_METHODS:
@@ -62,19 +67,55 @@ class SolveConfig:
             raise ValueError(f"rtol must be in (0, 1e-6], got {self.rtol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
+
+
+class _ShiftedTridiagonal:
+    """T, the channel-decoupled part of A: one tridiagonal block per channel.
+
+    A channel's block depends on the channel only through its diagonal
+    shift, so the channels fall into groups that share one LU factor
+    (`zgttrf`).  `order` sorts the channels by group, so that each group is
+    one contiguous row slice of the sorted (M, Nx) array.
+    """
+
+    def __init__(self, system):
+        h = self._h = system.h
+        self.factor = 1j * system.dt / (2.0 * system.hbar)
+        self.shape = (h.num_channels, h.num_points)
+        self.shifts, self.group_of = np.unique(h.channel_shift, return_inverse=True)
+        self.order = np.argsort(self.group_of, kind="stable")
+        bounds = np.searchsorted(self.group_of[self.order], np.arange(len(self.shifts) + 1))
+        self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.factors = [self.factor_at(shift) for shift in self.shifts]
+
+    def factor_at(self, shift):
+        """LU factor of the block with diagonal shift `shift`."""
+        h, f = self._h, self.factor
+        return _tridiagonal_factor(f * h.lower, 1.0 + f * (h.kin_diag + shift), f * h.upper)
+
+    def solve_sorted(self, r):
+        """T^-1 r as a flat vector in channel order.
+
+        `r` holds the (M, Nx) rows in group order and is overwritten.
+        """
+        for sl, lu in zip(self.slices, self.factors):
+            _tridiagonal_solve(lu, r[sl])
+        x = np.empty(self.shape, dtype=np.complex128)
+        x[self.order] = r
+        return x.ravel()
+
+    def solve(self, rhs):
+        return self.solve_sorted(rhs.reshape(self.shape)[self.order])  # indexing copies
 
 
 class CapacitanceSolver:
     """Exact solve of A x = r from tridiagonal solves and a small detector system.
 
     A = T + E K E^T: T is block diagonal with one tridiagonal block per
-    channel, and that block depends on the channel only through its diagonal
-    shift, so the channels fall into groups that share one LU factor
-    (`zgttrf`).  K is the spin-flip coupling f (-gamma_j sigma_y) at detector
-    point j, and E selects the (channel, detector point) entries.  With v =
-    E^T x, the (M, N) values of x at the detector points,
+    channel, factored once per diagonal shift (`_ShiftedTridiagonal`).  K is
+    the spin-flip coupling f (-gamma_j sigma_y) at detector point j, and E
+    selects the (channel, detector point) entries.  With v = E^T x, the
+    (M, N) values of x at the detector points,
 
         (I + G K) v = E^T T^-1 r,   G = E^T T^-1 E,
         x = T^-1 (r - E K v).
@@ -91,48 +132,33 @@ class CapacitanceSolver:
 
     def __init__(self, system):
         h = system.h
-        factor = 1j * system.dt / (2.0 * system.hbar)
-        m, nx = h.num_channels, h.num_points
-        self._shape = (m, nx)
-        lower = factor * h.lower
-        upper = factor * h.upper
-        shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
-        # channels sorted by group, so each group is one contiguous row slice
-        self._order = np.argsort(group_of, kind="stable")
-        bounds = np.searchsorted(group_of[self._order], np.arange(len(shifts) + 1))
-        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._factors = [
-            _tridiagonal_factor(lower, 1.0 + factor * (h.kin_diag + shift), upper)
-            for shift in shifts
-        ]
+        self._t = t = _ShiftedTridiagonal(system)
         gamma = _flip_couplings(h)
         self._coupled = gamma is not None
         if not self._coupled:
             return
         det = h.detector_indices
-        n = len(det)
+        n, m = len(det), h.num_channels
         # (M, N) flip coefficients and partner entries of K, in the layout
         # assembly wrote them: coupling j of channel `mask` is entry j * M + mask
-        self._k = (factor * h.coup_vals).reshape(n, m).T.copy()
+        self._k = (t.factor * h.coup_vals).reshape(n, m).T.copy()
         masks = np.arange(m)
         self._partner = ((masks[:, None] ^ (1 << np.arange(n))) * n + np.arange(n)).ravel()
         self._det = det
         self._rows = []  # per group: (band slice, rows of T^-1 at the detectors)
         blocks = []
-        for lu in self._factors:
+        for lu in t.factors:
             band, rows = _detector_rows(lu, det)
             self._rows.append((band, rows))
             blocks.append(rows[det - band.start].T)  # G_g[j, k] = T_g^-1[i_j, i_k]
-        self._g = np.stack(blocks)[group_of]  # (M, N, N)
+        self._g = np.stack(blocks)[t.group_of]  # (M, N, N)
         # reference block at the middle shift; exact when there is one group
-        mid = 0.5 * (shifts[0] + shifts[-1])
-        ref = self._factors[0] if len(shifts) == 1 else _tridiagonal_factor(
-            lower, 1.0 + factor * (h.kin_diag + mid), upper
-        )
+        shifts = t.shifts
+        ref = t.factors[0] if len(shifts) == 1 else t.factor_at(0.5 * (shifts[0] + shifts[-1]))
         band, rows = _detector_rows(ref, det)
         g0 = rows[det - band.start].T
         # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma_j of -gamma_j sigma_y
-        d = factor * gamma * np.where((masks[:, None] >> np.arange(n)) & 1, 1.0, -1.0)
+        d = t.factor * gamma * np.where((masks[:, None] >> np.arange(n)) & 1, 1.0, -1.0)
         self._block_inv = np.linalg.inv(np.eye(n) + g0 * d[:, None, :])
         self._transform = _bitwise_transform(n)
 
@@ -163,68 +189,51 @@ class CapacitanceSolver:
         )
 
     def solve(self, rhs, x0=None):
-        r = rhs.reshape(self._shape)[self._order]  # a copy, solved in place
+        t = self._t
+        r = rhs.reshape(t.shape)[t.order]  # a copy, solved in place
         if self._coupled:
             w = np.empty((len(r), len(self._det)), dtype=np.complex128)
-            for sl, (band, rows) in zip(self._slices, self._rows):
-                w[self._order[sl]] = r[sl, band] @ rows
+            # a non-finite rhs turns w NaN quietly; the capacitance residual
+            # then raises SolverError
+            with np.errstate(invalid="ignore"):
+                for sl, (band, rows) in zip(t.slices, self._rows):
+                    w[t.order[sl]] = r[sl, band] @ rows
             kv = self._apply_k(self._capacitance(w))
-            r[:, self._det] -= kv[self._order]
-        for sl, lu in zip(self._slices, self._factors):
-            _tridiagonal_solve(lu, r[sl])
-        x = np.empty(self._shape, dtype=np.complex128)
-        x[self._order] = r
-        return x.ravel()
+            r[:, self._det] -= kv[t.order]
+        return t.solve_sorted(r)
 
 
 class BlockPreconditionedSolver:
-    """GMRES on A, preconditioned by the channel-decoupled tridiagonal solves.
+    """GMRES on A, preconditioned by T, the channel-decoupled tridiagonal solves.
 
-    The preconditioner drops the cross-channel couplings, leaving one complex
-    tridiagonal system per channel; channels sharing the same diagonal energy
-    share one banded solve.
+    A is applied as 2x - B x, exact because A + B = 2I, so no sparse A is
+    built.
     """
 
     def __init__(self, system, config):
-        self._a = system.a.tocsr()
         self._config = config
-        h = system.h
-        factor = 1j * system.dt / (2.0 * system.hbar)
-        nx = h.num_points
-        base_diag = 1.0 + factor * h.kin_diag
-        self._shape = (h.num_channels, nx)
-        self._groups = []
-        values, inverse = np.unique(h.channel_shift, return_inverse=True)
-        for g, shift in enumerate(values):
-            band = np.zeros((3, nx), dtype=np.complex128)
-            band[0, 1:] = factor * h.upper
-            band[1, :] = base_diag + factor * shift
-            band[2, :-1] = factor * h.lower
-            self._groups.append((np.nonzero(inverse == g)[0], band))
-
-    def _precondition(self, rhs):
-        r = rhs.reshape(self._shape)
-        out = np.empty_like(r)
-        for channels, band in self._groups:
-            out[channels] = scipy.linalg.solve_banded((1, 1), band, r[channels].T).T
-        return out.ravel()
+        b = system.b
+        shape = (system.dim, system.dim)
+        self._a = sparse_linalg.LinearOperator(
+            shape, matvec=lambda x: 2.0 * x - b @ x, dtype=np.complex128
+        )
+        self._precondition = sparse_linalg.LinearOperator(
+            shape, matvec=_ShiftedTridiagonal(system).solve, dtype=np.complex128
+        )
 
     def solve(self, rhs, x0=None):
-        op = sparse_linalg.LinearOperator(
-            self._a.shape, matvec=self._precondition, dtype=np.complex128
-        )
         x, info = sparse_linalg.gmres(
             self._a,
             rhs,
             x0=x0,
             rtol=self._config.rtol,
             atol=0.0,
-            restart=self._config.restart,
+            restart=GMRES_RESTART,
             maxiter=self._config.max_iter,
-            M=op,
+            M=self._precondition,
         )
         if info != 0:
-            residual = np.linalg.norm(self._a @ x - rhs) / np.linalg.norm(rhs)
+            residual = _norm(self._a @ x - rhs) / _norm(rhs)
             raise SolverError(
                 f"GMRES did not converge within {self._config.max_iter} restarts "
                 f"(relative residual {residual:.3e})",

@@ -80,10 +80,24 @@ def test_malformed_config_names_key(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
-def test_missing_required_key_named(tmp_path, capsys):
-    cfg = _write(tmp_path / "cfg.json", {"preset": {"num_spins": 4}})
+def _explicit_without(key):
+    payload = small_explicit_config("unused")
+    del payload["explicit"][key]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"preset": {"num_spins": 4}}, "epsilon"),
+        (_explicit_without("sigma"), "sigma"),
+    ],
+    ids=["preset-epsilon", "explicit-sigma"],
+)
+def test_missing_required_key_named(tmp_path, capsys, payload, key):
+    cfg = _write(tmp_path / "cfg.json", payload)
     assert cli.main(["run", "-c", cfg]) == cli.EXIT_CONFIG
-    assert "epsilon" in capsys.readouterr().err
+    assert f"missing key '{key}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -93,6 +107,7 @@ def test_missing_required_key_named(tmp_path, capsys):
         ("info", {"preset": {"epsilon": "abc", "num_spins": 4}}, "epsilon"),
         ("run", {"preset": {"epsilon": 0.1, "num_spins": 4, "num_points": "many"}}, "num_points"),
         ("sweep", {"epsilon": 0.1, "num_spins": ["x"], "rho": [100.0]}, "num_spins"),
+        ("run", small_explicit_config("unused", kappa="two"), "kappa"),
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, command, payload, key):

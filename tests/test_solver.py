@@ -156,18 +156,29 @@ def test_iterative_matches_direct():
     assert np.max(np.abs(direct.values - iterative.values)) <= 1e-10
 
 
-def test_iterative_exhaustion_raises_with_residual(rng):
+def test_iterative_exhaustion_raises_with_residual(rng, monkeypatch):
     # an extreme coupling, a state that actually touches the detector rows,
     # and a starved Krylov budget: the solve cannot reach the tolerance
+    monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
     system, psi0, _ = _system(num_spins=4, num_points=80, rho=1e6)
     noisy = StateVector(
         rng.standard_normal(psi0.values.shape) + 1j * rng.standard_normal(psi0.values.shape),
         psi0.dx,
     )
-    cfg = SolveConfig(method="iterative", max_iter=1, restart=2, rtol=1e-12)
+    cfg = SolveConfig(method="iterative", max_iter=1, rtol=1e-12)
     with pytest.raises(SolverError) as err:
         step(system, noisy, cfg)
     assert err.value.residual is None or err.value.residual > 0
+
+
+def test_solve_paths_do_not_build_a():
+    # A is built only when read; neither solve method reads it
+    system, psi0, layout = _system(num_points=120)
+    run(system, psi0, 3, sides=layout.sides)
+    assert "a" not in vars(system)
+    system, psi0, _ = _system(num_points=120)
+    step(system, psi0, SolveConfig(method="iterative"))
+    assert "a" not in vars(system)
 
 
 def test_step_rejects_shape_mismatch():
