@@ -20,7 +20,9 @@ off-diagonal of every block ("ghost" mode, the validated default); the
 "symmetrized" mode keeps those entries single so the matrix is exactly
 Hermitian, at the cost of a slightly different boundary operator.  The
 wavepacket never reaches the boundary in a sane configuration, so the two
-modes agree to machine noise.
+modes agree to machine noise.  This structure fixes every row's pattern,
+so H and the Crank-Nicolson operators I -+ (i dt / 2 hbar) H are written
+straight into CSR arrays, with no coordinate triplets or sparse sums.
 """
 
 import functools
@@ -41,7 +43,8 @@ class DiscreteHamiltonian:
 
     The tridiagonal bands are shared by all channels; `channel_shift` carries
     the per-channel diagonal energy alpha * spin_sum(mask).  Couplings are
-    coordinate triplets in the flat index space.
+    coordinate triplets in the flat index space, in the one layout that the
+    direct CSR build of the sparse forms accepts (`check_coupling_layout`).
     """
 
     kin_diag: np.ndarray        # (Nx,)   real diagonal incl. the beta bumps
@@ -73,33 +76,7 @@ class DiscreteHamiltonian:
 
     def to_sparse(self, fmt="csr"):
         """Materialize as a scipy sparse matrix."""
-        m, nx = self.num_channels, self.num_points
-        rows = [
-            np.arange(self.dim),
-            (np.arange(m)[:, None] * nx + np.arange(nx - 1)[None, :]).ravel(),
-            (np.arange(m)[:, None] * nx + np.arange(1, nx)[None, :]).ravel(),
-            self.coup_rows,
-        ]
-        cols = [
-            np.arange(self.dim),
-            (np.arange(m)[:, None] * nx + np.arange(1, nx)[None, :]).ravel(),
-            (np.arange(m)[:, None] * nx + np.arange(nx - 1)[None, :]).ravel(),
-            self.coup_cols,
-        ]
-        vals = [
-            np.add.outer(self.channel_shift, self.kin_diag).ravel(),
-            np.tile(self.upper, m),
-            np.tile(self.lower, m),
-            self.coup_vals,
-        ]
-        coo = sparse.coo_matrix(
-            (
-                np.concatenate(vals).astype(np.complex128),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
-            shape=(self.dim, self.dim),
-        )
-        return coo.asformat(fmt)
+        return _identity_plus(self, 1.0, eye=0.0).asformat(fmt)
 
     def apply(self, values):
         """H @ v computed block-wise; `values` has shape (M, Nx), result is new."""
@@ -216,10 +193,76 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
     )
 
 
-def _identity_plus(h, scale):
-    """I + scale * H in CSR form."""
-    eye = sparse.identity(h.dim, dtype=np.complex128, format="csr")
-    return eye + scale * h.to_sparse("csr")
+def check_coupling_layout(h):
+    """Whether h has couplings; they must be in the layout assembly writes.
+
+    Entry j * M + mask couples row (mask, i_j) to column (mask ^ 2^j, i_j),
+    for M = 2^N channels and N distinct interior detector points i_j.  Any
+    other nonempty coupling list raises ConfigurationError.
+    """
+    if len(h.coup_vals) == 0:
+        return False
+    det = np.asarray(h.detector_indices)
+    n, m, nx = len(det), h.num_channels, h.num_points
+    masks = np.arange(m)
+    bits = 1 << np.arange(n)[:, None]
+    if not (
+        n > 0
+        and m == 1 << n
+        and len(h.coup_vals) == n * m
+        and len(np.unique(det)) == n
+        and np.all((det > 0) & (det < nx - 1))
+        and np.array_equal(h.coup_rows, (masks * nx + det[:, None]).ravel())
+        and np.array_equal(h.coup_cols, ((masks ^ bits) * nx + det[:, None]).ravel())
+    ):
+        raise ConfigurationError(
+            f"{len(h.coup_vals)} couplings over {m} channels and {n} detectors are not "
+            "single spin flips at distinct interior detector points, in assembly's layout"
+        )
+    return True
+
+
+def _identity_plus(h, scale, eye=1.0):
+    """eye * I + scale * H as a canonical CSR matrix, written straight from h.
+
+    Row (mask, i) holds (mask, i-1), (mask, i), (mask, i+1) and, at detector
+    row i_j, the flip partner (mask ^ 2^j, i_j): first when bit j of mask is
+    set, last when it is clear, so columns are sorted.  All channels share
+    one layout, written as if every bit were clear; the detector rows of the
+    channels with the bit set are then rotated by one.  Off-diagonal values
+    are 0.0 + scale * v, which turns -0.0 into +0.0 as a sum with I does.
+    """
+    m, nx = h.num_channels, h.num_points
+    det = h.detector_indices if check_coupling_layout(h) else np.empty(0, dtype=np.int64)
+    counts = np.r_[2, np.full(nx - 2, 3), 2]
+    counts[det] += 1
+    ptr = np.concatenate(([0], np.cumsum(counts)))  # one channel's row pointers
+    width = int(ptr[-1])
+    diag = ptr[:-1] + (np.arange(nx) > 0)  # position of entry (i, i)
+    partner = ptr[det] + 3
+    idx_dtype = np.int32 if m * width <= np.iinfo(np.int32).max else np.int64
+    cols = np.empty(width, dtype=idx_dtype)
+    cols[diag] = np.arange(nx)
+    cols[diag[1:] - 1] = np.arange(nx - 1)
+    cols[diag[:-1] + 1] = np.arange(1, nx)
+    indices = np.empty((m, width), dtype=idx_dtype)
+    np.add(np.arange(0, m * nx, nx, dtype=idx_dtype)[:, None], cols, out=indices)
+    data = np.empty((m, width), dtype=np.complex128)
+    data[:, diag[1:] - 1] = 0.0 + scale * h.lower
+    data[:, diag[:-1] + 1] = 0.0 + scale * h.upper
+    on_diag = scale * np.add.outer(h.channel_shift, h.kin_diag)
+    on_diag += eye
+    data[:, diag] = on_diag
+    if len(det):
+        indices[:, partner] = h.coup_cols.reshape(-1, m).T
+        data[:, partner] = (0.0 + scale * h.coup_vals).reshape(-1, m).T
+        for j, start in enumerate(ptr[det]):
+            flipped = (np.arange(m) >> j) & 1 == 1
+            row = slice(start, start + 4)
+            indices[flipped, row] = np.roll(indices[flipped, row], 1, axis=1)
+            data[flipped, row] = np.roll(data[flipped, row], 1, axis=1)
+    indptr = np.append(np.add.outer(np.arange(m) * width, ptr[:-1]), m * width).astype(idx_dtype)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(h.dim, h.dim))
 
 
 def assemble_cn(h, dt, hbar):

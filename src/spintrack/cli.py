@@ -527,7 +527,7 @@ def cmd_info(args):
     print(f"detectors (snapped) : {['%.6g' % y for y in info['detector_positions']]}")
     print(f"detector indices    : {info['detector_indices']}")
     print(f"predicted arrival   : D/p0 = {info['predicted_arrival']:.6g}")
-    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{17 * vec_bytes / 1e6:.1f} MB (peak while B is assembled)")
+    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{12 * vec_bytes / 1e6:.1f} MB (peak while stepping)")
     print(f"solver              : {info['solver']['method']} (rtol={info['solver']['rtol']:g}, max_iter={info['solver']['max_iter']})")
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning             : {note}")

@@ -8,10 +8,8 @@ on every step; no sparse factorization of A is formed.  The iterative
 strategy runs GMRES preconditioned by the same per-channel tridiagonal
 factors and applies A as 2x - B x; it has not been measured faster than
 the direct solve at any size run so far.  Neither strategy reads the
-sparse A, so no run builds it: in perfbench medians on a shared 2-core
-x86_64 VM, set-up went from 0.097 to 0.085 s and peak RSS from 147 to
-140 MB at N=8 (`run_n8`), and from 0.0145 to 0.0100 s and 103 to 99 MB
-for GMRES at N=6 (`gmres_n6`).
+sparse A, so no run builds it.  `run` steps in work buffers that it and
+the direct solver keep, so a step allocates one state-sized array, B x.
 """
 
 import functools
@@ -23,6 +21,7 @@ import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import lapack
 
 from . import observables
+from .assembly import check_coupling_layout
 from .model import ConfigurationError
 from .state import StateVector
 
@@ -93,19 +92,19 @@ class _ShiftedTridiagonal:
         h, f = self._h, self.factor
         return _tridiagonal_factor(f * h.lower, 1.0 + f * (h.kin_diag + shift), f * h.upper)
 
-    def solve_sorted(self, r):
-        """T^-1 r as a flat vector in channel order.
+    def solve_sorted(self, r, out):
+        """T^-1 r into the flat vector `out`, in channel order; returns `out`.
 
         `r` holds the (M, Nx) rows in group order and is overwritten.
         """
         for sl, lu in zip(self.slices, self.factors):
             _tridiagonal_solve(lu, r[sl])
-        x = np.empty(self.shape, dtype=np.complex128)
-        x[self.order] = r
-        return x.ravel()
+        out.reshape(self.shape)[self.order] = r
+        return out
 
     def solve(self, rhs):
-        return self.solve_sorted(rhs.reshape(self.shape)[self.order])  # indexing copies
+        out = np.empty(rhs.shape, dtype=np.complex128)
+        return self.solve_sorted(rhs.reshape(self.shape)[self.order], out)  # indexing copies
 
 
 class CapacitanceSolver:
@@ -133,6 +132,7 @@ class CapacitanceSolver:
     def __init__(self, system):
         h = system.h
         self._t = t = _ShiftedTridiagonal(system)
+        self._r = np.empty(t.shape, dtype=np.complex128)  # rows in group order
         gamma = _flip_couplings(h)
         self._coupled = gamma is not None
         if not self._coupled:
@@ -188,9 +188,11 @@ class CapacitanceSolver:
             residual=residual,
         )
 
-    def solve(self, rhs, x0=None):
+    def solve(self, rhs, x0=None, out=None):
+        """A^-1 rhs into `out` (a new array when None); `x0` is not used."""
         t = self._t
-        r = rhs.reshape(t.shape)[t.order]  # a copy, solved in place
+        # mode="clip" skips the bounds check that makes "raise" buffer the gather
+        r = np.take(rhs.reshape(t.shape), t.order, axis=0, out=self._r, mode="clip")
         if self._coupled:
             w = np.empty((len(r), len(self._det)), dtype=np.complex128)
             # a non-finite rhs turns w NaN quietly; the capacitance residual
@@ -200,7 +202,7 @@ class CapacitanceSolver:
                     w[t.order[sl]] = r[sl, band] @ rows
             kv = self._apply_k(self._capacitance(w))
             r[:, self._det] -= kv[t.order]
-        return t.solve_sorted(r)
+        return t.solve_sorted(r, np.empty(rhs.shape, dtype=np.complex128) if out is None else out)
 
 
 class BlockPreconditionedSolver:
@@ -221,7 +223,8 @@ class BlockPreconditionedSolver:
             shape, matvec=_ShiftedTridiagonal(system).solve, dtype=np.complex128
         )
 
-    def solve(self, rhs, x0=None):
+    def solve(self, rhs, x0=None, out=None):
+        """A^-1 rhs from the guess x0, copied into `out` when one is given."""
         x, info = sparse_linalg.gmres(
             self._a,
             rhs,
@@ -239,7 +242,9 @@ class BlockPreconditionedSolver:
                 f"(relative residual {residual:.3e})",
                 residual=residual,
             )
-        return x
+        if out is not None:
+            out[...] = x
+        return x if out is None else out
 
 
 def _tridiagonal_factor(lower, diag, upper):
@@ -283,30 +288,17 @@ def _detector_rows(lu, det):
 def _flip_couplings(h):
     """Per-detector flip strengths gamma_j, or None when nothing is coupled.
 
-    The capacitance solve relies on the coupling structure assembly builds:
-    entry j * M + mask couples (mask, i_j) to (mask ^ 2^j, i_j) with the
-    value -i sigma_j(mask) gamma_j, where gamma_j is one real number per
-    detector.  Any other coupling list is rejected here rather than solved
-    wrongly.
+    The capacitance solve relies on the coupling layout assembly builds
+    (`check_coupling_layout`) and on the value -i sigma_j(mask) gamma_j of
+    entry j * M + mask, where gamma_j is one real number per detector.  Any
+    other coupling list is rejected here rather than solved wrongly.
     """
-    if len(h.coup_vals) == 0:
+    if not check_coupling_layout(h):
         return None
-    det = np.asarray(h.detector_indices)
-    n, m, nx = len(det), h.num_channels, h.num_points
-    if n == 0 or m != 1 << n or len(h.coup_vals) != n * m:
-        raise ConfigurationError(
-            f"direct solver: {len(h.coup_vals)} couplings do not fit {m} channels "
-            f"and {n} detectors"
-        )
-    masks = np.arange(m)
-    bits = 1 << np.arange(n)[:, None]
-    sigma = np.where(masks & bits, 1.0, -1.0)
+    n, m = len(h.detector_indices), h.num_channels
+    sigma = np.where(np.arange(m) & (1 << np.arange(n)[:, None]), 1.0, -1.0)
     gamma = 1j * sigma * h.coup_vals.reshape(n, m)
-    if not (
-        np.array_equal(h.coup_rows, (masks * nx + det[:, None]).ravel())
-        and np.array_equal(h.coup_cols, ((masks ^ bits) * nx + det[:, None]).ravel())
-        and np.allclose(gamma, gamma.real[:, :1], rtol=1e-12, atol=0.0)
-    ):
+    if not np.allclose(gamma, gamma.real[:, :1], rtol=1e-12, atol=0.0):
         raise ConfigurationError(
             "direct solver: couplings must flip one spin at its own detector "
             "point with a strength that depends only on that detector"
@@ -367,18 +359,19 @@ def _check_residual(r, rhs, rtol):
     return residual
 
 
-def _advance(linear_solver, b_matrix, flat, rhs, rtol):
-    """Solve A x = rhs and return (x, B x, relative residual).
+def _advance(linear_solver, b_matrix, rhs, x, r, rtol):
+    """Solve A x = rhs into x, which holds the current state (the iterative
+    solve's starting guess), and return (B x, relative residual).
 
-    Because A + B = 2I exactly, A x = 2x - B x: the residual check reuses
-    the B x that is the right-hand side of the next step.
+    Because A + B = 2I exactly, A x = 2x - B x, formed in the work array r:
+    the residual check reuses the B x that is the next step's right-hand side.
     """
-    x = linear_solver.solve(rhs, x0=flat)
+    linear_solver.solve(rhs, x0=x, out=x)
     bx = b_matrix @ x
-    r = 2.0 * x
+    np.multiply(x, 2.0, out=r)
     r -= bx
     r -= rhs
-    return x, bx, _check_residual(r, rhs, rtol)
+    return bx, _check_residual(r, rhs, rtol)
 
 
 def _check_shape(system, state):
@@ -398,7 +391,8 @@ def step(system, state, config=None, linear_solver=None):
     _check_shape(system, state)
     solver = linear_solver or make_linear_solver(system, config)
     flat = state.values.ravel()
-    x, _, _ = _advance(solver, system.b, flat, system.b @ flat, config.rtol)
+    x = flat.copy()
+    _advance(solver, system.b, system.b @ flat, x, np.empty_like(x), config.rtol)
     return StateVector(x.reshape(state.values.shape), state.dx)
 
 
@@ -464,8 +458,9 @@ def run(system, initial, num_steps, config=None, sides=None):
         if classes is not None:
             classes[k] = observables.class_sums(probs, tags)
 
-    flat = initial.values.ravel()
-    bx = system.b @ flat
+    x = initial.values.ravel().copy()  # the state, advanced in place
+    work = np.empty_like(x)
+    bx = system.b @ x
     record(0, initial, bx)
     # Accuracy (not stability) guard: compare dt against the phase period of
     # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
@@ -479,11 +474,11 @@ def run(system, initial, num_steps, config=None, sides=None):
     worst = 0.0
     for k in range(1, num_steps + 1):
         try:
-            flat, bx, residual = _advance(solver, system.b, flat, bx, config.rtol)
+            bx, residual = _advance(solver, system.b, bx, x, work, config.rtol)
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
         worst = max(worst, residual)
-        state = StateVector(flat.reshape(shape), dx)
+        state = StateVector(x.reshape(shape), dx)
         record(k, state, bx)
     return RunRecord(
         times=times,

@@ -1,5 +1,7 @@
 """Hamiltonian structure, entry values, and the Crank-Nicolson operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -188,6 +190,21 @@ def test_assemble_cn_diagonal_deviation():
     expected = tgrid.dt * np.abs(h.kin_diag + h.channel_shift[:, None]).ravel() / (2 * params.hbar)
     np.testing.assert_allclose(np.abs(diag - 1.0), expected, rtol=1e-13)
     assert np.all(expected > 0)
+
+
+def test_assemble_cn_peak_allocation():
+    # B is written straight into its CSR arrays, without COO triplets or a
+    # sparse sum; the build's transient memory stays below one more copy of B
+    params, geom, grid, tgrid = preset_from_epsilon(0.1, 6)
+    h = assemble_hamiltonian(params, grid, place_detectors(geom, grid))
+    tracemalloc.start()
+    try:
+        system = assemble_cn(h, tgrid.dt, params.hbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b = system.b
+    assert peak <= 2 * (b.data.nbytes + b.indices.nbytes + b.indptr.nbytes)
 
 
 def test_apply_h_zero_and_linearity(rng):

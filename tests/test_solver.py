@@ -1,5 +1,7 @@
 """Stepping, factorization reuse, conservation, and run recording."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sparse_linalg
@@ -19,7 +21,7 @@ from spintrack import (
 )
 from spintrack import cli, observables
 from spintrack.assembly import DiscreteHamiltonian
-from spintrack.oracle import scaled_params, small_instance
+from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
 from spintrack.solver import CapacitanceSolver
 
 
@@ -121,23 +123,62 @@ def test_factorization_reuse_consistency():
     assert diff <= 1e-13
 
 
-def _free_channel_system():
+def _free_channel_system(boundary_mode="symmetrized", dt=0.065 / 350):
     """One channel, no detectors: plain free-particle Crank-Nicolson."""
     grid = build_grid(1.5, 200)
     hop = 0.1**2 / (2 * 1.0 * grid.dx**2)
+    upper = np.full(199, -hop)
+    lower = np.full(199, -hop)
+    if boundary_mode == "ghost":
+        upper[0] = lower[-1] = -2 * hop
     h = DiscreteHamiltonian(
         kin_diag=np.full(200, 2 * hop),
-        upper=np.full(199, -hop),
-        lower=np.full(199, -hop),
+        upper=upper,
+        lower=lower,
         channel_shift=np.zeros(1),
         coup_rows=np.empty(0, dtype=np.int64),
         coup_cols=np.empty(0, dtype=np.int64),
         coup_vals=np.empty(0, dtype=np.complex128),
         detector_indices=np.empty(0, dtype=np.int64),
         dx=grid.dx,
-        boundary_mode="symmetrized",
+        boundary_mode=boundary_mode,
     )
-    return assemble_cn(h, 0.065 / 350, 0.1)
+    return assemble_cn(h, dt, 0.1)
+
+
+def _operator_cases(boundary_mode, dt):
+    """(system, dense H) pairs: one free channel, then N = 1 and 3 over rho and kappa."""
+    # the oracle reads only these two fields of a layout
+    no_detectors = SimpleNamespace(num_spins=0, grid_indices=np.empty(0, dtype=np.int64))
+    grid = build_grid(1.5, 200)
+    dense = dense_hamiltonian(scaled_params(), grid, no_detectors, boundary_mode=boundary_mode)
+    yield _free_channel_system(boundary_mode, dt), dense
+    for num_spins in (1, 3):
+        grid, layout = small_instance(num_spins, 120)
+        for rho in (0.0, 73.0):
+            for kappa in (1, 2):
+                params = scaled_params(rho=rho, beta=3e-4, kappa=kappa)
+                h = assemble_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
+                system = assemble_cn(h, dt, params.hbar)
+                yield system, dense_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
+
+
+@pytest.mark.parametrize("dt", [0.065 / 350, -0.065 / 350], ids=["forward", "backward"])
+@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
+def test_cn_operators_match_dense_oracle(boundary_mode, dt):
+    # B and A are written straight into CSR; check them against I -+ i f H
+    # from the entry-by-entry dense oracle, compared as B - I so that the
+    # off-diagonal entries are not lost next to the unit diagonal
+    for system, dense in _operator_cases(boundary_mode, dt):
+        scaled = 1j * dt / (2 * system.hbar) * dense
+        tol = 1e-12 * np.max(np.abs(scaled))
+        eye = np.eye(system.dim)
+        assert np.max(np.abs((system.b.toarray() - eye) + scaled)) <= tol
+        assert np.max(np.abs((system.a.toarray() - eye) - scaled)) <= tol
+        b = system.b
+        assert b.has_canonical_format and system.a.has_canonical_format
+        assert b.indices.dtype == np.int32 and b.indptr.dtype == np.int32
+        assert b.nnz == system.h.nnz
 
 
 def test_single_free_channel_norm_preserved():
@@ -315,6 +356,63 @@ def test_direct_rejects_coupling_outside_its_structure():
     rhs = bad_system.b @ np.ones(bad_system.dim, dtype=complex)
     x = make_linear_solver(bad_system, SolveConfig(method="iterative")).solve(rhs)
     assert np.linalg.norm(bad_system.a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize(
+    "field, shift",
+    [("coup_cols", lambda cols: np.roll(cols, 1)), ("coup_rows", lambda rows: rows + 1)],
+    ids=["partners-swapped", "off-detector"],
+)
+def test_assemble_cn_rejects_coupling_outside_its_layout(field, shift):
+    system, _, _ = _system(num_spins=3, num_points=120)
+    h = system.h
+    bad = DiscreteHamiltonian(**{**vars(h), field: shift(getattr(h, field))})
+    with pytest.raises(ConfigurationError, match="layout"):
+        assemble_cn(bad, system.dt, system.hbar)
+
+
+@pytest.mark.parametrize("method", ["direct", "iterative"])
+def test_buffered_run_matches_step_chain(method):
+    # run() advances one state buffer in place; step() allocates afresh
+    system, psi0, layout = _system(num_spins=3, num_points=120)
+    cfg = SolveConfig(method=method)
+    record = run(system, psi0, 25, cfg, sides=layout.sides)
+    shared = make_linear_solver(system, cfg)
+    state = psi0
+    for _ in range(25):
+        state = step(system, state, cfg, shared)
+    if method == "direct":
+        np.testing.assert_array_equal(record.final_state.values, state.values)
+    else:
+        err = np.max(np.abs(record.final_state.values - state.values))
+        assert err <= 1e-12 * np.max(np.abs(state.values))
+
+
+def test_step_results_do_not_share_buffers():
+    system, psi0, _ = _system(num_spins=3, num_points=120)
+    shared = make_linear_solver(system, SolveConfig())
+    first = step(system, psi0, linear_solver=shared)
+    kept = first.values.copy()
+    second = step(system, psi0, linear_solver=shared)
+    assert not np.shares_memory(first.values, second.values)
+    np.testing.assert_array_equal(first.values, kept)
+    np.testing.assert_array_equal(second.values, kept)
+
+
+def test_run_final_state_owns_its_memory(monkeypatch):
+    built = []
+
+    def capture(system, config):
+        built.append(make_linear_solver(system, config))
+        return built[-1]
+
+    monkeypatch.setattr("spintrack.solver.make_linear_solver", capture)
+    system, psi0, layout = _system(num_spins=3, num_points=120)
+    final = run(system, psi0, 5, sides=layout.sides).final_state.values
+    buffers = [v for v in vars(built[0]).values() if isinstance(v, np.ndarray)]
+    assert buffers
+    assert not any(np.shares_memory(final, buf) for buf in buffers)
+    assert not np.shares_memory(final, psi0.values)
 
 
 def test_direct_capacitance_bound_raises_with_residual(rng):
