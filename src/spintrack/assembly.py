@@ -14,15 +14,17 @@ partner channel at the same grid point with the purely imaginary entry
     -i * sigma_j * kappa * rho * hbar^2 / (2 m dx),   sigma_j = +-1 from bit j,
 
 which pairs up into an exactly Hermitian block because the partner's spin
-value has the opposite sign.  The reflecting (zero-derivative) boundary is
-imposed by a ghost-point substitution that doubles the first and last
-off-diagonal of every block ("ghost" mode, the validated default); the
-"symmetrized" mode keeps those entries single so the matrix is exactly
-Hermitian, at the cost of a slightly different boundary operator.  The
-wavepacket never reaches the boundary in a sane configuration, so the two
-modes agree to machine noise.  This structure fixes every row's pattern,
-so H and the Crank-Nicolson operators I -+ (i dt / 2 hbar) H are written
-straight into CSR arrays, with no coordinate triplets or sparse sums.
+value has the opposite sign.  The pattern is the same in every run, so the
+Hamiltonian stores only its strength gamma = kappa rho hbar^2 / (2 m dx).
+The reflecting (zero-derivative) boundary is imposed by a ghost-point
+substitution that doubles the first and last off-diagonal of every block
+("ghost" mode, the validated default); the "symmetrized" mode keeps those
+entries single so the matrix is exactly Hermitian, at the cost of a
+slightly different boundary operator.  The wavepacket never reaches the
+boundary in a sane configuration, so the two modes agree to machine noise.
+This structure fixes every row's pattern, so H and the Crank-Nicolson
+operators I -+ (i dt / 2 hbar) H are written straight into CSR arrays,
+with no coordinate triplets or sparse sums.
 """
 
 import functools
@@ -39,21 +41,20 @@ BOUNDARY_MODES = ("ghost", "symmetrized")
 
 @dataclass(eq=False)
 class DiscreteHamiltonian:
-    """Sparse Hamiltonian in band + coupling-list form.
+    """Sparse Hamiltonian as shared bands plus one spin-flip strength.
 
     The tridiagonal bands are shared by all channels; `channel_shift` carries
-    the per-channel diagonal energy alpha * spin_sum(mask).  Couplings are
-    coordinate triplets in the flat index space, in the one layout that the
-    direct CSR build of the sparse forms accepts (`check_coupling_layout`).
+    the per-channel diagonal energy alpha * spin_sum(mask).  Row (mask, i_j)
+    couples to the flip partner (mask ^ 2^j, i_j) with the value
+    -i sigma_j(mask) * flip_strength (`flips`); a zero strength leaves the
+    channels uncoupled.
     """
 
     kin_diag: np.ndarray        # (Nx,)   real diagonal incl. the beta bumps
     upper: np.ndarray           # (Nx-1,) entries (i, i+1)
     lower: np.ndarray           # (Nx-1,) entries (i+1, i)
     channel_shift: np.ndarray   # (M,)    alpha * spin_sum per channel
-    coup_rows: np.ndarray       # flat row indices of cross-channel entries
-    coup_cols: np.ndarray       # flat column indices
-    coup_vals: np.ndarray       # complex values
+    flip_strength: float        # gamma; 0.0 means the channels are uncoupled
     detector_indices: np.ndarray
     dx: float
     boundary_mode: str
@@ -72,7 +73,17 @@ class DiscreteHamiltonian:
 
     @property
     def nnz(self):
-        return self.num_channels * (3 * self.num_points - 2) + len(self.coup_vals)
+        coupled = len(self.detector_indices) if self.flip_strength else 0
+        return self.num_channels * (3 * self.num_points - 2 + coupled)
+
+    def flips(self):
+        """(partner, value), each (M, N): row (mask, i_j) couples to column
+        (partner[mask, j], i_j), partner = mask ^ 2^j, with the entry
+        value[mask, j] = -i sigma_j(mask) gamma."""
+        masks = np.arange(self.num_channels)[:, None]
+        bits = 1 << np.arange(len(self.detector_indices))
+        sign = np.where(masks & bits, 1.0, -1.0)
+        return masks ^ bits, (-1j * sign) * self.flip_strength
 
     def to_sparse(self, fmt="csr"):
         """Materialize as a scipy sparse matrix."""
@@ -88,11 +99,10 @@ class DiscreteHamiltonian:
         out = (self.kin_diag + self.channel_shift[:, None]) * values
         out[:, :-1] += self.upper * values[:, 1:]
         out[:, 1:] += self.lower * values[:, :-1]
-        flat_in = values.ravel()
-        flat_out = out.ravel()
-        # Coupling rows are unique (one flip partner per detector row), but
-        # add.at keeps the scatter correct under any schedule.
-        np.add.at(flat_out, self.coup_rows, self.coup_vals * flat_in[self.coup_cols])
+        if self.flip_strength:
+            det = self.detector_indices
+            partner, value = self.flips()
+            out[:, det] += value * values[partner, det]  # detector rows are distinct
         return out
 
 
@@ -153,73 +163,17 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
         upper[0] = -2.0 * hop
         lower[-1] = -2.0 * hop
 
-    m = 1 << n
-    shift = params.alpha * spin_sums(n).astype(np.float64)
-
-    if params.rho != 0.0:
-        gamma = (
-            params.coupling_factor
-            * params.rho
-            * params.hbar**2
-            / (2.0 * params.mass * grid.dx)
-        )
-        masks = np.arange(m, dtype=np.int64)
-        rows, cols, vals = [], [], []
-        for j, ij in enumerate(det):
-            sign = np.where((masks >> j) & 1, 1.0, -1.0)
-            partners = masks ^ (1 << j)
-            rows.append(masks * nx + ij)
-            cols.append(partners * nx + ij)
-            vals.append(-1j * sign * gamma)
-        coup_rows = np.concatenate(rows)
-        coup_cols = np.concatenate(cols)
-        coup_vals = np.concatenate(vals)
-    else:
-        coup_rows = np.empty(0, dtype=np.int64)
-        coup_cols = np.empty(0, dtype=np.int64)
-        coup_vals = np.empty(0, dtype=np.complex128)
-
+    gamma = params.coupling_factor * params.rho * params.hbar**2 / (2.0 * params.mass * grid.dx)
     return DiscreteHamiltonian(
         kin_diag=kin_diag,
         upper=upper,
         lower=lower,
-        channel_shift=shift,
-        coup_rows=coup_rows,
-        coup_cols=coup_cols,
-        coup_vals=coup_vals,
+        channel_shift=params.alpha * spin_sums(n).astype(np.float64),
+        flip_strength=gamma,
         detector_indices=det,
         dx=grid.dx,
         boundary_mode=boundary_mode,
     )
-
-
-def check_coupling_layout(h):
-    """Whether h has couplings; they must be in the layout assembly writes.
-
-    Entry j * M + mask couples row (mask, i_j) to column (mask ^ 2^j, i_j),
-    for M = 2^N channels and N distinct interior detector points i_j.  Any
-    other nonempty coupling list raises ConfigurationError.
-    """
-    if len(h.coup_vals) == 0:
-        return False
-    det = np.asarray(h.detector_indices)
-    n, m, nx = len(det), h.num_channels, h.num_points
-    masks = np.arange(m)
-    bits = 1 << np.arange(n)[:, None]
-    if not (
-        n > 0
-        and m == 1 << n
-        and len(h.coup_vals) == n * m
-        and len(np.unique(det)) == n
-        and np.all((det > 0) & (det < nx - 1))
-        and np.array_equal(h.coup_rows, (masks * nx + det[:, None]).ravel())
-        and np.array_equal(h.coup_cols, ((masks ^ bits) * nx + det[:, None]).ravel())
-    ):
-        raise ConfigurationError(
-            f"{len(h.coup_vals)} couplings over {m} channels and {n} detectors are not "
-            "single spin flips at distinct interior detector points, in assembly's layout"
-        )
-    return True
 
 
 def _identity_plus(h, scale, eye=1.0):
@@ -233,7 +187,7 @@ def _identity_plus(h, scale, eye=1.0):
     are 0.0 + scale * v, which turns -0.0 into +0.0 as a sum with I does.
     """
     m, nx = h.num_channels, h.num_points
-    det = h.detector_indices if check_coupling_layout(h) else np.empty(0, dtype=np.int64)
+    det = h.detector_indices if h.flip_strength else np.empty(0, dtype=np.int64)
     counts = np.r_[2, np.full(nx - 2, 3), 2]
     counts[det] += 1
     ptr = np.concatenate(([0], np.cumsum(counts)))  # one channel's row pointers
@@ -254,8 +208,9 @@ def _identity_plus(h, scale, eye=1.0):
     on_diag += eye
     data[:, diag] = on_diag
     if len(det):
-        indices[:, partner] = h.coup_cols.reshape(-1, m).T
-        data[:, partner] = (0.0 + scale * h.coup_vals).reshape(-1, m).T
+        partner_mask, value = h.flips()
+        indices[:, partner] = partner_mask * nx + det
+        data[:, partner] = 0.0 + scale * value
         for j, start in enumerate(ptr[det]):
             flipped = (np.arange(m) >> j) & 1 == 1
             row = slice(start, start + 4)

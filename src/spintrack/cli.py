@@ -38,6 +38,14 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
+# an expected failure -> (exit code, message prefix); `main` prints and
+# exits with it, and a failed sweep point records its code
+_FAILURES = {
+    ConfigurationError: (EXIT_CONFIG, "config error"),
+    SolverError: (EXIT_SOLVER, "solver failure"),
+    OSError: (EXIT_IO, "I/O error"),
+}
+
 _TOP_KEYS = {"preset", "explicit", "solver", "out_dir", "arrival_drop"}
 # dataclass field (and model.preset_from_epsilon argument) -> config key,
 # where the two differ
@@ -350,13 +358,8 @@ def _apply_overrides(cfg, args):
         if "preset" not in cfg:
             raise ConfigurationError("--epsilon only applies to preset configs")
         section["epsilon"] = args.epsilon
-    for flag, key in (
-        ("rho", "rho"),
-        ("num_spins", "num_spins"),
-        ("kappa", "kappa"),
-        ("boundary_mode", "boundary_mode"),
-    ):
-        value = getattr(args, flag, None)
+    for key in ("rho", "num_spins", "kappa", "boundary_mode"):
+        value = getattr(args, key, None)
         if value is not None:
             section[key] = value
     if getattr(args, "solver", None) is not None:
@@ -365,29 +368,19 @@ def _apply_overrides(cfg, args):
         cfg["out_dir"] = args.out_dir
 
 
+def _setup_from_args(args):
+    """The run config file with the command-line flags folded in, resolved."""
+    cfg = load_config(args.config)
+    _apply_overrides(cfg, args)
+    return resolve_run_config(cfg)
+
+
 def cmd_run(args):
-    try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
-        setup = resolve_run_config(cfg)
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    setup = _setup_from_args(args)
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning: {note}", file=sys.stderr)
-    try:
-        result = simulate(setup)
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        summary = write_run_artifacts(result, setup.out_dir)
-    except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return EXIT_IO
+    result = simulate(setup)
+    summary = write_run_artifacts(result, setup.out_dir)
     res = summary["results"]
     print(
         f"N={setup.geom.num_spins} rho={setup.params.rho:g}: "
@@ -416,23 +409,18 @@ def _sweep_point(cfg):
             row_sum=two_lrc + cls.one_spin + cls.unchanged + cls.multi_track,
             arrival_time=result.arrival,
             wall_seconds=result.wall_seconds,
-            error=None,
         )
     except Exception as err:  # per-point isolation: a bad point must not kill the sweep
-        row.update(
-            LRC_one_side=None, two_LRC=None, OS=None, UC=None, MT=None,
-            row_sum=None, arrival_time=None, wall_seconds=None, error=str(err),
-            exit_code=_exit_code(err),
-        )
+        row.update(error=str(err), exit_code=_failure(err)[0])
     return row
 
 
-def _exit_code(err):
-    """The code `spintrack run` exits with for this failure; 1 for an unexpected one."""
-    for kind, code in ((ConfigurationError, EXIT_CONFIG), (SolverError, EXIT_SOLVER), (OSError, EXIT_IO)):
+def _failure(err):
+    """(exit code, message prefix) of `err` from _FAILURES; (1, None) for an unexpected one."""
+    for kind, failure in _FAILURES.items():
         if isinstance(err, kind):
-            return code
-    return EXIT_MISMATCH
+            return failure
+    return EXIT_MISMATCH, None
 
 
 _SWEEP_COLUMNS = (
@@ -442,31 +430,34 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_sweep(args):
-    try:
-        cfg = load_config(args.config)
-        _reject_unknown("sweep", cfg, _SWEEP_KEYS)
-        read = _reader("sweep", cfg)
-        spins = read("num_spins", _sorted_list(int))
-        rhos = read("rho", _sorted_list(float))
-        if any(n % 2 or n < 2 for n in spins):
-            raise ConfigurationError("every entry of 'num_spins' must be even and >= 2")
-        out_root = Path(args.out_dir or read("out_dir", str, "spintrack_sweep"))
-        parallelism = args.parallelism or read("parallelism", int, 0) or (os.cpu_count() or 1)
-        preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
-        shared = {key: cfg[key] for key in ("solver", "arrival_drop") if key in cfg}
-        points = [
-            {
-                "preset": {**preset, "num_spins": n, "rho": r},
-                **shared,
-                "out_dir": str(out_root / f"N{n}_rho{r:g}"),
-            }
-            for n in spins
-            for r in rhos
-        ]
-        resolve_run_config(points[0])  # fail early on a bad shared key
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    _reject_unknown("sweep", cfg, _SWEEP_KEYS)
+    read = _reader("sweep", cfg)
+    spins = read("num_spins", _sorted_list(int))
+    rhos = read("rho", _sorted_list(float))
+    if any(n % 2 or n < 2 for n in spins):
+        raise ConfigurationError("every entry of 'num_spins' must be even and >= 2")
+    out_root = Path(args.out_dir or read("out_dir", str, "spintrack_sweep"))
+    parallelism = args.parallelism or read("parallelism", int, 0) or (os.cpu_count() or 1)
+    preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
+    shared = {key: cfg[key] for key in ("solver", "arrival_drop") if key in cfg}
+    points = [
+        {
+            "preset": {**preset, "num_spins": n, "rho": r},
+            **shared,
+            "out_dir": str(out_root / f"N{n}_rho{r:g}"),
+        }
+        for n in spins
+        for r in rhos
+    ]
+    out_dirs = [p["out_dir"] for p in points]
+    for k, out_dir in enumerate(out_dirs):
+        if out_dir in out_dirs[:k]:
+            raise ConfigurationError(
+                f"two sweep points share the output directory {out_dir}; the entries of "
+                "'num_spins' must be distinct, and those of 'rho' distinct to 6 digits"
+            )
+    resolve_run_config(points[0])  # fail early on a bad shared key
 
     workers = max(1, min(parallelism, len(points)))
     if workers > 1:
@@ -475,23 +466,19 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_point(p) for p in points]
 
-    try:
-        out_root.mkdir(parents=True, exist_ok=True)
-        with open(out_root / "sweep.csv", "w", encoding="ascii") as fh:
-            fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-            for row in rows:
-                cells = [str(row["N"]), f"{row['rho']:.6g}"]
-                for col in _SWEEP_COLUMNS[2:]:
-                    v = row[col]
-                    cells.append("nan" if v is None else _fmt(v))
-                fh.write(",".join(cells) + "\n")
-    except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return EXIT_IO
+    out_root.mkdir(parents=True, exist_ok=True)
+    with open(out_root / "sweep.csv", "w", encoding="ascii") as fh:
+        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+        for row in rows:
+            cells = [str(row["N"]), f"{row['rho']:.6g}"]
+            for col in _SWEEP_COLUMNS[2:]:
+                v = row.get(col)
+                cells.append("nan" if v is None else _fmt(v))
+            fh.write(",".join(cells) + "\n")
 
-    failed = [row for row in rows if row["error"]]
+    failed = [row for row in rows if "error" in row]
     for row in rows:
-        if row["error"]:
+        if "error" in row:
             print(f"N={row['N']} rho={row['rho']:g}: FAILED: {row['error']}", file=sys.stderr)
         else:
             print(
@@ -503,13 +490,7 @@ def cmd_sweep(args):
 
 
 def cmd_info(args):
-    try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
-        setup = resolve_run_config(cfg)
-    except ConfigurationError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    setup = _setup_from_args(args)
     info = resolved_dict(setup)
     if args.json:
         json.dump(info, sys.stdout, indent=2)
@@ -566,19 +547,24 @@ def _validate_checks(perturb_kappa=False):
                 f"expected {expect}, structure {h.nnz}, stored {stored}",
             )
 
-    # every cross-channel entry has its conjugate-transpose partner
+    # every cross-channel entry of the sparse H has its conjugate-transpose partner
     grid, layout = oracle.small_instance(3, 200)
-    h = assemble_hamiltonian(oracle.scaled_params(), grid, layout)
-    entries = dict(zip(zip(h.coup_rows, h.coup_cols), h.coup_vals))
-    paired = all(
+
+    def cross_channel(params):
+        coo = assemble_hamiltonian(params, grid, layout).to_sparse("coo")
+        off = coo.row // grid.num_points != coo.col // grid.num_points
+        return dict(zip(zip(coo.row[off], coo.col[off]), coo.data[off]))
+
+    entries = cross_channel(oracle.scaled_params())
+    paired = bool(entries) and all(
         (c, r) in entries and entries[(c, r)] == np.conj(v)
         for (r, c), v in entries.items()
     )
     yield ("coupling partner symmetry", paired, f"{len(entries)} entries")
 
     # rho = 0 removes every cross-channel entry
-    h0 = assemble_hamiltonian(oracle.scaled_params(rho=0.0), grid, layout)
-    yield ("rho=0 decoupling", len(h0.coup_vals) == 0, f"{len(h0.coup_vals)} couplings stored")
+    stored = len(cross_channel(oracle.scaled_params(rho=0.0)))
+    yield ("rho=0 decoupling", stored == 0, f"{stored} couplings stored")
 
     # A + B = 2I exactly
     grid2, layout2 = oracle.small_instance(2, 100)
@@ -712,7 +698,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_FAILURES) as err:
+        code, prefix = _failure(err)
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return code
 
 
 def entry():

@@ -21,8 +21,6 @@ import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import lapack
 
 from . import observables
-from .assembly import check_coupling_layout
-from .model import ConfigurationError
 from .state import StateVector
 
 SOLVE_METHODS = ("direct", "iterative")
@@ -112,8 +110,9 @@ class CapacitanceSolver:
 
     A = T + E K E^T: T is block diagonal with one tridiagonal block per
     channel, factored once per diagonal shift (`_ShiftedTridiagonal`).  K is
-    the spin-flip coupling f (-gamma_j sigma_y) at detector point j, and E
-    selects the (channel, detector point) entries.  With v = E^T x, the
+    the spin-flip coupling f (-gamma sigma_y) at each detector point, with
+    gamma = h.flip_strength (`DiscreteHamiltonian.flips`), and E selects
+    the (channel, detector point) entries.  With v = E^T x, the
     (M, N) values of x at the detector points,
 
         (I + G K) v = E^T T^-1 r,   G = E^T T^-1 E,
@@ -133,17 +132,15 @@ class CapacitanceSolver:
         h = system.h
         self._t = t = _ShiftedTridiagonal(system)
         self._r = np.empty(t.shape, dtype=np.complex128)  # rows in group order
-        gamma = _flip_couplings(h)
-        self._coupled = gamma is not None
+        self._coupled = bool(h.flip_strength)
         if not self._coupled:
             return
         det = h.detector_indices
-        n, m = len(det), h.num_channels
-        # (M, N) flip coefficients and partner entries of K, in the layout
-        # assembly wrote them: coupling j of channel `mask` is entry j * M + mask
-        self._k = (t.factor * h.coup_vals).reshape(n, m).T.copy()
-        masks = np.arange(m)
-        self._partner = ((masks[:, None] ^ (1 << np.arange(n))) * n + np.arange(n)).ravel()
+        n = len(det)
+        # (M, N) flip coefficients of K and their partners' flat (M, N) entries
+        partner, value = h.flips()
+        self._k = t.factor * value
+        self._partner = (partner * n + np.arange(n)).ravel()
         self._det = det
         self._rows = []  # per group: (band slice, rows of T^-1 at the detectors)
         blocks = []
@@ -157,8 +154,9 @@ class CapacitanceSolver:
         ref = t.factors[0] if len(shifts) == 1 else t.factor_at(0.5 * (shifts[0] + shifts[-1]))
         band, rows = _detector_rows(ref, det)
         g0 = rows[det - band.start].T
-        # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma_j of -gamma_j sigma_y
-        d = t.factor * gamma * np.where((masks[:, None] >> np.arange(n)) & 1, 1.0, -1.0)
+        # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma of -gamma sigma_y
+        sign = np.where(np.arange(h.num_channels)[:, None] & (1 << np.arange(n)), 1.0, -1.0)
+        d = t.factor * h.flip_strength * sign
         self._block_inv = np.linalg.inv(np.eye(n) + g0 * d[:, None, :])
         self._transform = _bitwise_transform(n)
 
@@ -283,27 +281,6 @@ def _detector_rows(lu, det):
     kept = np.flatnonzero(np.any(y != 0.0, axis=0))
     band = slice(kept[0], kept[-1] + 1)
     return band, np.ascontiguousarray(y[:, band].T)
-
-
-def _flip_couplings(h):
-    """Per-detector flip strengths gamma_j, or None when nothing is coupled.
-
-    The capacitance solve relies on the coupling layout assembly builds
-    (`check_coupling_layout`) and on the value -i sigma_j(mask) gamma_j of
-    entry j * M + mask, where gamma_j is one real number per detector.  Any
-    other coupling list is rejected here rather than solved wrongly.
-    """
-    if not check_coupling_layout(h):
-        return None
-    n, m = len(h.detector_indices), h.num_channels
-    sigma = np.where(np.arange(m) & (1 << np.arange(n)[:, None]), 1.0, -1.0)
-    gamma = 1j * sigma * h.coup_vals.reshape(n, m)
-    if not np.allclose(gamma, gamma.real[:, :1], rtol=1e-12, atol=0.0):
-        raise ConfigurationError(
-            "direct solver: couplings must flip one spin at its own detector "
-            "point with a strength that depends only on that detector"
-        )
-    return gamma.real[:, 0]
 
 
 def _bitwise_transform(num_bits):

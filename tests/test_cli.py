@@ -259,6 +259,35 @@ def test_sweep_empty_list_rejected(tmp_path, capsys):
     assert "num_spins" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spins, rhos",
+    [([2], [50.0000001, 50.0000002]), ([2], [50.0, 50.0]), ([2, 2], [50.0])],
+    ids=["rho-within-6-digits", "rho-repeated", "num-spins-repeated"],
+)
+def test_sweep_rejects_points_sharing_an_output_directory(tmp_path, capsys, spins, rhos):
+    # point directories are named N{n}_rho{r:g}; two points in one directory
+    # would overwrite each other's artifacts
+    out = tmp_path / "sweep"
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "epsilon": 0.1,
+            "num_spins": spins,
+            "rho": rhos,
+            "num_points": 120,
+            "num_steps": 5,
+            "t_final": 0.005,
+            "parallelism": 1,
+            "out_dir": str(out),
+        },
+    )
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(out / "N2_rho50") in err
+    assert not out.exists()
+
+
 def _coarse_sweep(tmp_path):
     # the N=8 point collides detectors on a deliberately coarse grid
     return _write(
@@ -285,6 +314,15 @@ def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys):
     with pytest.warns(UserWarning, match="phases will be inaccurate"):
         assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
     assert "capacitance" in capsys.readouterr().err
+
+
+def test_run_exits_4_when_out_dir_is_a_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    cfg = _write(tmp_path / "cfg.json", small_explicit_config(out))
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_IO
+    assert "\nI/O error: " in capsys.readouterr().err  # after the regime warning
+    assert out.read_text() == "not a directory"
 
 
 def test_sweep_records_failed_points(tmp_path, capsys):
@@ -324,7 +362,10 @@ def test_sweep_exits_with_first_failed_points_code(tmp_path, monkeypatch, capsys
 def test_validate_passes(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[ ok ]") >= 12
+    assert out.count("[ ok ]") == 39
+    assert "validate: 39/39 checks passed" in out
+    assert "[ ok ] coupling partner symmetry: 24 entries" in out
+    assert "[ ok ] rho=0 decoupling: 0 couplings stored" in out
     assert "nnz" in out
     assert "FAIL" not in out
 

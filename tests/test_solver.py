@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse.linalg as sparse_linalg
 
 from spintrack import (
-    ConfigurationError,
     SolveConfig,
     SolverError,
     StateVector,
@@ -136,9 +135,7 @@ def _free_channel_system(boundary_mode="symmetrized", dt=0.065 / 350):
         upper=upper,
         lower=lower,
         channel_shift=np.zeros(1),
-        coup_rows=np.empty(0, dtype=np.int64),
-        coup_cols=np.empty(0, dtype=np.int64),
-        coup_vals=np.empty(0, dtype=np.complex128),
+        flip_strength=0.0,
         detector_indices=np.empty(0, dtype=np.int64),
         dx=grid.dx,
         boundary_mode=boundary_mode,
@@ -337,38 +334,6 @@ def test_direct_preset_run_matches_sparse_lu():
     final = record.final_state.values.ravel()
     assert np.linalg.norm(final - x) <= 1e-12 * np.linalg.norm(x)
     assert 0.0 < record.max_step_residual <= 1e-14
-
-
-def test_direct_rejects_coupling_outside_its_structure():
-    # a flip of spin 0 whose strength also depends on spin 1 is Hermitian but
-    # not one strength per detector: the solver must refuse it when built
-    system, _, _ = _system(num_points=120)
-    h = system.h
-    m = h.num_channels
-    vals = h.coup_vals.copy()
-    depends = (np.arange(m) >> 1) & 1
-    vals[:m] *= np.where(depends, 1.5, 1.0)
-    bad = DiscreteHamiltonian(**{**vars(h), "coup_vals": vals})
-    bad_system = assemble_cn(bad, system.dt, system.hbar)
-    with pytest.raises(ConfigurationError, match="direct solver"):
-        make_linear_solver(bad_system, SolveConfig())
-    # the same entries through the general GMRES path still solve
-    rhs = bad_system.b @ np.ones(bad_system.dim, dtype=complex)
-    x = make_linear_solver(bad_system, SolveConfig(method="iterative")).solve(rhs)
-    assert np.linalg.norm(bad_system.a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-
-@pytest.mark.parametrize(
-    "field, shift",
-    [("coup_cols", lambda cols: np.roll(cols, 1)), ("coup_rows", lambda rows: rows + 1)],
-    ids=["partners-swapped", "off-detector"],
-)
-def test_assemble_cn_rejects_coupling_outside_its_layout(field, shift):
-    system, _, _ = _system(num_spins=3, num_points=120)
-    h = system.h
-    bad = DiscreteHamiltonian(**{**vars(h), field: shift(getattr(h, field))})
-    with pytest.raises(ConfigurationError, match="layout"):
-        assemble_cn(bad, system.dt, system.hbar)
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
