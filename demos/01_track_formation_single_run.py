@@ -16,7 +16,7 @@ import numpy as np
 
 import spintrack as st
 
-params, geom, grid, tgrid = st.preset_from_epsilon(eps=0.1, num_spins=4, rho=100.0)
+params, geom, grid, tgrid = st.preset_from_epsilon(epsilon=0.1, num_spins=4, rho=100.0)
 layout = st.place_detectors(geom, grid)
 
 print("detectors at", np.round(layout.positions, 5), "sides", layout.sides.signs)

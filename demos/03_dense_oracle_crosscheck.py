@@ -15,7 +15,7 @@ from spintrack.oracle import compare, dense_run
 
 params = st.PhysicalParams(
     hbar=0.1, mass=1.0, alpha=1e-4, beta=1e-4, rho=100.0,
-    p0=40.0 / 3.0, sigma_w=0.025, trunc_a=0.5,
+    p0=40.0 / 3.0, sigma=0.025, trunc_a=0.5,
 )
 geom = st.Geometry(half_length=1.5, cluster_distance=0.5, spacing=0.12, num_spins=2)
 grid = st.build_grid(1.5, 100)

@@ -56,8 +56,6 @@ class DiscreteHamiltonian:
     channel_shift: np.ndarray   # (M,)    alpha * spin_sum per channel
     flip_strength: float        # gamma; 0.0 means the channels are uncoupled
     detector_indices: np.ndarray
-    dx: float
-    boundary_mode: str
 
     @property
     def num_channels(self):
@@ -163,7 +161,7 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
         upper[0] = -2.0 * hop
         lower[-1] = -2.0 * hop
 
-    gamma = params.coupling_factor * params.rho * params.hbar**2 / (2.0 * params.mass * grid.dx)
+    gamma = params.kappa * params.rho * params.hbar**2 / (2.0 * params.mass * grid.dx)
     return DiscreteHamiltonian(
         kin_diag=kin_diag,
         upper=upper,
@@ -171,8 +169,6 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
         channel_shift=params.alpha * spin_sums(n).astype(np.float64),
         flip_strength=gamma,
         detector_indices=det,
-        dx=grid.dx,
-        boundary_mode=boundary_mode,
     )
 
 

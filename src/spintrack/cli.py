@@ -14,21 +14,22 @@ Exit codes: 0 success, 1 validation mismatch, 2 config error,
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 from . import model, observables, oracle, solver
-from .assembly import assemble_cn, assemble_hamiltonian
+from .assembly import BOUNDARY_MODES, assemble_cn, assemble_hamiltonian
 from .model import ConfigurationError
-from .solver import SolveConfig, SolverError
+from .solver import SOLVE_METHODS, SolveConfig, SolverError
 
 SCHEMA_VERSION = 1
 
@@ -46,30 +47,18 @@ _FAILURES = {
     OSError: (EXIT_IO, "I/O error"),
 }
 
+
+def _keys(*builders):
+    """The config keys of a section: the parameter names of its builders."""
+    return {name for fn in builders for name in inspect.signature(fn).parameters}
+
+
 _TOP_KEYS = {"preset", "explicit", "solver", "out_dir", "arrival_drop"}
-# dataclass field (and model.preset_from_epsilon argument) -> config key,
-# where the two differ
-_CONFIG_NAMES = {"sigma_w": "sigma", "coupling_factor": "kappa"}
-_FIELD_NAMES = {key: name for name, key in _CONFIG_NAMES.items()}
-# optional preset keys -> value type; a key left out takes the default of
-# model.preset_from_epsilon
-_PRESET_OPTIONS = {"rho": float, "kappa": int, "num_points": int, "num_steps": int, "t_final": float}
-_PRESET_KEYS = {"epsilon", "num_spins", "boundary_mode", *_PRESET_OPTIONS}
-
-
-def _config_key(field):
-    return _CONFIG_NAMES.get(field.name, field.name)
-
-
+_PRESET_KEYS = {"boundary_mode", *_keys(model.preset_from_epsilon)}
 _EXPLICIT_KEYS = {
-    "num_points", "boundary_mode",
-    *(
-        _config_key(f)
-        for cls in (model.PhysicalParams, model.Geometry, model.TimeGrid)
-        for f in fields(cls)
-    ),
+    "num_points", "boundary_mode", *_keys(model.PhysicalParams, model.Geometry, model.TimeGrid)
 }
-_SOLVER_KEYS = {f.name for f in fields(SolveConfig)}
+_SOLVER_KEYS = _keys(SolveConfig)
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
@@ -110,24 +99,42 @@ def _reject_unknown(section, keys, allowed):
             raise ConfigurationError(f"unknown key {key!r} in {section} config")
 
 
+def _convert(kind, value):
+    """`value` converted by `kind`; an int takes no fraction and no boolean."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if kind is int and (isinstance(value, bool) or fraction):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return kind(value)
+
+
 def _reader(section, cfg):
     """read(key, kind, default): cfg[key] converted by `kind`.
 
-    A missing key takes `default`, or is an error when no default is given;
-    a value `kind` cannot convert is a ConfigurationError naming the key.
+    A missing or null key takes `default` (an error when none is given); a
+    value `kind` cannot convert is a ConfigurationError naming the key.
     """
 
-    def read(key, kind, default=MISSING):
-        if key not in cfg:
-            if default is MISSING:
+    def read(key, kind, default=inspect.Parameter.empty):
+        if cfg.get(key) is None:
+            if default is inspect.Parameter.empty:
                 raise ConfigurationError(f"{section} config missing key {key!r}")
             return default
         try:
-            return kind(cfg[key])
+            return _convert(kind, cfg[key])
         except (TypeError, ValueError) as err:
             raise ConfigurationError(f"{section} config key {key!r}: {err}") from err
 
     return read
+
+
+def _build(builder, read):
+    """builder(**values), each parameter read under its own name as config key.
+
+    The parameter's annotation converts its value, and its default, if any,
+    makes the key optional.
+    """
+    parameters = inspect.signature(builder).parameters.values()
+    return builder(**{p.name: read(p.name, p.annotation, p.default) for p in parameters})
 
 
 def _sorted_list(kind):
@@ -136,23 +143,9 @@ def _sorted_list(kind):
     def convert(values):
         if not isinstance(values, list) or not values:
             raise ValueError("must be a non-empty list")
-        return sorted(kind(v) for v in values)
+        return sorted(_convert(kind, v) for v in values)
 
     return convert
-
-
-def _from_fields(cls, read):
-    """Dataclass `cls` from the config keys of its fields.
-
-    Each field's type converts its value; a field with a default makes its
-    key optional.
-    """
-    return cls(**{f.name: read(_config_key(f), f.type, f.default) for f in fields(cls)})
-
-
-def _config_view(obj):
-    """The dataclass's field values under their config keys, in field order."""
-    return {_config_key(f): getattr(obj, f.name) for f in fields(obj)}
 
 
 def load_config(path):
@@ -169,12 +162,12 @@ def load_config(path):
 
 
 def _solve_config_from(cfg):
-    section = cfg.get("solver", {})
+    section = {} if cfg.get("solver") is None else cfg["solver"]
     if not isinstance(section, dict):
         raise ConfigurationError("'solver' must be an object")
     _reject_unknown("solver", section, _SOLVER_KEYS)
     try:
-        return _from_fields(SolveConfig, _reader("solver", section))
+        return _build(SolveConfig, _reader("solver", section))
     except ValueError as err:
         raise ConfigurationError(f"solver config: {err}") from err
 
@@ -192,24 +185,16 @@ def resolve_run_config(cfg):
     read = _reader(section, values)
     if section == "preset":
         _reject_unknown("preset", values, _PRESET_KEYS)
-        options = {
-            _FIELD_NAMES.get(key, key): read(key, kind)
-            for key, kind in _PRESET_OPTIONS.items()
-            if values.get(key) is not None
-        }
-        params, geom, grid, tgrid = model.preset_from_epsilon(
-            eps=read("epsilon", float), num_spins=read("num_spins", int), **options
-        )
+        params, geom, grid, tgrid = _build(model.preset_from_epsilon, read)
     else:
         _reject_unknown("explicit", values, _EXPLICIT_KEYS)
-        params = _from_fields(model.PhysicalParams, read)
-        geom = _from_fields(model.Geometry, read)
+        params = _build(model.PhysicalParams, read)
+        geom = _build(model.Geometry, read)
         grid = model.build_grid(geom.half_length, read("num_points", int))
-        tgrid = _from_fields(model.TimeGrid, read)
-    boundary_mode = values.get("boundary_mode", "ghost")
-
-    if boundary_mode not in ("ghost", "symmetrized"):
-        raise ConfigurationError(f"boundary_mode must be 'ghost' or 'symmetrized', got {boundary_mode!r}")
+        tgrid = _build(model.TimeGrid, read)
+    boundary_mode = read("boundary_mode", str, "ghost")
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ConfigurationError(f"boundary_mode must be one of {BOUNDARY_MODES}, got {boundary_mode!r}")
     layout = model.place_detectors(geom, grid)
 
     top = _reader("run", cfg)
@@ -237,12 +222,12 @@ def resolved_dict(setup):
     return {
         "schema_version": SCHEMA_VERSION,
         "num_channels": m,
-        **_config_view(params),
+        **asdict(params),
         "boundary_mode": setup.boundary_mode,
-        **_config_view(geom),
+        **asdict(geom),
         "num_points": grid.num_points,
         "dx": grid.dx,
-        **_config_view(tgrid),
+        **asdict(tgrid),
         "dt": tgrid.dt,
         "detector_nominal": [float(y) for y in setup.layout.nominal_positions],
         "detector_positions": [float(y) for y in setup.layout.positions],
@@ -250,7 +235,7 @@ def resolved_dict(setup):
         "sides": list(setup.layout.sides.signs),
         "predicted_arrival": geom.cluster_distance / params.p0,
         "state_vector_bytes": m * grid.num_points * 16,
-        "solver": _config_view(setup.solve_config),
+        "solver": asdict(setup.solve_config),
         "arrival_drop": setup.arrival_drop,
     }
 
@@ -438,7 +423,9 @@ def cmd_sweep(args):
     if any(n % 2 or n < 2 for n in spins):
         raise ConfigurationError("every entry of 'num_spins' must be even and >= 2")
     out_root = Path(args.out_dir or read("out_dir", str, "spintrack_sweep"))
-    parallelism = args.parallelism or read("parallelism", int, 0) or (os.cpu_count() or 1)
+    parallelism = read("parallelism", int, 0) if args.parallelism is None else args.parallelism
+    if parallelism < 0:
+        raise ConfigurationError(f"parallelism must be >= 0 (0: all cores), got {parallelism}")
     preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
     shared = {key: cfg[key] for key in ("solver", "arrival_drop") if key in cfg}
     points = [
@@ -459,7 +446,7 @@ def cmd_sweep(args):
             )
     resolve_run_config(points[0])  # fail early on a bad shared key
 
-    workers = max(1, min(parallelism, len(points)))
+    workers = min(parallelism or os.cpu_count() or 1, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             rows = list(pool.map(_sweep_point, points))
@@ -597,7 +584,7 @@ def _validate_checks(perturb_kappa=False):
                 for kappa in (1, 2):
                     params_o = oracle.scaled_params(rho, beta, kappa)
                     prod_kappa = 2 if (perturb_kappa and kappa == 1) else kappa
-                    params_p = replace(params_o, coupling_factor=prod_kappa)
+                    params_p = replace(params_o, kappa=prod_kappa)
                     rec, _ = _production_final_state(params_p, grid_c, layout_c, tgrid)
                     ref = oracle.dense_run(params_o, grid_c, layout_c, tgrid)
                     max_abs, _ = oracle.compare(rec.final_state, ref)
@@ -651,15 +638,13 @@ def cmd_validate(args):
 def _add_override_flags(parser):
     parser.add_argument("--rho", type=float, help="override the flip coupling strength")
     parser.add_argument("--num-spins", dest="num_spins", type=int, help="override the detector count")
-    parser.add_argument("--kappa", type=int, choices=(1, 2), help="override the coupling factor")
+    parser.add_argument("--kappa", type=int, help="override the coupling factor")
     parser.add_argument(
-        "--boundary-mode", dest="boundary_mode", choices=("ghost", "symmetrized"),
+        "--boundary-mode", dest="boundary_mode", choices=BOUNDARY_MODES,
         help="override the boundary closure",
     )
     parser.add_argument("--epsilon", type=float, help="override the preset scale")
-    parser.add_argument(
-        "--solver", choices=("direct", "iterative"), help="override the linear-solve method"
-    )
+    parser.add_argument("--solver", choices=SOLVE_METHODS, help="override the linear-solve method")
     parser.add_argument("--out-dir", dest="out_dir", help="override the output directory")
 
 

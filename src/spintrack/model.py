@@ -26,11 +26,11 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Physical constants of one run.
+    """Physical constants of one run; the field names are explicit config keys.
 
-    coupling_factor multiplies the spin-flip coupling strength; 1 matches the
-    half-cell discretization of the flip term and is the validated default,
-    2 corresponds to the alternative continuum jump-condition normalization.
+    kappa, the coupling factor, multiplies the spin-flip coupling strength; 1
+    matches the half-cell discretization of the flip term and is the validated
+    default, 2 the alternative continuum jump-condition normalization.
     """
 
     hbar: float
@@ -39,22 +39,20 @@ class PhysicalParams:
     beta: float         # strength of the spin-independent point interaction
     rho: float          # strength of the spin-flip coupling
     p0: float           # average momentum of each packet
-    sigma_w: float      # Gaussian width of the packet
+    sigma: float        # Gaussian width of the packet
     trunc_a: float      # half-width of the Gaussian's support
     x0: float = 0.0     # packet center
-    coupling_factor: int = 1
+    kappa: int = 1      # coupling factor, 1 or 2
 
     def __post_init__(self):
         if self.hbar <= 0 or self.mass <= 0:
             raise ConfigurationError("hbar and mass must be positive")
         if self.alpha < 0 or self.beta < 0 or self.rho < 0:
             raise ConfigurationError("alpha, beta, rho must be non-negative")
-        if self.sigma_w <= 0 or self.trunc_a <= 0:
-            raise ConfigurationError("sigma_w and trunc_a must be positive")
-        if self.coupling_factor not in (1, 2):
-            raise ConfigurationError(
-                f"coupling_factor must be 1 or 2, got {self.coupling_factor}"
-            )
+        if self.sigma <= 0 or self.trunc_a <= 0:
+            raise ConfigurationError("sigma and trunc_a must be positive")
+        if self.kappa not in (1, 2):
+            raise ConfigurationError(f"kappa must be 1 or 2, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -205,13 +203,13 @@ def initial_state(params, grid, num_channels):
     """Initial decoupled state: all detectors down, particle in a standing packet.
 
     Channel 0 holds c * f(x) * [exp(-i p0 x / hbar) + exp(+i p0 x / hbar)]
-    where f is a Gaussian of width sigma_w truncated to |x - x0| < trunc_a and
+    where f is a Gaussian of width sigma truncated to |x - x0| < trunc_a and
     c normalizes the discrete norm dx * sum |psi|^2 to one.  All other
     channels are zero.
     """
     u = grid.xs - params.x0
     envelope = np.where(
-        np.abs(u) < params.trunc_a, np.exp(-(u**2) / (4.0 * params.sigma_w**2)), 0.0
+        np.abs(u) < params.trunc_a, np.exp(-(u**2) / (4.0 * params.sigma**2)), 0.0
     )
     packet = envelope * 2.0 * np.cos(params.p0 * u / params.hbar)
     raw_norm2 = grid.dx * np.sum(packet**2)
@@ -236,55 +234,53 @@ def validate_regime(params, geom):
         notes.append(
             f"beta << 1/d violated: beta={params.beta:g}, 1/d={1.0 / geom.spacing:g}"
         )
-    if geom.spacing > params.sigma_w:
+    if geom.spacing > params.sigma:
+        notes.append(f"d < sigma violated: d={geom.spacing:g}, sigma={params.sigma:g}")
+    if params.sigma * MUCH_LESS_FACTOR > geom.cluster_distance:
         notes.append(
-            f"d < sigma violated: d={geom.spacing:g}, sigma={params.sigma_w:g}"
-        )
-    if params.sigma_w * MUCH_LESS_FACTOR > geom.cluster_distance:
-        notes.append(
-            f"sigma << D violated: sigma={params.sigma_w:g}, D={geom.cluster_distance:g}"
+            f"sigma << D violated: sigma={params.sigma:g}, D={geom.cluster_distance:g}"
         )
     return notes
 
 
 def preset_from_epsilon(
-    eps,
-    num_spins,
-    rho=None,
-    coupling_factor=1,
-    num_points=1000,
-    num_steps=350,
-    t_final=0.065,
+    epsilon: float,
+    num_spins: int,
+    rho: float = None,
+    kappa: int = 1,
+    num_points: int = 1000,
+    num_steps: int = 350,
+    t_final: float = 0.065,
 ):
-    """The standard epsilon-scaled configuration.
+    """The standard epsilon-scaled configuration; the arguments are preset config keys.
 
-    L = 3/2, D = L/3, d = eps/N, hbar = eps, m = 1, p0 = 4/(3 eps),
-    sigma = eps/4, beta = alpha = eps^4, rho = 1/eps^2 unless overridden.
-    The truncation half-width defaults to D, where the Gaussian is already
-    below double-precision relevance.
+    L = 3/2, D = L/3, d = epsilon/N, hbar = epsilon, m = 1, p0 = 4/(3 epsilon),
+    sigma = epsilon/4, beta = alpha = epsilon^4, rho = 1/epsilon^2 when None.
+    The truncation half-width is D, where the Gaussian is already below
+    double-precision relevance.
     """
-    if eps <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {eps}")
+    if epsilon <= 0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     if num_spins % 2 or num_spins < 2:
         raise ConfigurationError(f"num_spins must be even and >= 2, got {num_spins}")
     half_length = 1.5
     cluster_distance = half_length / 3.0
     params = PhysicalParams(
-        hbar=eps,
+        hbar=epsilon,
         mass=1.0,
-        alpha=eps**4,
-        beta=eps**4,
-        rho=(1.0 / eps) ** 2 if rho is None else rho,
-        p0=4.0 / (3.0 * eps),
-        sigma_w=eps / 4.0,
+        alpha=epsilon**4,
+        beta=epsilon**4,
+        rho=(1.0 / epsilon) ** 2 if rho is None else rho,
+        p0=4.0 / (3.0 * epsilon),
+        sigma=epsilon / 4.0,
         trunc_a=cluster_distance,
         x0=0.0,
-        coupling_factor=coupling_factor,
+        kappa=kappa,
     )
     geom = Geometry(
         half_length=half_length,
         cluster_distance=cluster_distance,
-        spacing=eps / num_spins,
+        spacing=epsilon / num_spins,
         num_spins=num_spins,
     )
     grid = build_grid(half_length, num_points)

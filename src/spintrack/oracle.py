@@ -22,7 +22,7 @@ def scaled_params(rho=100.0, beta=1e-4, kappa=1, alpha=1e-4):
     """The epsilon = 0.1 physical constants with overridable couplings."""
     return model.PhysicalParams(
         hbar=0.1, mass=1.0, alpha=alpha, beta=beta, rho=rho,
-        p0=40.0 / 3.0, sigma_w=0.025, trunc_a=0.5, coupling_factor=kappa,
+        p0=40.0 / 3.0, sigma=0.025, trunc_a=0.5, kappa=kappa,
     )
 
 
@@ -90,7 +90,7 @@ def dense_hamiltonian(params, grid, layout, boundary_mode="ghost"):
             sigma_j = 1.0 if (mask >> j) & 1 else -1.0
             partner = mask ^ (1 << j)
             h[base + ij, partner * nx + ij] = (
-                -1j * sigma_j * params.coupling_factor * params.rho * hb2m / dx
+                -1j * sigma_j * params.kappa * params.rho * hb2m / dx
             )
     return h
 

@@ -442,7 +442,7 @@ def run(system, initial, num_steps, config=None, sides=None):
     # Accuracy (not stability) guard: compare dt against the phase period of
     # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
     # cutoff energy and would flag every well-resolved run.
-    if energy[0] != 0.0 and system.dt > 2.0 * system.hbar / abs(energy[0]):
+    if energy[0] != 0.0 and abs(system.dt) > 2.0 * system.hbar / abs(energy[0]):
         warnings.warn(
             f"dt={system.dt:g} exceeds 2*hbar/|<H>|~{2.0 * system.hbar / abs(energy[0]):g}; "
             "the scheme stays stable but phases will be inaccurate"

@@ -39,7 +39,7 @@ class RunCache:
         key = (num_spins, float(rho), kappa, float(p0_scale))
         if key not in self._runs:
             params, geom, grid, tgrid = st.preset_from_epsilon(
-                0.1, num_spins, rho=float(rho), coupling_factor=kappa
+                0.1, num_spins, rho=float(rho), kappa=kappa
             )
             params = dataclasses.replace(params, p0=p0_scale * params.p0)
             layout = st.place_detectors(geom, grid)

@@ -30,8 +30,6 @@ def _zero_hamiltonian(num_points=5):
         channel_shift=np.zeros(1),
         flip_strength=0.0,
         detector_indices=np.empty(0, dtype=np.int64),
-        dx=1.0,
-        boundary_mode="symmetrized",
     )
 
 

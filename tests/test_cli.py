@@ -1,6 +1,8 @@
 """Config ingestion, artifacts, sweep, info, and the validation suite."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -108,12 +110,67 @@ def test_missing_required_key_named(tmp_path, capsys, payload, key):
         ("run", {"preset": {"epsilon": 0.1, "num_spins": 4, "num_points": "many"}}, "num_points"),
         ("sweep", {"epsilon": 0.1, "num_spins": ["x"], "rho": [100.0]}, "num_spins"),
         ("run", small_explicit_config("unused", kappa="two"), "kappa"),
+        (
+            "run",
+            {"preset": {"epsilon": 0.1, "num_spins": 4.7, "num_steps": 5, "t_final": 0.001}},
+            "num_spins",
+        ),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4, "num_points": 999.9}}, "num_points"),
+        ("sweep", {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "parallelism": 2.5,
+                   "num_steps": 5, "t_final": 0.001}, "parallelism"),
+        ("run", {"preset": {"epsilon": 0.1, "num_spins": True}}, "num_spins"),
     ],
 )
-def test_malformed_value_is_config_error(tmp_path, capsys, command, payload, key):
+def test_malformed_value_is_config_error(tmp_path, monkeypatch, capsys, command, payload, key):
+    monkeypatch.chdir(tmp_path)  # a value read wrongly would run into the default out_dir
     cfg = _write(tmp_path / "cfg.json", payload)
     assert cli.main([command, "-c", cfg]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rho", "kappa", "num_points", "num_steps", "t_final", "boundary_mode"])
+def test_null_preset_key_takes_default(tmp_path, capsys, key):
+    preset = {"epsilon": 0.1, "num_spins": 4}
+    infos = []
+    for name, section in (("left_out", preset), ("null", {**preset, key: None})):
+        cfg = _write(tmp_path / f"{name}.json", {"preset": section})
+        assert cli.main(["info", "-c", cfg, "--json"]) == 0
+        infos.append(capsys.readouterr().out)
+    assert infos[0] == infos[1]
+
+
+@pytest.mark.parametrize(
+    "key, value, internal",
+    [("sigma", -1, "sigma_w"), ("kappa", 3, "coupling_factor")],
+)
+def test_config_error_names_config_key(tmp_path, capsys, key, value, internal):
+    cfg = _write(tmp_path / "cfg.json", small_explicit_config(tmp_path / "out", **{key: value}))
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and internal not in err
+
+
+def test_accepted_key_sets():
+    preset = {
+        "epsilon", "num_spins", "rho", "kappa", "num_points", "num_steps", "t_final", "boundary_mode",
+    }
+    assert cli._PRESET_KEYS == preset
+    assert cli._EXPLICIT_KEYS == {
+        "hbar", "mass", "alpha", "beta", "rho", "p0", "sigma", "trunc_a", "x0", "kappa",
+        "half_length", "cluster_distance", "spacing", "num_spins",
+        "num_points", "t_final", "num_steps", "boundary_mode",
+    }
+    assert cli._SOLVER_KEYS == {"method", "rtol", "max_iter"}
+    assert cli._SWEEP_KEYS == preset | {"solver", "out_dir", "parallelism", "arrival_drop"}
+
+
+def test_readme_configs_match_schema(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    run, sweep = (json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S))
+    run["out_dir"] = str(tmp_path / run["out_dir"])
+    setup = cli.resolve_run_config(run)
+    assert setup.geom.num_spins == run["preset"]["num_spins"]
+    assert set(sweep) <= cli._SWEEP_KEYS
 
 
 def test_preset_and_explicit_mutually_exclusive(tmp_path, capsys):
@@ -248,6 +305,21 @@ def test_sweep_point_resolves_as_run(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["info", "-c", _write(tmp_path / "run.json", run), "--json"]) == 0
     assert resolved == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [({"parallelism": -4}, []), ({}, ["--parallelism", "-2"])],
+    ids=["key", "flag"],
+)
+def test_sweep_rejects_negative_parallelism(tmp_path, capsys, extra, flags):
+    out = tmp_path / "sweep"
+    payload = {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "num_points": 120,
+               "num_steps": 5, "t_final": 0.005, "out_dir": str(out), **extra}
+    cfg = _write(tmp_path / "sweep.json", payload)
+    assert cli.main(["sweep", "-c", cfg, *flags]) == cli.EXIT_CONFIG
+    assert "parallelism" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_empty_list_rejected(tmp_path, capsys):

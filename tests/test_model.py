@@ -120,7 +120,7 @@ def test_initial_state_even_symmetry():
     # peak value is the normalization constant times 2 (cosine sum at x = 0)
     raw = np.where(
         np.abs(grid.xs) < params.trunc_a,
-        np.exp(-grid.xs**2 / (4 * params.sigma_w**2)) * 2 * np.cos(params.p0 * grid.xs / params.hbar),
+        np.exp(-grid.xs**2 / (4 * params.sigma**2)) * 2 * np.cos(params.p0 * grid.xs / params.hbar),
         0.0,
     )
     c = 1.0 / np.sqrt(grid.dx * np.sum(raw**2))
@@ -148,7 +148,7 @@ def test_validate_regime_violations():
     assert any("d < sigma" in note for note in notes)
 
     geom_close = Geometry(
-        half_length=1.5, cluster_distance=params.sigma_w, spacing=0.01, num_spins=4
+        half_length=1.5, cluster_distance=params.sigma, spacing=0.01, num_spins=4
     )
     notes = validate_regime(params, geom_close)
     assert any("sigma << D" in note for note in notes)

@@ -137,8 +137,6 @@ def _free_channel_system(boundary_mode="symmetrized", dt=0.065 / 350):
         channel_shift=np.zeros(1),
         flip_strength=0.0,
         detector_indices=np.empty(0, dtype=np.int64),
-        dx=grid.dx,
-        boundary_mode=boundary_mode,
     )
     return assemble_cn(h, dt, 0.1)
 
@@ -285,6 +283,13 @@ def test_serial_runs_bitwise_identical():
 
 def test_coarse_step_warns():
     system, psi0, _ = _system(dt=0.065)
+    with pytest.warns(UserWarning, match="phases will be inaccurate"):
+        run(system, psi0, 1)
+
+
+def test_coarse_backward_step_warns():
+    # the accuracy guard compares |dt|; a time-reversed run is as coarse
+    system, psi0, _ = _system(dt=-0.05)
     with pytest.warns(UserWarning, match="phases will be inaccurate"):
         run(system, psi0, 1)
 
