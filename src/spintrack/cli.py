@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -100,10 +100,12 @@ def _reject_unknown(section, keys, allowed):
 
 
 def _convert(kind, value):
-    """`value` converted by `kind`; an int takes no fraction and no boolean."""
+    """`value` converted by `kind`; a number takes no boolean, an int no fraction."""
     fraction = isinstance(value, float) and not value.is_integer()
     if kind is int and (isinstance(value, bool) or fraction):
         raise ValueError(f"must be an integer, got {value!r}")
+    if kind is float and isinstance(value, bool):
+        raise ValueError(f"must be a number, got {value!r}")
     return kind(value)
 
 
@@ -408,6 +410,46 @@ def _failure(err):
     return EXIT_MISMATCH, None
 
 
+def _run_points(points, workers):
+    """The rows of `_sweep_point` over `points`, in their order.
+
+    `workers` lanes take points from one queue, largest first (descending N;
+    within one N, in the order of `points`) so that no lane is left alone
+    with a large point at the end.  This process is one lane, and each of the other
+    `workers - 1` is a thread that hands its points to a spawned process, so
+    this process works while the children import.  A lane that raises empties
+    the queue, so the others start no new point, and the exception propagates
+    once the running ones end.
+    """
+    rows = [None] * len(points)
+    order = sorted(range(len(points)), key=lambda k: -points[k]["preset"]["num_spins"])
+    todo = iter(order)  # next() on a list iterator is atomic
+
+    def lane(run):
+        try:
+            for k in todo:
+                rows[k] = run(points[k])
+        except BaseException:
+            for _ in todo:
+                pass
+            raise
+
+    if workers == 1:
+        lane(_sweep_point)
+        return rows
+
+    def in_child(point):
+        return pool.submit(_sweep_point, point).result()
+
+    spawn = get_context("spawn")
+    with ProcessPoolExecutor(workers - 1, mp_context=spawn) as pool, ThreadPoolExecutor(workers - 1) as threads:
+        feeders = [threads.submit(lane, in_child) for _ in range(workers - 1)]
+        lane(_sweep_point)
+        for feeder in feeders:
+            feeder.result()  # a child lane's failure, e.g. a broken pool
+    return rows
+
+
 _SWEEP_COLUMNS = (
     "N", "rho", "LRC_one_side", "two_LRC", "OS", "UC", "MT",
     "row_sum", "arrival_time", "wall_seconds",
@@ -447,11 +489,7 @@ def cmd_sweep(args):
     resolve_run_config(points[0])  # fail early on a bad shared key
 
     workers = min(parallelism or os.cpu_count() or 1, len(points))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            rows = list(pool.map(_sweep_point, points))
-    else:
-        rows = [_sweep_point(p) for p in points]
+    rows = _run_points(points, workers)
 
     out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "sweep.csv", "w", encoding="ascii") as fh:

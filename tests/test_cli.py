@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,8 @@ def test_missing_required_key_named(tmp_path, capsys, payload, key):
         ("sweep", {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "parallelism": 2.5,
                    "num_steps": 5, "t_final": 0.001}, "parallelism"),
         ("run", {"preset": {"epsilon": 0.1, "num_spins": True}}, "num_spins"),
+        ("info", {"preset": {"epsilon": True, "num_spins": 4}}, "epsilon"),
+        ("info", small_explicit_config("unused", beta=True), "beta"),
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, monkeypatch, capsys, command, payload, key):
@@ -429,6 +432,82 @@ def test_sweep_exits_with_first_failed_points_code(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "simulate", simulate)
     assert cli.main(["sweep", "-c", _coarse_sweep(tmp_path)]) == code
     assert capsys.readouterr().err.count("FAILED") == 2
+
+
+def _sweep_cells(out):
+    """sweep.csv's rows without the wall_seconds column."""
+    lines = (out / "sweep.csv").read_text().strip().split("\n")
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
+def test_sweep_starts_largest_points_first(tmp_path, monkeypatch):
+    started = []
+
+    def sweep_point(cfg):
+        n, rho = cfg["preset"]["num_spins"], cfg["preset"]["rho"]
+        started.append((n, rho))
+        values = dict.fromkeys(("LRC_one_side", "two_LRC", "OS", "UC", "MT", "row_sum"), 0.25)
+        return {"N": n, "rho": rho, **values, "arrival_time": None, "wall_seconds": 0.0}
+
+    monkeypatch.setattr(cli, "_sweep_point", sweep_point)
+    out = tmp_path / "sweep"
+    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [4, 2, 6],
+                                           "rho": [100.0, 50.0], "parallelism": 1,
+                                           "out_dir": str(out)})
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_OK
+    assert started == [(6, 50.0), (6, 100.0), (4, 50.0), (4, 100.0), (2, 50.0), (2, 100.0)]
+    rows = [line.split(",")[:2] for line in _sweep_cells(out)[1:]]
+    assert rows == [["2", "50"], ["2", "100"], ["4", "50"], ["4", "100"], ["6", "50"], ["6", "100"]]
+
+
+def test_parallel_sweep_matches_serial(tmp_path, monkeypatch, capsys):
+    # N=8 collides detectors on this coarse grid, so its two points fail with
+    # a config error.  This process holds its first point for a moment, so
+    # that a child lane takes the other N=8 point.
+    real = cli.resolve_run_config
+
+    def resolve_run_config(cfg):
+        if cfg["preset"]["num_spins"] == 8:
+            time.sleep(0.5)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "resolve_run_config", resolve_run_config)
+    results = []
+    for parallelism in (1, 2, 3):
+        out = tmp_path / f"p{parallelism}"
+        cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2, 8],
+                                               "rho": [50.0, 100.0], "num_points": 40,
+                                               "num_steps": 5, "t_final": 0.005,
+                                               "parallelism": parallelism, "out_dir": str(out)})
+        code = cli.main(["sweep", "-c", cfg])
+        failures = [line for line in capsys.readouterr().err.splitlines() if "FAILED" in line]
+        results.append((code, _sweep_cells(out), failures))
+    assert results[0][0] == cli.EXIT_CONFIG
+    assert len(results[0][2]) == 2
+    assert [cells.split(",")[:2] for cells in results[0][1][1:]] == [
+        ["2", "50"], ["2", "100"], ["8", "50"], ["8", "100"]
+    ]
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def test_parent_lane_failure_stops_dispatch(tmp_path, monkeypatch):
+    # an exception that escapes this process's lane (here a Ctrl-C) ends the
+    # sweep: the child lane finishes the point it holds and starts no other
+    def simulate(setup):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    out = tmp_path / "sweep"
+    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2, 4],
+                                           "rho": [10.0, 20.0], "num_points": 120,
+                                           "num_steps": 5, "t_final": 0.005,
+                                           "parallelism": 2, "out_dir": str(out)})
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "-c", cfg])
+    assert not (out / "N2_rho10").exists()
+    assert not (out / "N2_rho20").exists()
+    assert not (out / "sweep.csv").exists()
 
 
 def test_validate_passes(capsys):
