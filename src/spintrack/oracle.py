@@ -1,28 +1,33 @@
 """Dense reference implementation and the small instances it is checked on.
 
-Everything here is written directly from the stencil definitions, entry by
-entry, on purpose sharing no construction code with `assembly`: a
-transcription slip in either implementation shows up as a mismatch when the
-two evolutions are compared.  Size is capped so the dense matrices stay
-trivially cheap.  `scaled_params` and `small_instance` build the coarse
-instances that `spintrack validate` and the test suite run on.
+The dense Hamiltonian is written directly from the stencil definitions,
+entry by entry, on purpose sharing no construction code with `assembly`,
+and `dense_run` evolves it with dense LU instead of the structured direct
+solve: a transcription slip in either implementation shows up as a mismatch
+when the two evolutions are compared.  Only `production_vs_dense` runs
+production code, to make that comparison.  Size is capped so the dense
+matrices stay trivially cheap.  `scaled_params` and `small_instance` build
+the coarse instances that `spintrack validate` and the test suite run on.
 """
 
 import numpy as np
 import scipy.linalg
 
 from . import model
+from .assembly import assemble_cn, assemble_hamiltonian
+from .observables import channel_probs
+from .solver import run
 from .spinspace import SideAssignment
 from .state import StateVector
 
 MAX_DENSE_DIM = 2048
 
 
-def scaled_params(rho=100.0, beta=1e-4, kappa=1, alpha=1e-4):
-    """The epsilon = 0.1 physical constants with overridable couplings."""
+def scaled_params(rho=100.0, beta=1e-4, kappa=1, alpha=1e-4, x0=0.0):
+    """The epsilon = 0.1 physical constants with overridable couplings and start."""
     return model.PhysicalParams(
         hbar=0.1, mass=1.0, alpha=alpha, beta=beta, rho=rho,
-        p0=40.0 / 3.0, sigma=0.025, trunc_a=0.5, kappa=kappa,
+        p0=40.0 / 3.0, sigma=0.025, trunc_a=0.5, x0=x0, kappa=kappa,
     )
 
 
@@ -125,3 +130,21 @@ def compare(a, b):
     max_abs = float(np.max(np.abs(a.values - b.values))) if a.values.size else 0.0
     norm_diff = abs(np.sqrt(a.norm2()) - np.sqrt(b.norm2()))
     return max_abs, norm_diff
+
+
+def production_vs_dense(params, grid, layout, time_grid, production_params=None):
+    """(max state diff, max channel-probability diff) of the two evolutions.
+
+    The production path (`assemble_hamiltonian`, `assemble_cn`,
+    `initial_state`, `run`) evolves one instance with `production_params`
+    (default `params`), and `dense_run` evolves it with `params`.
+    """
+    production_params = production_params or params
+    h = assemble_hamiltonian(production_params, grid, layout)
+    system = assemble_cn(h, time_grid.dt, production_params.hbar)
+    psi0 = model.initial_state(production_params, grid, h.num_channels)
+    production = run(system, psi0, time_grid.num_steps).final_state
+    reference = dense_run(params, grid, layout, time_grid)
+    max_abs, _ = compare(production, reference)
+    prob_diff = np.max(np.abs(channel_probs(production).probs - channel_probs(reference).probs))
+    return max_abs, float(prob_diff)

@@ -122,6 +122,12 @@ def test_missing_required_key_named(tmp_path, capsys, payload, key):
         ("run", {"preset": {"epsilon": 0.1, "num_spins": True}}, "num_spins"),
         ("info", {"preset": {"epsilon": True, "num_spins": 4}}, "epsilon"),
         ("info", small_explicit_config("unused", beta=True), "beta"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4, "rho": "nan", "t_final": "1e-3"}}, "rho"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": "4"}}, "num_spins"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4, "rho": float("nan")}}, "rho"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4}, "out_dir": 5}, "out_dir"),
+        ("sweep", {"epsilon": 0.1, "num_spins": [2], "rho": ["100"]}, "rho"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4, "rho": 10**400}}, "rho"),
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, monkeypatch, capsys, command, payload, key):
@@ -510,19 +516,33 @@ def test_parent_lane_failure_stops_dispatch(tmp_path, monkeypatch):
     assert not (out / "sweep.csv").exists()
 
 
+def _oracle_cases():
+    return [
+        f"oracle N={n} rho={rho:g} beta={beta:g} kappa={kappa}"
+        for n in (2, 3)
+        for rho in (0.0, 10.0, 100.0)
+        for beta in (0.0, 1e-4)
+        for kappa in (1, 2)
+    ]
+
+
 def test_validate_passes(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[ ok ]") == 39
-    assert "validate: 39/39 checks passed" in out
-    assert "[ ok ] coupling partner symmetry: 24 entries" in out
-    assert "[ ok ] rho=0 decoupling: 0 couplings stored" in out
-    assert "nnz" in out
+    assert out.count("[ ok ]") == 24
+    assert "validate: 24/24 checks passed" in out
+    for case in _oracle_cases():
+        assert out.count(f"[ ok ] {case}:") == 1
     assert "FAIL" not in out
 
 
 def test_validate_perturbed_kappa_fails(capsys):
     assert cli.main(["validate", "--perturb-kappa"]) == cli.EXIT_MISMATCH
     captured = capsys.readouterr()
-    assert "FAIL" in captured.out
+    # kappa scales the coupling kappa*rho, so the skew shows in exactly the
+    # kappa=1 cases with rho > 0
+    for case in _oracle_cases():
+        skewed = case.endswith("kappa=1") and " rho=0 " not in case
+        assert captured.out.count(f"[{'FAIL' if skewed else ' ok '}] {case}:") == 1
+    assert "validate: 16/24 checks passed" in captured.out
     assert "worst offender" in captured.err

@@ -1,24 +1,22 @@
 """Dense reference implementation vs the production path."""
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spintrack import (
-    StateVector,
-    TimeGrid,
-    assemble_cn,
-    assemble_hamiltonian,
-    channel_probs,
-    initial_state,
-    run,
-)
+from spintrack import StateVector, TimeGrid, assemble_hamiltonian, initial_state
 from spintrack.oracle import (
     compare,
     dense_hamiltonian,
     dense_run,
+    production_vs_dense,
     scaled_params,
     small_instance,
 )
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def test_size_cap():
@@ -82,40 +80,28 @@ def test_free_single_spin_channels_evolve_independently():
 
 @pytest.mark.parametrize("rho", [0.0, 10.0, 100.0])
 def test_production_matches_oracle(rho):
-    params = scaled_params(rho=rho)
+    # validate's N=2 instance, whose packet starts on the right detector, in
+    # the corner criterion 11 leaves out: no beta bump, doubled coupling
     grid, layout = small_instance(2, 100)
     tgrid = TimeGrid(t_final=50 * 0.065 / 350, num_steps=50)
-
-    h = assemble_hamiltonian(params, grid, layout)
-    system = assemble_cn(h, tgrid.dt, params.hbar)
-    psi0 = initial_state(params, grid, h.num_channels)
-    production = run(system, psi0, tgrid.num_steps).final_state
-    reference = dense_run(params, grid, layout, tgrid)
-
-    max_abs, _ = compare(production, reference)
+    params = scaled_params(rho=rho, beta=0.0, kappa=2, x0=0.5)
+    max_abs, prob_diff = production_vs_dense(params, grid, layout, tgrid)
     assert max_abs <= 1e-10
-    prob_diff = np.max(
-        np.abs(channel_probs(production).probs - channel_probs(reference).probs)
-    )
     assert prob_diff <= 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-4])
 @pytest.mark.parametrize("kappa", [1, 2])
 def test_production_matches_oracle_matrix_n3(beta, kappa):
-    params = scaled_params(rho=100.0, beta=beta, kappa=kappa)
     grid, layout = small_instance(3, 128)
     tgrid = TimeGrid(t_final=40 * 0.065 / 350, num_steps=40)
-
-    h = assemble_hamiltonian(params, grid, layout)
-    system = assemble_cn(h, tgrid.dt, params.hbar)
-    psi0 = initial_state(params, grid, h.num_channels)
-    production = run(system, psi0, tgrid.num_steps).final_state
-    reference = dense_run(params, grid, layout, tgrid)
-
-    max_abs, _ = compare(production, reference)
+    params = scaled_params(rho=100.0, beta=beta, kappa=kappa)
+    max_abs, prob_diff = production_vs_dense(params, grid, layout, tgrid)
     assert max_abs <= 1e-10
-    prob_diff = np.max(
-        np.abs(channel_probs(production).probs - channel_probs(reference).probs)
-    )
     assert prob_diff <= 1e-12
+
+
+def test_dense_oracle_demo_runs(tmp_path, monkeypatch):
+    # the demo asserts on the shared comparison, so running it keeps it honest
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "03_dense_oracle_crosscheck.py"), run_name="__main__")
