@@ -178,9 +178,10 @@ def _identity_plus(h, scale, eye=1.0):
     Row (mask, i) holds (mask, i-1), (mask, i), (mask, i+1) and, at detector
     row i_j, the flip partner (mask ^ 2^j, i_j): first when bit j of mask is
     set, last when it is clear, so columns are sorted.  All channels share
-    one layout, written as if every bit were clear; the detector rows of the
-    channels with the bit set are then rotated by one.  Off-diagonal values
-    are 0.0 + scale * v, which turns -0.0 into +0.0 as a sum with I does.
+    one layout, written as if every bit were clear: one row per diagonal
+    shift, copied to its channels; the detector rows of the channels with
+    the bit set are then rotated by one.  Off-diagonal values are
+    0.0 + scale * v, which turns -0.0 into +0.0 as a sum with I does.
     """
     m, nx = h.num_channels, h.num_points
     det = h.detector_indices if h.flip_strength else np.empty(0, dtype=np.int64)
@@ -197,22 +198,27 @@ def _identity_plus(h, scale, eye=1.0):
     cols[diag[:-1] + 1] = np.arange(1, nx)
     indices = np.empty((m, width), dtype=idx_dtype)
     np.add(np.arange(0, m * nx, nx, dtype=idx_dtype)[:, None], cols, out=indices)
-    data = np.empty((m, width), dtype=np.complex128)
-    data[:, diag[1:] - 1] = 0.0 + scale * h.lower
-    data[:, diag[:-1] + 1] = 0.0 + scale * h.upper
-    on_diag = scale * np.add.outer(h.channel_shift, h.kin_diag)
+    row = np.empty(width, dtype=np.complex128)
+    row[diag[1:] - 1] = 0.0 + scale * h.lower
+    row[diag[:-1] + 1] = 0.0 + scale * h.upper
+    shifts, group = np.unique(h.channel_shift, return_inverse=True)
+    rows = np.tile(row, (len(shifts), 1))
+    on_diag = scale * np.add.outer(shifts, h.kin_diag)
     on_diag += eye
-    data[:, diag] = on_diag
+    rows[:, diag] = on_diag
+    data = np.take(rows, group, axis=0)
     if len(det):
         partner_mask, value = h.flips()
         indices[:, partner] = partner_mask * nx + det
         data[:, partner] = 0.0 + scale * value
         for j, start in enumerate(ptr[det]):
-            flipped = (np.arange(m) >> j) & 1 == 1
-            row = slice(start, start + 4)
-            indices[flipped, row] = np.roll(indices[flipped, row], 1, axis=1)
-            data[flipped, row] = np.roll(data[flipped, row], 1, axis=1)
-    indptr = np.append(np.add.outer(np.arange(m) * width, ptr[:-1]), m * width).astype(idx_dtype)
+            for arr in (indices, data):
+                # the channels with bit j set, as a strided view
+                flipped = arr.reshape(m >> (j + 1), 2, 1 << j, width)[:, 1, :, start:start + 4]
+                flipped[...] = flipped[..., [3, 0, 1, 2]]
+    indptr = np.empty(m * nx + 1, dtype=idx_dtype)
+    np.add.outer(np.arange(m, dtype=idx_dtype) * width, ptr[:-1], out=indptr[:-1].reshape(m, nx))
+    indptr[-1] = m * width
     return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(h.dim, h.dim))
 
 

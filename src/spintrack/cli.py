@@ -313,6 +313,7 @@ def write_run_artifacts(result, out_dir):
             fh.write(f"{_mask_string(mask, n)},{_fmt(p)}\n")
 
     cls = result.final_classes
+    iters = rec.capacitance_iterations
     summary = {
         "schema_version": SCHEMA_VERSION,
         "resolved": resolved_dict(result.setup),
@@ -332,6 +333,8 @@ def write_run_artifacts(result, out_dir):
             if rec.energy[0] != 0.0
             else 0.0,
             "max_step_residual": rec.max_step_residual,
+            "capacitance_iterations_max": int(iters.max()) if iters is not None else None,
+            "capacitance_iterations_mean": float(iters.mean()) if iters is not None else None,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
         },

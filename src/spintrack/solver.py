@@ -2,17 +2,17 @@
 
 The implicit operator A is constant in time.  The direct strategy uses its
 structure: one tridiagonal block per spin channel, coupled only at the
-detector points.  It factors the tridiagonal blocks once, one per distinct
-diagonal shift, and solves the small detector (capacitance) system exactly
-on every step; no sparse factorization of A is formed.  The iterative
-strategy runs GMRES preconditioned by the same per-channel tridiagonal
-factors and applies A as 2x - B x; it has not been measured faster than
-the direct solve at any size run so far.  Neither strategy reads the
-sparse A, so no run builds it.  `run` steps in work buffers that it and
-the direct solver keep, so a step allocates one state-sized array, B x.
+detector points.  Both strategies factor the tridiagonal blocks once, one
+per distinct diagonal shift, and solve the small detector (capacitance)
+system on every step; no sparse factorization of A is formed.  The direct
+strategy solves the detector system by preconditioned correction sweeps,
+the iterative one by GMRES with the same preconditioner, which stays
+convergent when the spin energy is large next to the flip coupling.
+Neither strategy reads the sparse A, so no run builds it.  `run` steps in
+work buffers that it and the solver keep, so a step allocates one
+state-sized array, B x.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +31,7 @@ CAPACITANCE_MAX_SWEEPS = 20
 # Bits of the channel index that one matrix product of its eigenbasis
 # transform covers.
 TRANSFORM_CHUNK_BITS = 6
-# Krylov dimension of the iterative solver's restart cycle.
+# Krylov dimension of the iterative capacitance solve's restart cycle.
 GMRES_RESTART = 30
 
 
@@ -49,8 +49,9 @@ class SolveConfig:
 
     `rtol` bounds the relative residual of every step; the default keeps the
     per-step norm drift far below the run-level conservation guarantees.
-    For the iterative method `max_iter` counts restart cycles of
-    GMRES_RESTART iterations.
+    For the iterative method `max_iter` counts the restart cycles, of
+    GMRES_RESTART iterations each, that GMRES may spend on one step's
+    detector system; the direct method does not read it.
     """
 
     method: str = "direct"
@@ -66,50 +67,14 @@ class SolveConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-class _ShiftedTridiagonal:
-    """T, the channel-decoupled part of A: one tridiagonal block per channel.
-
-    A channel's block depends on the channel only through its diagonal
-    shift, so the channels fall into groups that share one LU factor
-    (`zgttrf`).  `order` sorts the channels by group, so that each group is
-    one contiguous row slice of the sorted (M, Nx) array.
-    """
-
-    def __init__(self, system):
-        h = self._h = system.h
-        self.factor = 1j * system.dt / (2.0 * system.hbar)
-        self.shape = (h.num_channels, h.num_points)
-        self.shifts, self.group_of = np.unique(h.channel_shift, return_inverse=True)
-        self.order = np.argsort(self.group_of, kind="stable")
-        bounds = np.searchsorted(self.group_of[self.order], np.arange(len(self.shifts) + 1))
-        self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.factors = [self.factor_at(shift) for shift in self.shifts]
-
-    def factor_at(self, shift):
-        """LU factor of the block with diagonal shift `shift`."""
-        h, f = self._h, self.factor
-        return _tridiagonal_factor(f * h.lower, 1.0 + f * (h.kin_diag + shift), f * h.upper)
-
-    def solve_sorted(self, r, out):
-        """T^-1 r into the flat vector `out`, in channel order; returns `out`.
-
-        `r` holds the (M, Nx) rows in group order and is overwritten.
-        """
-        for sl, lu in zip(self.slices, self.factors):
-            _tridiagonal_solve(lu, r[sl])
-        out.reshape(self.shape)[self.order] = r
-        return out
-
-    def solve(self, rhs):
-        out = np.empty(rhs.shape, dtype=np.complex128)
-        return self.solve_sorted(rhs.reshape(self.shape)[self.order], out)  # indexing copies
-
-
 class CapacitanceSolver:
     """Exact solve of A x = r from tridiagonal solves and a small detector system.
 
     A = T + E K E^T: T is block diagonal with one tridiagonal block per
-    channel, factored once per diagonal shift (`_ShiftedTridiagonal`).  K is
+    channel.  A channel's block depends on the channel only through its
+    diagonal shift, so the channels fall into groups that share one LU
+    factor (`zgttrf`); the solve sorts the channels by group, so that each
+    group is one contiguous row slice of the sorted (M, Nx) array.  K is
     the spin-flip coupling f (-gamma sigma_y) at each detector point, with
     gamma = h.flip_strength (`DiscreteHamiltonian.flips`), and E selects
     the (channel, detector point) entries.  With v = E^T x, the
@@ -123,126 +88,142 @@ class CapacitanceSolver:
     per-detector eigenvectors (1, +-i)/sqrt(2) of sigma_y would split the
     capacitance system into M independent blocks I + G0 D.  That basis
     change U acts bit by bit on the channel index and is never formed as an
-    M x M matrix.  U (I + G0 D)^-1 U^H therefore preconditions a few
-    correction sweeps, which absorb the group differences, small
-    (dt / 2 hbar) * alpha * N relative.  No sparse factor is formed.
+    M x M matrix.  U (I + G0 D)^-1 U^H therefore preconditions the
+    capacitance solve, which must absorb the group differences, of relative
+    size (dt / 2 hbar) * alpha * N.  The direct method absorbs them in a few
+    correction sweeps, which diverge once alpha is large next to the flip
+    coupling; the iterative method runs GMRES with the same preconditioner,
+    which converges there too.  `iterations` holds the sweeps or GMRES
+    iterations of the last solve.  No sparse factor is formed.
     """
 
-    def __init__(self, system):
+    def __init__(self, system, config):
         h = system.h
-        self._t = t = _ShiftedTridiagonal(system)
-        self._r = np.empty(t.shape, dtype=np.complex128)  # rows in group order
+        f = 1j * system.dt / (2.0 * system.hbar)
+        lower, upper = f * h.lower, f * h.upper
+
+        def factor_at(shift):
+            return _tridiagonal_factor(lower, 1.0 + f * (h.kin_diag + shift), upper)
+
+        shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
+        self._order = np.argsort(group_of, kind="stable")
+        bounds = np.searchsorted(group_of[self._order], np.arange(len(shifts) + 1))
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._factors = [factor_at(shift) for shift in shifts]
+        self._r = np.empty((h.num_channels, h.num_points), dtype=np.complex128)  # group order
         self._coupled = bool(h.flip_strength)
+        self.iterations = 0
         if not self._coupled:
             return
         det = h.detector_indices
         n = len(det)
         # (M, N) flip coefficients of K and their partners' flat (M, N) entries
         partner, value = h.flips()
-        self._k = t.factor * value
+        self._k = f * value
         self._partner = (partner * n + np.arange(n)).ravel()
         self._det = det
-        self._rows = []  # per group: (band slice, rows of T^-1 at the detectors)
-        blocks = []
-        for lu in t.factors:
-            band, rows = _detector_rows(lu, det)
-            self._rows.append((band, rows))
-            blocks.append(rows[det - band.start].T)  # G_g[j, k] = T_g^-1[i_j, i_k]
-        self._g = np.stack(blocks)[t.group_of]  # (M, N, N)
-        # reference block at the middle shift; exact when there is one group
-        shifts = t.shifts
-        ref = t.factors[0] if len(shifts) == 1 else t.factor_at(0.5 * (shifts[0] + shifts[-1]))
-        band, rows = _detector_rows(ref, det)
-        g0 = rows[det - band.start].T
+        # per group: (band slice, rows of T^-1 at the detectors) and the
+        # block G_g[j, k] = T_g^-1[i_j, i_k]
+        self._rows = [_detector_rows(lu, det) for lu in self._factors]
+        blocks = [rows[det - band.start].T for band, rows in self._rows]
+        self._g = np.stack(blocks)[group_of]  # (M, N, N)
+        # reference block at the middle shift: a group's own block when that
+        # shift is a group's (every even N, and a single group)
+        mid = 0.5 * (shifts[0] + shifts[-1])
+        if mid in shifts:
+            g0 = blocks[np.searchsorted(shifts, mid)]
+        else:
+            band, rows = _detector_rows(factor_at(mid), det)
+            g0 = rows[det - band.start].T
         # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma of -gamma sigma_y
         sign = np.where(np.arange(h.num_channels)[:, None] & (1 << np.arange(n)), 1.0, -1.0)
-        d = t.factor * h.flip_strength * sign
+        d = f * h.flip_strength * sign
         self._block_inv = np.linalg.inv(np.eye(n) + g0 * d[:, None, :])
         self._transform = _bitwise_transform(n)
+        # None selects the direct method's sweeps
+        self._max_cycles = config.max_iter if config.method == "iterative" else None
 
     def _apply_k(self, v):
         return self._k * v.ravel()[self._partner].reshape(v.shape)
+
+    def _gk(self, v):
+        return np.matmul(self._g, self._apply_k(v)[:, :, None])[:, :, 0]
 
     def _precondition(self, res):
         y = _apply_bitwise(self._transform, res, adjoint=True)
         y = np.matmul(self._block_inv, y[:, :, None])[:, :, 0]
         return _apply_bitwise(self._transform, y, adjoint=False)
 
-    def _capacitance(self, w):
+    def _sweeps(self, w):
         """Solve (I + G K) v = w by preconditioned correction sweeps."""
         w_norm = _norm(w)
         v = self._precondition(w)
-        for _ in range(CAPACITANCE_MAX_SWEEPS):
-            res = w - v - np.matmul(self._g, self._apply_k(v)[:, :, None])[:, :, 0]
+        for sweeps in range(CAPACITANCE_MAX_SWEEPS):
+            res = w - v - self._gk(v)
             residual = _norm(res) / w_norm if w_norm else _norm(res)
             if residual <= CAPACITANCE_RTOL:
+                self.iterations = sweeps
                 return v
             if not np.isfinite(residual):
                 break
             v += self._precondition(res)
         raise SolverError(
             f"detector capacitance solve stopped at relative residual {residual:.3e} "
-            f"(target {CAPACITANCE_RTOL:g} within {CAPACITANCE_MAX_SWEEPS} sweeps)",
+            f"(target {CAPACITANCE_RTOL:g} within {CAPACITANCE_MAX_SWEEPS} sweeps); "
+            "--solver iterative (GMRES) converges where the sweeps do not",
+            residual=residual,
+        )
+
+    def _gmres(self, w):
+        """Solve (I + G K) v = w by GMRES with the sweeps' preconditioner."""
+        w_norm = _norm(w)
+        iterations = []  # one entry per GMRES iteration
+        # built per call: operators kept on self would close a reference
+        # cycle, which holds every dropped solver's buffers until a collection
+        size = (w.size, w.size)
+        operator = sparse_linalg.LinearOperator(
+            size, matvec=lambda v: v + self._gk(v.reshape(w.shape)).ravel(), dtype=w.dtype
+        )
+        preconditioner = sparse_linalg.LinearOperator(
+            size, matvec=lambda v: self._precondition(v.reshape(w.shape)).ravel(), dtype=w.dtype
+        )
+        residual = w_norm  # a non-finite w is not handed to GMRES
+        if np.isfinite(w_norm):
+            v, info = sparse_linalg.gmres(
+                operator, w.ravel(), rtol=CAPACITANCE_RTOL, atol=0.0, restart=GMRES_RESTART,
+                maxiter=self._max_cycles, M=preconditioner,
+                callback=iterations.append, callback_type="pr_norm",
+            )
+            v = v.reshape(w.shape)
+            self.iterations = len(iterations)
+            if info == 0:
+                return v
+            residual = _norm(w - v - self._gk(v)) / w_norm
+        raise SolverError(
+            f"detector capacitance GMRES stopped at relative residual {residual:.3e} (target "
+            f"{CAPACITANCE_RTOL:g} within {self._max_cycles} restarts of {GMRES_RESTART})",
             residual=residual,
         )
 
     def solve(self, rhs, x0=None, out=None):
         """A^-1 rhs into `out` (a new array when None); `x0` is not used."""
-        t = self._t
+        order, r = self._order, self._r
         # mode="clip" skips the bounds check that makes "raise" buffer the gather
-        r = np.take(rhs.reshape(t.shape), t.order, axis=0, out=self._r, mode="clip")
+        np.take(rhs.reshape(r.shape), order, axis=0, out=r, mode="clip")
         if self._coupled:
             w = np.empty((len(r), len(self._det)), dtype=np.complex128)
             # a non-finite rhs turns w NaN quietly; the capacitance residual
             # then raises SolverError
             with np.errstate(invalid="ignore"):
-                for sl, (band, rows) in zip(t.slices, self._rows):
-                    w[t.order[sl]] = r[sl, band] @ rows
-            kv = self._apply_k(self._capacitance(w))
-            r[:, self._det] -= kv[t.order]
-        return t.solve_sorted(r, np.empty(rhs.shape, dtype=np.complex128) if out is None else out)
-
-
-class BlockPreconditionedSolver:
-    """GMRES on A, preconditioned by T, the channel-decoupled tridiagonal solves.
-
-    A is applied as 2x - B x, exact because A + B = 2I, so no sparse A is
-    built.
-    """
-
-    def __init__(self, system, config):
-        self._config = config
-        b = system.b
-        shape = (system.dim, system.dim)
-        self._a = sparse_linalg.LinearOperator(
-            shape, matvec=lambda x: 2.0 * x - b @ x, dtype=np.complex128
-        )
-        self._precondition = sparse_linalg.LinearOperator(
-            shape, matvec=_ShiftedTridiagonal(system).solve, dtype=np.complex128
-        )
-
-    def solve(self, rhs, x0=None, out=None):
-        """A^-1 rhs from the guess x0, copied into `out` when one is given."""
-        x, info = sparse_linalg.gmres(
-            self._a,
-            rhs,
-            x0=x0,
-            rtol=self._config.rtol,
-            atol=0.0,
-            restart=GMRES_RESTART,
-            maxiter=self._config.max_iter,
-            M=self._precondition,
-        )
-        if info != 0:
-            residual = _norm(self._a @ x - rhs) / _norm(rhs)
-            raise SolverError(
-                f"GMRES did not converge within {self._config.max_iter} restarts "
-                f"(relative residual {residual:.3e})",
-                residual=residual,
-            )
-        if out is not None:
-            out[...] = x
-        return x if out is None else out
+                for sl, (band, rows) in zip(self._slices, self._rows):
+                    w[order[sl]] = r[sl, band] @ rows
+            v = self._sweeps(w) if self._max_cycles is None else self._gmres(w)
+            r[:, self._det] -= self._apply_k(v)[order]
+        for sl, lu in zip(self._slices, self._factors):
+            _tridiagonal_solve(lu, r[sl])
+        out = np.empty(rhs.shape, dtype=np.complex128) if out is None else out
+        out.reshape(r.shape)[order] = r
+        return out
 
 
 def _tridiagonal_factor(lower, diag, upper):
@@ -277,10 +258,12 @@ def _detector_rows(lu, det):
     y[np.arange(len(det)), det] = 1.0
     _tridiagonal_solve(lu, y, trans="T")
     mag = np.abs(y)
-    y[mag < np.finfo(float).eps * mag.max(axis=1, keepdims=True)] = 0.0
-    kept = np.flatnonzero(np.any(y != 0.0, axis=0))
+    keep = mag >= np.finfo(float).eps * mag.max(axis=1, keepdims=True)
+    kept = np.flatnonzero(keep.any(axis=0))
     band = slice(kept[0], kept[-1] + 1)
-    return band, np.ascontiguousarray(y[:, band].T)
+    rows = np.ascontiguousarray(y[:, band].T)
+    np.copyto(rows, 0.0, where=~keep[:, band].T)
+    return band, rows
 
 
 def _bitwise_transform(num_bits):
@@ -293,7 +276,9 @@ def _bitwise_transform(num_bits):
     chunks = []
     for lo in range(0, num_bits, TRANSFORM_CHUNK_BITS):
         c = min(TRANSFORM_CHUNK_BITS, num_bits - lo)
-        mat = functools.reduce(np.kron, [u] * c)
+        mat = u
+        for _ in range(c - 1):  # kron(mat, u) as a broadcast outer product
+            mat = (mat[:, None, :, None] * u[:, None, :]).reshape(2 * len(mat), -1)
         chunks.append((lo, c, mat, mat.conj().T))
     return chunks
 
@@ -308,9 +293,7 @@ def _apply_bitwise(chunks, v, adjoint):
 
 
 def make_linear_solver(system, config):
-    if config.method == "direct":
-        return CapacitanceSolver(system)
-    return BlockPreconditionedSolver(system, config)
+    return CapacitanceSolver(system, config)
 
 
 def _norm(v):
@@ -337,13 +320,13 @@ def _check_residual(r, rhs, rtol):
 
 
 def _advance(linear_solver, b_matrix, rhs, x, r, rtol):
-    """Solve A x = rhs into x, which holds the current state (the iterative
-    solve's starting guess), and return (B x, relative residual).
+    """Solve A x = rhs into x, which holds the current state, and return
+    (B x, relative residual).
 
     Because A + B = 2I exactly, A x = 2x - B x, formed in the work array r:
     the residual check reuses the B x that is the next step's right-hand side.
     """
-    linear_solver.solve(rhs, x0=x, out=x)
+    linear_solver.solve(rhs, out=x)
     bx = b_matrix @ x
     np.multiply(x, 2.0, out=r)
     r -= bx
@@ -379,8 +362,10 @@ class RunRecord:
 
     All series have length num_steps + 1 and include t = 0.  The class
     probability series are None when the run was not given side labels.
-    `max_step_residual` is the largest relative residual of any step, None
-    when the record was not produced by `run`.
+    `max_step_residual` is the largest relative residual of any step, and
+    `capacitance_iterations` (length num_steps) holds each step's detector
+    solve iterations (`CapacitanceSolver.iterations`); both are None when
+    the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -393,6 +378,7 @@ class RunRecord:
     multi_track: np.ndarray | None
     final_state: StateVector
     max_step_residual: float | None = None
+    capacitance_iterations: np.ndarray | None = None
 
 
 def run(system, initial, num_steps, config=None, sides=None):
@@ -449,12 +435,14 @@ def run(system, initial, num_steps, config=None, sides=None):
         )
     solver = make_linear_solver(system, config)
     worst = 0.0
+    iterations = np.empty(num_steps, dtype=np.int64)
     for k in range(1, num_steps + 1):
         try:
             bx, residual = _advance(solver, system.b, bx, x, work, config.rtol)
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
         worst = max(worst, residual)
+        iterations[k - 1] = solver.iterations
         state = StateVector(x.reshape(shape), dx)
         record(k, state, bx)
     return RunRecord(
@@ -468,4 +456,5 @@ def run(system, initial, num_steps, config=None, sides=None):
         multi_track=classes[:, 4] if classes is not None else None,
         final_state=state,
         max_step_residual=worst,
+        capacitance_iterations=iterations,
     )

@@ -212,6 +212,8 @@ def test_run_writes_artifacts(tmp_path):
     assert res["UC"] == pytest.approx(1.0, abs=1e-6)
     assert res["norm2_max_drift"] <= 1e-10
     assert 0.0 < res["max_step_residual"] <= summary["resolved"]["solver"]["rtol"]
+    assert isinstance(res["capacitance_iterations_max"], int)
+    assert res["capacitance_iterations_max"] >= res["capacitance_iterations_mean"] >= 0.0
 
 
 def test_run_rho_zero_override(tmp_path):

@@ -21,7 +21,7 @@ from spintrack import (
 from spintrack import cli, observables
 from spintrack.assembly import DiscreteHamiltonian
 from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
-from spintrack.solver import CapacitanceSolver
+from spintrack.solver import CAPACITANCE_RTOL, CapacitanceSolver
 
 
 def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065 / 350):
@@ -65,12 +65,19 @@ def test_run_rejects_nonfinite_state(value):
 
 
 def _stepped_run(system, psi0, layout, num_steps):
-    """run() plus the per-step states from step() calls on one shared solver."""
+    """run() plus the per-step states from step() calls on one shared solver.
+
+    Also checks run()'s per-step capacitance iteration counts against the
+    shared solver's.
+    """
     record = run(system, psi0, num_steps, sides=layout.sides)
     shared = make_linear_solver(system, SolveConfig())
     states = [psi0]
+    iterations = []
     for _ in range(num_steps):
         states.append(step(system, states[-1], linear_solver=shared))
+        iterations.append(shared.iterations)
+    np.testing.assert_array_equal(record.capacitance_iterations, iterations)
     return record, states
 
 
@@ -192,19 +199,42 @@ def test_iterative_matches_direct():
     assert np.max(np.abs(direct.values - iterative.values)) <= 1e-10
 
 
+def _large_alpha_system(alpha):
+    # a spin energy this large next to the flip coupling makes the groups'
+    # detector blocks differ so much that the direct method's correction
+    # sweeps cannot converge
+    params = scaled_params(rho=1e6, alpha=alpha)
+    grid, layout = small_instance(4, 100)
+    h = assemble_hamiltonian(params, grid, layout)
+    return assemble_cn(h, 0.065 / 350, params.hbar)
+
+
 def test_iterative_exhaustion_raises_with_residual(rng, monkeypatch):
-    # an extreme coupling, a state that actually touches the detector rows,
-    # and a starved Krylov budget: the solve cannot reach the tolerance
+    # the large-alpha detector system needs more GMRES iterations than a
+    # starved budget of one restart cycle of two gives it
     monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
-    system, psi0, _ = _system(num_spins=4, num_points=80, rho=1e6)
-    noisy = StateVector(
-        rng.standard_normal(psi0.values.shape) + 1j * rng.standard_normal(psi0.values.shape),
-        psi0.dx,
-    )
-    cfg = SolveConfig(method="iterative", max_iter=1, rtol=1e-12)
-    with pytest.raises(SolverError) as err:
-        step(system, noisy, cfg)
-    assert err.value.residual is None or err.value.residual > 0
+    system = _large_alpha_system(1e3)
+    rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    solver = make_linear_solver(system, SolveConfig(method="iterative", max_iter=1))
+    with pytest.raises(SolverError, match="GMRES") as err:
+        solver.solve(rhs)
+    assert err.value.residual > CAPACITANCE_RTOL
+    assert solver.iterations == 2
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e6])
+def test_iterative_solves_large_alpha(alpha, rng):
+    # the direct method gives up here; GMRES on the same detector system,
+    # with the same preconditioner, matches a sparse LU of the assembled A
+    system = _large_alpha_system(alpha)
+    rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    with pytest.raises(SolverError, match="--solver iterative"):
+        make_linear_solver(system, SolveConfig()).solve(rhs)
+    solver = make_linear_solver(system, SolveConfig(method="iterative"))
+    x = solver.solve(rhs)
+    reference = sparse_linalg.spsolve(system.a, rhs)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert solver.iterations > 0
 
 
 def test_solve_paths_do_not_build_a():
@@ -237,6 +267,7 @@ def test_run_decoupled_stays_in_channel_zero():
     assert np.all(final.values[1:] == 0.0)
     assert record.unchanged[-1] == pytest.approx(1.0, abs=1e-12)
     assert record.one_spin[-1] == 0.0
+    assert not record.capacitance_iterations.any()  # no detector system to solve
 
 
 def test_run_series_shapes_and_observers():
@@ -339,6 +370,8 @@ def test_direct_preset_run_matches_sparse_lu():
     final = record.final_state.values.ravel()
     assert np.linalg.norm(final - x) <= 1e-12 * np.linalg.norm(x)
     assert 0.0 < record.max_step_residual <= 1e-14
+    assert len(record.capacitance_iterations) == setup.tgrid.num_steps
+    assert 1 <= record.capacitance_iterations.max() <= 3
 
 
 @pytest.mark.parametrize("method", ["direct", "iterative"])
@@ -351,11 +384,7 @@ def test_buffered_run_matches_step_chain(method):
     state = psi0
     for _ in range(25):
         state = step(system, state, cfg, shared)
-    if method == "direct":
-        np.testing.assert_array_equal(record.final_state.values, state.values)
-    else:
-        err = np.max(np.abs(record.final_state.values - state.values))
-        assert err <= 1e-12 * np.max(np.abs(state.values))
+    np.testing.assert_array_equal(record.final_state.values, state.values)
 
 
 def test_step_results_do_not_share_buffers():
@@ -386,12 +415,7 @@ def test_run_final_state_owns_its_memory(monkeypatch):
 
 
 def test_direct_capacitance_bound_raises_with_residual(rng):
-    # a spin energy this large makes the groups' detector blocks differ so
-    # much that the correction sweeps cannot converge within their bound
-    params = scaled_params(rho=1e6, alpha=1e3)
-    grid, layout = small_instance(4, 100)
-    h = assemble_hamiltonian(params, grid, layout)
-    system = assemble_cn(h, 0.065 / 350, params.hbar)
+    system = _large_alpha_system(1e3)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
     with pytest.raises(SolverError, match="capacitance") as err:
         make_linear_solver(system, SolveConfig()).solve(rhs)
