@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation mismatch, 2 config error,
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -30,7 +31,7 @@ import numpy as np
 from . import model, observables, oracle, solver
 from .assembly import BOUNDARY_MODES, assemble_cn, assemble_hamiltonian
 from .model import ConfigurationError
-from .solver import SOLVE_METHODS, SolveConfig, SolverError
+from .solver import SolveConfig, SolverError
 
 SCHEMA_VERSION = 1
 
@@ -49,9 +50,15 @@ _FAILURES = {
 }
 
 
+@functools.cache
+def _parameters(builder):
+    """The parameters of `builder`, inspected once: `inspect.signature` is slow."""
+    return tuple(inspect.signature(builder).parameters.values())
+
+
 def _keys(*builders):
     """The config keys of a section: the parameter names of its builders."""
-    return {name for fn in builders for name in inspect.signature(fn).parameters}
+    return {p.name for fn in builders for p in _parameters(fn)}
 
 
 _TOP_KEYS = {"preset", "explicit", "solver", "out_dir", "arrival_drop"}
@@ -59,7 +66,7 @@ _PRESET_KEYS = {"boundary_mode", *_keys(model.preset_from_epsilon)}
 _EXPLICIT_KEYS = {
     "num_points", "boundary_mode", *_keys(model.PhysicalParams, model.Geometry, model.TimeGrid)
 }
-_SOLVER_KEYS = _keys(SolveConfig)
+_SOLVER_KEYS = {"method", *_keys(SolveConfig)}  # "method" is obsolete, kept for saved configs
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
@@ -142,8 +149,7 @@ def _build(builder, read):
     The parameter's annotation converts its value, and its default, if any,
     makes the key optional.
     """
-    parameters = inspect.signature(builder).parameters.values()
-    return builder(**{p.name: read(p.name, p.annotation, p.default) for p in parameters})
+    return builder(**{p.name: read(p.name, p.annotation, p.default) for p in _parameters(builder)})
 
 
 def _sorted_list(kind):
@@ -175,8 +181,11 @@ def _solve_config_from(cfg):
     if not isinstance(section, dict):
         raise ConfigurationError("'solver' must be an object")
     _reject_unknown("solver", section, _SOLVER_KEYS)
+    read = _reader("solver", section)
+    if read("method", str, "direct") not in ("direct", "iterative"):  # both name the one solve
+        raise ConfigurationError("solver config key 'method': must be 'direct' or 'iterative'")
     try:
-        return _build(SolveConfig, _reader("solver", section))
+        return _build(SolveConfig, read)
     except ValueError as err:
         raise ConfigurationError(f"solver config: {err}") from err
 
@@ -293,18 +302,12 @@ def write_run_artifacts(result, out_dir):
 
     with open(out / "timeseries.csv", "w", encoding="ascii") as fh:
         fh.write("t,norm2,energy,UC,OS,LRC_left,LRC_right,MT\n")
-        for k in range(len(rec.times)):
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        rec.times[k], rec.norm2[k], rec.energy[k],
-                        rec.unchanged[k], rec.one_spin[k],
-                        rec.left_track[k], rec.right_track[k], rec.multi_track[k],
-                    )
-                )
-                + "\n"
-            )
+        columns = (
+            rec.times, rec.norm2, rec.energy, rec.unchanged, rec.one_spin,
+            rec.left_track, rec.right_track, rec.multi_track,
+        )
+        for row in zip(*columns):
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     n = result.setup.geom.num_spins
     with open(out / "channels_final.csv", "w", encoding="ascii") as fh:
@@ -335,6 +338,7 @@ def write_run_artifacts(result, out_dir):
             "max_step_residual": rec.max_step_residual,
             "capacitance_iterations_max": int(iters.max()) if iters is not None else None,
             "capacitance_iterations_mean": float(iters.mean()) if iters is not None else None,
+            "capacitance_gmres_from_step": rec.gmres_from_step,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
         },
@@ -359,8 +363,6 @@ def _apply_overrides(cfg, args):
         value = getattr(args, key, None)
         if value is not None:
             section[key] = value
-    if getattr(args, "solver", None) is not None:
-        cfg.setdefault("solver", {})["method"] = args.solver
     if getattr(args, "out_dir", None) is not None:
         cfg["out_dir"] = args.out_dir
 
@@ -544,7 +546,7 @@ def cmd_info(args):
     print(f"detector indices    : {info['detector_indices']}")
     print(f"predicted arrival   : D/p0 = {info['predicted_arrival']:.6g}")
     print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{12 * vec_bytes / 1e6:.1f} MB (peak while stepping)")
-    print(f"solver              : {info['solver']['method']} (rtol={info['solver']['rtol']:g}, max_iter={info['solver']['max_iter']})")
+    print(f"solver              : rtol={info['solver']['rtol']:g}, max_iter={info['solver']['max_iter']}")
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning             : {note}")
     return EXIT_OK
@@ -610,7 +612,6 @@ def _add_override_flags(parser):
         help="override the boundary closure",
     )
     parser.add_argument("--epsilon", type=float, help="override the preset scale")
-    parser.add_argument("--solver", choices=SOLVE_METHODS, help="override the linear-solve method")
     parser.add_argument("--out-dir", dest="out_dir", help="override the output directory")
 
 

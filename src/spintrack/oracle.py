@@ -132,19 +132,18 @@ def compare(a, b):
     return max_abs, norm_diff
 
 
-def production_vs_dense(params, grid, layout, time_grid, production_params=None, config=None):
+def production_vs_dense(params, grid, layout, time_grid, production_params=None):
     """(max state diff, max channel-probability diff) of the two evolutions.
 
     The production path (`assemble_hamiltonian`, `assemble_cn`,
-    `initial_state`, `run` with the SolveConfig `config`) evolves one
-    instance with `production_params` (default `params`), and `dense_run`
-    evolves it with `params`.
+    `initial_state`, `run`) evolves one instance with `production_params`
+    (default `params`), and `dense_run` evolves it with `params`.
     """
     production_params = production_params or params
     h = assemble_hamiltonian(production_params, grid, layout)
     system = assemble_cn(h, time_grid.dt, production_params.hbar)
     psi0 = model.initial_state(production_params, grid, h.num_channels)
-    production = run(system, psi0, time_grid.num_steps, config).final_state
+    production = run(system, psi0, time_grid.num_steps).final_state
     reference = dense_run(params, grid, layout, time_grid)
     max_abs, _ = compare(production, reference)
     prob_diff = np.max(np.abs(channel_probs(production).probs - channel_probs(reference).probs))

@@ -1,16 +1,11 @@
 """Time integration: one linear solve per Crank-Nicolson step.
 
-The implicit operator A is constant in time.  The direct strategy uses its
-structure: one tridiagonal block per spin channel, coupled only at the
-detector points.  Both strategies factor the tridiagonal blocks once, one
-per distinct diagonal shift, and solve the small detector (capacitance)
-system on every step; no sparse factorization of A is formed.  The direct
-strategy solves the detector system by preconditioned correction sweeps,
-the iterative one by GMRES with the same preconditioner, which stays
-convergent when the spin energy is large next to the flip coupling.
-Neither strategy reads the sparse A, so no run builds it.  `run` steps in
-work buffers that it and the solver keep, so a step allocates one
-state-sized array, B x.
+The implicit operator A is constant in time.  `CapacitanceSolver` factors
+its tridiagonal channel blocks once and solves the small detector system
+on every step, by correction sweeps or, once they stall, by GMRES.  It
+forms no sparse factor and does not read the sparse A, so no run builds
+it.  `run` steps in work buffers that it and the solver keep, so a step
+allocates one state-sized array, B x.
 """
 
 import warnings
@@ -23,15 +18,14 @@ from scipy.linalg import lapack
 from . import observables
 from .state import StateVector
 
-SOLVE_METHODS = ("direct", "iterative")
-# The direct solver's capacitance sweeps stop at this relative residual and
-# raise SolverError after this many sweeps.
+# The capacitance sweeps stop at this relative residual and hand the
+# detector system to GMRES when they have not reached it after this many.
 CAPACITANCE_RTOL = 1e-15
 CAPACITANCE_MAX_SWEEPS = 20
 # Bits of the channel index that one matrix product of its eigenbasis
 # transform covers.
 TRANSFORM_CHUNK_BITS = 6
-# Krylov dimension of the iterative capacitance solve's restart cycle.
+# Krylov dimension of the GMRES capacitance solve's restart cycle.
 GMRES_RESTART = 30
 
 
@@ -45,22 +39,19 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Linear-solve strategy and tolerances.
+    """Linear-solve tolerances.
 
     `rtol` bounds the relative residual of every step; the default keeps the
     per-step norm drift far below the run-level conservation guarantees.
-    For the iterative method `max_iter` counts the restart cycles, of
-    GMRES_RESTART iterations each, that GMRES may spend on one step's
-    detector system; the direct method does not read it.
+    `max_iter` counts the restart cycles, of GMRES_RESTART iterations each,
+    that GMRES may spend on one step's detector system once the correction
+    sweeps have handed it over.
     """
 
-    method: str = "direct"
     rtol: float = 1e-12
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.method not in SOLVE_METHODS:
-            raise ValueError(f"method must be one of {SOLVE_METHODS}, got {self.method!r}")
         if not 0.0 < self.rtol <= 1e-6:
             raise ValueError(f"rtol must be in (0, 1e-6], got {self.rtol}")
         if self.max_iter < 1:
@@ -90,11 +81,13 @@ class CapacitanceSolver:
     change U acts bit by bit on the channel index and is never formed as an
     M x M matrix.  U (I + G0 D)^-1 U^H therefore preconditions the
     capacitance solve, which must absorb the group differences, of relative
-    size (dt / 2 hbar) * alpha * N.  The direct method absorbs them in a few
-    correction sweeps, which diverge once alpha is large next to the flip
-    coupling; the iterative method runs GMRES with the same preconditioner,
-    which converges there too.  `iterations` holds the sweeps or GMRES
-    iterations of the last solve.  No sparse factor is formed.
+    size (dt / 2 hbar) * alpha * N.  A few correction sweeps absorb them.
+    When they do not reach CAPACITANCE_RTOL within CAPACITANCE_MAX_SWEEPS
+    (they slow down as alpha grows next to the flip coupling) or turn
+    non-finite, GMRES with the same preconditioner solves that step's
+    system and, with `gmres` set, every later one: the operator is the same
+    on every step.  `iterations` holds the sweeps plus GMRES iterations of
+    the last solve.  No sparse factor is formed.
     """
 
     def __init__(self, system, config):
@@ -112,7 +105,9 @@ class CapacitanceSolver:
         self._factors = [factor_at(shift) for shift in shifts]
         self._r = np.empty((h.num_channels, h.num_points), dtype=np.complex128)  # group order
         self._coupled = bool(h.flip_strength)
+        self._max_iter = config.max_iter
         self.iterations = 0
+        self.gmres = False
         if not self._coupled:
             return
         det = h.detector_indices
@@ -140,8 +135,6 @@ class CapacitanceSolver:
         d = f * h.flip_strength * sign
         self._block_inv = np.linalg.inv(np.eye(n) + g0 * d[:, None, :])
         self._transform = _bitwise_transform(n)
-        # None selects the direct method's sweeps
-        self._max_cycles = config.max_iter if config.method == "iterative" else None
 
     def _apply_k(self, v):
         return self._k * v.ravel()[self._partner].reshape(v.shape)
@@ -155,24 +148,19 @@ class CapacitanceSolver:
         return _apply_bitwise(self._transform, y, adjoint=False)
 
     def _sweeps(self, w):
-        """Solve (I + G K) v = w by preconditioned correction sweeps."""
+        """Solve (I + G K) v = w by preconditioned correction sweeps; None if they stall."""
         w_norm = _norm(w)
         v = self._precondition(w)
-        for sweeps in range(CAPACITANCE_MAX_SWEEPS):
+        for _ in range(CAPACITANCE_MAX_SWEEPS):
             res = w - v - self._gk(v)
             residual = _norm(res) / w_norm if w_norm else _norm(res)
             if residual <= CAPACITANCE_RTOL:
-                self.iterations = sweeps
                 return v
             if not np.isfinite(residual):
                 break
             v += self._precondition(res)
-        raise SolverError(
-            f"detector capacitance solve stopped at relative residual {residual:.3e} "
-            f"(target {CAPACITANCE_RTOL:g} within {CAPACITANCE_MAX_SWEEPS} sweeps); "
-            "--solver iterative (GMRES) converges where the sweeps do not",
-            residual=residual,
-        )
+            self.iterations += 1
+        return None
 
     def _gmres(self, w):
         """Solve (I + G K) v = w by GMRES with the sweeps' preconditioner."""
@@ -191,17 +179,17 @@ class CapacitanceSolver:
         if np.isfinite(w_norm):
             v, info = sparse_linalg.gmres(
                 operator, w.ravel(), rtol=CAPACITANCE_RTOL, atol=0.0, restart=GMRES_RESTART,
-                maxiter=self._max_cycles, M=preconditioner,
+                maxiter=self._max_iter, M=preconditioner,
                 callback=iterations.append, callback_type="pr_norm",
             )
             v = v.reshape(w.shape)
-            self.iterations = len(iterations)
+            self.iterations += len(iterations)
             if info == 0:
                 return v
             residual = _norm(w - v - self._gk(v)) / w_norm
         raise SolverError(
             f"detector capacitance GMRES stopped at relative residual {residual:.3e} (target "
-            f"{CAPACITANCE_RTOL:g} within {self._max_cycles} restarts of {GMRES_RESTART})",
+            f"{CAPACITANCE_RTOL:g} within {self._max_iter} restarts of {GMRES_RESTART})",
             residual=residual,
         )
 
@@ -210,6 +198,7 @@ class CapacitanceSolver:
         order, r = self._order, self._r
         # mode="clip" skips the bounds check that makes "raise" buffer the gather
         np.take(rhs.reshape(r.shape), order, axis=0, out=r, mode="clip")
+        self.iterations = 0
         if self._coupled:
             w = np.empty((len(r), len(self._det)), dtype=np.complex128)
             # a non-finite rhs turns w NaN quietly; the capacitance residual
@@ -217,7 +206,10 @@ class CapacitanceSolver:
             with np.errstate(invalid="ignore"):
                 for sl, (band, rows) in zip(self._slices, self._rows):
                     w[order[sl]] = r[sl, band] @ rows
-            v = self._sweeps(w) if self._max_cycles is None else self._gmres(w)
+            v = None if self.gmres else self._sweeps(w)
+            if v is None:  # the sweeps stalled, on this step or an earlier one
+                self.gmres = True
+                v = self._gmres(w)
             r[:, self._det] -= self._apply_k(v)[order]
         for sl, lu in zip(self._slices, self._factors):
             _tridiagonal_solve(lu, r[sl])
@@ -365,7 +357,9 @@ class RunRecord:
     `max_step_residual` is the largest relative residual of any step, and
     `capacitance_iterations` (length num_steps) holds each step's detector
     solve iterations (`CapacitanceSolver.iterations`); both are None when
-    the record was not produced by `run`.
+    the record was not produced by `run`.  `gmres_from_step` is the first
+    step whose detector system GMRES solved, None when the sweeps held on
+    every step.
     """
 
     times: np.ndarray
@@ -379,6 +373,7 @@ class RunRecord:
     final_state: StateVector
     max_step_residual: float | None = None
     capacitance_iterations: np.ndarray | None = None
+    gmres_from_step: int | None = None
 
 
 def run(system, initial, num_steps, config=None, sides=None):
@@ -436,6 +431,7 @@ def run(system, initial, num_steps, config=None, sides=None):
     solver = make_linear_solver(system, config)
     worst = 0.0
     iterations = np.empty(num_steps, dtype=np.int64)
+    gmres_from_step = None
     for k in range(1, num_steps + 1):
         try:
             bx, residual = _advance(solver, system.b, bx, x, work, config.rtol)
@@ -443,6 +439,8 @@ def run(system, initial, num_steps, config=None, sides=None):
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
         worst = max(worst, residual)
         iterations[k - 1] = solver.iterations
+        if solver.gmres and gmres_from_step is None:
+            gmres_from_step = k
         state = StateVector(x.reshape(shape), dx)
         record(k, state, bx)
     return RunRecord(
@@ -457,4 +455,5 @@ def run(system, initial, num_steps, config=None, sides=None):
         final_state=state,
         max_step_residual=worst,
         capacitance_iterations=iterations,
+        gmres_from_step=gmres_from_step,
     )

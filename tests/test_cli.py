@@ -214,6 +214,7 @@ def test_run_writes_artifacts(tmp_path):
     assert 0.0 < res["max_step_residual"] <= summary["resolved"]["solver"]["rtol"]
     assert isinstance(res["capacitance_iterations_max"], int)
     assert res["capacitance_iterations_max"] >= res["capacitance_iterations_mean"] >= 0.0
+    assert res["capacitance_gmres_from_step"] is None  # the sweeps held on every step
 
 
 def test_run_rho_zero_override(tmp_path):
@@ -388,15 +389,52 @@ def _coarse_sweep(tmp_path):
     )
 
 
-def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys):
-    # a spin energy far above the preset's stalls the direct solver's
-    # detector-capacitance sweeps at their bound
-    out = tmp_path / "out"
-    payload = small_explicit_config(out, alpha=1e3, rho=1e6, num_spins=4)
-    cfg = _write(tmp_path / "cfg.json", payload)
+def _large_alpha_config(tmp_path, **solver):
+    # a spin energy far above the preset's stalls the detector-capacitance
+    # sweeps at their bound on step 1
+    payload = small_explicit_config(tmp_path / "out", alpha=1e3, rho=1e6, num_spins=4)
+    return _write(tmp_path / "cfg.json", {**payload, "solver": solver})
+
+
+def test_run_hands_over_to_gmres_at_large_alpha(tmp_path):
+    cfg = _large_alpha_config(tmp_path)
+    with pytest.warns(UserWarning, match="phases will be inaccurate"):
+        assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
+    res = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
+    assert res["capacitance_gmres_from_step"] == 1
+    assert res["max_step_residual"] <= 1e-12
+
+
+def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys, monkeypatch):
+    # GMRES, handed the stalled step, gets one restart cycle of two
+    # iterations, too few for this detector system
+    monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
+    cfg = _large_alpha_config(tmp_path, max_iter=1)
     with pytest.warns(UserWarning, match="phases will be inaccurate"):
         assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
-    assert "capacitance" in capsys.readouterr().err
+    assert "GMRES" in capsys.readouterr().err
+
+
+def test_obsolete_solver_method_key(tmp_path, capsys):
+    # "direct" and "iterative" both select the one detector solve
+    artifacts = []
+    for method in ("direct", "iterative"):
+        out = tmp_path / method
+        payload = {**small_explicit_config(out), "solver": {"method": method}}
+        assert cli.main(["run", "-c", _write(tmp_path / f"{method}.json", payload)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["results"]["wall_seconds"]
+        artifacts.append(
+            [(out / name).read_bytes() for name in ("timeseries.csv", "channels_final.csv")] + [summary]
+        )
+    assert artifacts[0] == artifacts[1]
+    for method in ("magic", 5):
+        payload = {**small_explicit_config(tmp_path / "bad"), "solver": {"method": method}}
+        assert cli.main(["run", "-c", _write(tmp_path / "bad.json", payload)]) == cli.EXIT_CONFIG
+        assert "'method'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "-c", "unused.json", "--solver", "iterative"])
+    assert err.value.code == 2
 
 
 def test_run_exits_4_when_out_dir_is_a_file(tmp_path, capsys):

@@ -21,7 +21,7 @@ from spintrack import (
 from spintrack import cli, observables
 from spintrack.assembly import DiscreteHamiltonian
 from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
-from spintrack.solver import CAPACITANCE_RTOL, CapacitanceSolver
+from spintrack.solver import CAPACITANCE_MAX_SWEEPS, CAPACITANCE_RTOL, CapacitanceSolver
 
 
 def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065 / 350):
@@ -33,9 +33,14 @@ def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065
     return system, psi0, layout
 
 
+def _force_handover(monkeypatch):
+    """No correction sweeps: every solver hands its first solve to GMRES."""
+    monkeypatch.setattr("spintrack.solver.CAPACITANCE_MAX_SWEEPS", 0)
+
+
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(method="magic")
+    with pytest.raises(TypeError):  # one detector solve: there is no method to choose
+        SolveConfig(method="direct")
     with pytest.raises(ValueError):
         SolveConfig(rtol=1e-3)
     with pytest.raises(ValueError):
@@ -192,17 +197,21 @@ def test_single_free_channel_norm_preserved():
     assert abs(after - before) <= 1e-12
 
 
-def test_iterative_matches_direct():
+def test_iterative_matches_direct(monkeypatch):
+    # the sweeps against GMRES, which a forced hand-over runs from step 1
     system, psi0, _ = _system(num_points=120)
-    direct = step(system, psi0, SolveConfig(method="direct"))
-    iterative = step(system, psi0, SolveConfig(method="iterative", max_iter=300))
+    sweeps = make_linear_solver(system, SolveConfig())
+    direct = step(system, psi0, linear_solver=sweeps)
+    _force_handover(monkeypatch)
+    gmres = make_linear_solver(system, SolveConfig(max_iter=300))
+    iterative = step(system, psi0, linear_solver=gmres)
+    assert not sweeps.gmres and gmres.gmres
     assert np.max(np.abs(direct.values - iterative.values)) <= 1e-10
 
 
 def _large_alpha_system(alpha):
     # a spin energy this large next to the flip coupling makes the groups'
-    # detector blocks differ so much that the direct method's correction
-    # sweeps cannot converge
+    # detector blocks differ so much that the correction sweeps stall
     params = scaled_params(rho=1e6, alpha=alpha)
     grid, layout = small_instance(4, 100)
     h = assemble_hamiltonian(params, grid, layout)
@@ -213,9 +222,10 @@ def test_iterative_exhaustion_raises_with_residual(rng, monkeypatch):
     # the large-alpha detector system needs more GMRES iterations than a
     # starved budget of one restart cycle of two gives it
     monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
+    _force_handover(monkeypatch)
     system = _large_alpha_system(1e3)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-    solver = make_linear_solver(system, SolveConfig(method="iterative", max_iter=1))
+    solver = make_linear_solver(system, SolveConfig(max_iter=1))
     with pytest.raises(SolverError, match="GMRES") as err:
         solver.solve(rhs)
     assert err.value.residual > CAPACITANCE_RTOL
@@ -223,27 +233,33 @@ def test_iterative_exhaustion_raises_with_residual(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", [1e3, 1e6])
-def test_iterative_solves_large_alpha(alpha, rng):
-    # the direct method gives up here; GMRES on the same detector system,
-    # with the same preconditioner, matches a sparse LU of the assembled A
+def test_iterative_solves_large_alpha(alpha, rng, monkeypatch):
+    # the sweeps stall here and hand the detector system to GMRES, with the
+    # same preconditioner, which matches a sparse LU of the assembled A; the
+    # next solve goes to GMRES without sweeping
     system = _large_alpha_system(alpha)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-    with pytest.raises(SolverError, match="--solver iterative"):
-        make_linear_solver(system, SolveConfig()).solve(rhs)
-    solver = make_linear_solver(system, SolveConfig(method="iterative"))
+    solver = make_linear_solver(system, SolveConfig())
     x = solver.solve(rhs)
     reference = sparse_linalg.spsolve(system.a, rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
-    assert solver.iterations > 0
+    assert solver.gmres
+    first = solver.iterations
+    swept = []
+    monkeypatch.setattr(solver, "_sweeps", swept.append)
+    np.testing.assert_array_equal(solver.solve(rhs), x)
+    assert not swept
+    assert 0 < solver.iterations < first
 
 
-def test_solve_paths_do_not_build_a():
-    # A is built only when read; neither solve method reads it
+def test_solve_paths_do_not_build_a(monkeypatch):
+    # A is built only when read; neither the sweeps nor GMRES reads it
     system, psi0, layout = _system(num_points=120)
     run(system, psi0, 3, sides=layout.sides)
     assert "a" not in vars(system)
-    system, psi0, _ = _system(num_points=120)
-    step(system, psi0, SolveConfig(method="iterative"))
+    _force_handover(monkeypatch)
+    system, psi0, layout = _system(num_points=120)
+    assert run(system, psi0, 3, sides=layout.sides).gmres_from_step == 1
     assert "a" not in vars(system)
 
 
@@ -374,16 +390,19 @@ def test_direct_preset_run_matches_sparse_lu():
     assert 1 <= record.capacitance_iterations.max() <= 3
 
 
-@pytest.mark.parametrize("method", ["direct", "iterative"])
-def test_buffered_run_matches_step_chain(method):
-    # run() advances one state buffer in place; step() allocates afresh
+@pytest.mark.parametrize("handover", [False, True], ids=["direct", "iterative"])
+def test_buffered_run_matches_step_chain(handover, monkeypatch):
+    # run() advances one state buffer in place; step() allocates afresh;
+    # with the forced hand-over both step by GMRES
+    if handover:
+        _force_handover(monkeypatch)
     system, psi0, layout = _system(num_spins=3, num_points=120)
-    cfg = SolveConfig(method=method)
-    record = run(system, psi0, 25, cfg, sides=layout.sides)
-    shared = make_linear_solver(system, cfg)
+    record = run(system, psi0, 25, sides=layout.sides)
+    assert record.gmres_from_step == (1 if handover else None)
+    shared = make_linear_solver(system, SolveConfig())
     state = psi0
     for _ in range(25):
-        state = step(system, state, cfg, shared)
+        state = step(system, state, linear_solver=shared)
     np.testing.assert_array_equal(record.final_state.values, state.values)
 
 
@@ -414,12 +433,18 @@ def test_run_final_state_owns_its_memory(monkeypatch):
     assert not np.shares_memory(final, psi0.values)
 
 
-def test_direct_capacitance_bound_raises_with_residual(rng):
+def test_direct_capacitance_bound_raises_with_residual(rng, monkeypatch):
+    # the sweeps run to their bound and hand over; the only capacitance
+    # error left is GMRES's, here on a starved budget, and the step's count
+    # holds both the sweeps and the GMRES iterations
+    monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
     system = _large_alpha_system(1e3)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-    with pytest.raises(SolverError, match="capacitance") as err:
-        make_linear_solver(system, SolveConfig()).solve(rhs)
-    assert err.value.residual > 1e-15
+    solver = make_linear_solver(system, SolveConfig(max_iter=1))
+    with pytest.raises(SolverError, match="capacitance GMRES") as err:
+        solver.solve(rhs)
+    assert err.value.residual > CAPACITANCE_RTOL
+    assert solver.iterations == CAPACITANCE_MAX_SWEEPS + 2
 
 
 def test_direct_detector_free_solve(rng):
