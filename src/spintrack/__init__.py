@@ -45,7 +45,6 @@ from .solver import (
     SolverError,
     make_linear_solver,
     run,
-    step,
 )
 from .spinspace import (
     MAX_SPINS,
@@ -56,7 +55,6 @@ from .spinspace import (
     mirror,
     spin_sum,
     spin_sums,
-    symmetric_sides,
 )
 from .state import StateVector
 
@@ -98,7 +96,5 @@ __all__ = [
     "run",
     "spin_sum",
     "spin_sums",
-    "step",
-    "symmetric_sides",
     "validate_regime",
 ]

@@ -378,6 +378,7 @@ def cmd_run(args):
     setup = _setup_from_args(args)
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning: {note}", file=sys.stderr)
+    Path(setup.out_dir).mkdir(parents=True, exist_ok=True)  # unusable: fail before the run
     result = simulate(setup)
     summary = write_run_artifacts(result, setup.out_dir)
     res = summary["results"]
@@ -499,11 +500,11 @@ def cmd_sweep(args):
                 "'num_spins' must be distinct, and those of 'rho' distinct to 6 digits"
             )
     resolve_run_config(points[0])  # fail early on a bad shared key
+    out_root.mkdir(parents=True, exist_ok=True)  # and on an unusable output directory
 
     workers = min(parallelism or os.cpu_count() or 1, len(points))
     rows = _run_points(points, workers)
 
-    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "sweep.csv", "w", encoding="ascii") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
         for row in rows:
@@ -557,7 +558,7 @@ def cmd_info(args):
 
 
 def _validate_checks(perturb_kappa=False):
-    """Yield (name, passed, detail) for each case of the dense-oracle matrix.
+    """Yield (name, max state diff, max probability diff) for each case of the dense-oracle matrix.
 
     With `perturb_kappa` the production path runs every kappa=1 case at
     kappa=2, a negative control that must fail exactly those cases.
@@ -575,27 +576,24 @@ def _validate_checks(perturb_kappa=False):
                     max_abs, prob_diff = oracle.production_vs_dense(
                         params, grid, layout, tgrid, production_params=skewed
                     )
-                    yield (
-                        f"oracle N={n} rho={rho:g} beta={beta:g} kappa={kappa}",
-                        max_abs <= 1e-10 and prob_diff <= 1e-12,
-                        f"state diff {max_abs:.2e}, prob diff {prob_diff:.2e}",
-                    )
+                    yield f"oracle N={n} rho={rho:g} beta={beta:g} kappa={kappa}", max_abs, prob_diff
 
 
 def cmd_validate(args):
     perturb = getattr(args, "perturb_kappa", False)
-    failures = []
+    failures = []  # (state diff, name, detail)
     count = 0
-    for name, passed, detail in _validate_checks(perturb_kappa=perturb):
+    for name, max_abs, prob_diff in _validate_checks(perturb_kappa=perturb):
         count += 1
-        tag = " ok " if passed else "FAIL"
-        print(f"[{tag}] {name}: {detail}")
+        passed = max_abs <= 1e-10 and prob_diff <= 1e-12
+        detail = f"state diff {max_abs:.2e}, prob diff {prob_diff:.2e}"
+        print(f"[{' ok ' if passed else 'FAIL'}] {name}: {detail}")
         if not passed:
-            failures.append((name, detail))
+            failures.append((max_abs, name, detail))
     print(f"validate: {count - len(failures)}/{count} checks passed")
     if failures:
-        worst = failures[0]
-        print(f"worst offender: {worst[0]} ({worst[1]})", file=sys.stderr)
+        _, name, detail = max(failures, key=lambda failure: failure[0])
+        print(f"worst offender: {name} ({detail})", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 

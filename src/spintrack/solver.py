@@ -94,15 +94,13 @@ class CapacitanceSolver:
         h = system.h
         f = 1j * system.dt / (2.0 * system.hbar)
         lower, upper = f * h.lower, f * h.upper
-
-        def factor_at(shift):
-            return _tridiagonal_factor(lower, 1.0 + f * (h.kin_diag + shift), upper)
-
         shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
         self._order = np.argsort(group_of, kind="stable")
         bounds = np.searchsorted(group_of[self._order], np.arange(len(shifts) + 1))
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._factors = [factor_at(shift) for shift in shifts]
+        self._factors = [
+            _tridiagonal_factor(lower, 1.0 + f * (h.kin_diag + shift), upper) for shift in shifts
+        ]
         self._r = np.empty((h.num_channels, h.num_points), dtype=np.complex128)  # group order
         self._coupled = bool(h.flip_strength)
         self._max_iter = config.max_iter
@@ -122,14 +120,8 @@ class CapacitanceSolver:
         self._rows = [_detector_rows(lu, det) for lu in self._factors]
         blocks = [rows[det - band.start].T for band, rows in self._rows]
         self._g = np.stack(blocks)[group_of]  # (M, N, N)
-        # reference block at the middle shift: a group's own block when that
-        # shift is a group's (every even N, and a single group)
-        mid = 0.5 * (shifts[0] + shifts[-1])
-        if mid in shifts:
-            g0 = blocks[np.searchsorted(shifts, mid)]
-        else:
-            band, rows = _detector_rows(factor_at(mid), det)
-            g0 = rows[det - band.start].T
+        # reference block: the middle group's, whose shift is 0 at every even N
+        g0 = blocks[len(blocks) // 2]
         # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma of -gamma sigma_y
         sign = np.where(np.arange(h.num_channels)[:, None] & (1 << np.arange(n)), 1.0, -1.0)
         d = f * h.flip_strength * sign
@@ -147,9 +139,8 @@ class CapacitanceSolver:
         y = np.matmul(self._block_inv, y[:, :, None])[:, :, 0]
         return _apply_bitwise(self._transform, y, adjoint=False)
 
-    def _sweeps(self, w):
+    def _sweeps(self, w, w_norm):
         """Solve (I + G K) v = w by preconditioned correction sweeps; None if they stall."""
-        w_norm = _norm(w)
         v = self._precondition(w)
         for _ in range(CAPACITANCE_MAX_SWEEPS):
             res = w - v - self._gk(v)
@@ -162,9 +153,8 @@ class CapacitanceSolver:
             self.iterations += 1
         return None
 
-    def _gmres(self, w):
+    def _gmres(self, w, w_norm):
         """Solve (I + G K) v = w by GMRES with the sweeps' preconditioner."""
-        w_norm = _norm(w)
         iterations = []  # one entry per GMRES iteration
         # built per call: operators kept on self would close a reference
         # cycle, which holds every dropped solver's buffers until a collection
@@ -175,18 +165,16 @@ class CapacitanceSolver:
         preconditioner = sparse_linalg.LinearOperator(
             size, matvec=lambda v: self._precondition(v.reshape(w.shape)).ravel(), dtype=w.dtype
         )
-        residual = w_norm  # a non-finite w is not handed to GMRES
-        if np.isfinite(w_norm):
-            v, info = sparse_linalg.gmres(
-                operator, w.ravel(), rtol=CAPACITANCE_RTOL, atol=0.0, restart=GMRES_RESTART,
-                maxiter=self._max_iter, M=preconditioner,
-                callback=iterations.append, callback_type="pr_norm",
-            )
-            v = v.reshape(w.shape)
-            self.iterations += len(iterations)
-            if info == 0:
-                return v
-            residual = _norm(w - v - self._gk(v)) / w_norm
+        v, info = sparse_linalg.gmres(
+            operator, w.ravel(), rtol=CAPACITANCE_RTOL, atol=0.0, restart=GMRES_RESTART,
+            maxiter=self._max_iter, M=preconditioner,
+            callback=iterations.append, callback_type="pr_norm",
+        )
+        v = v.reshape(w.shape)
+        self.iterations += len(iterations)
+        if info == 0:
+            return v
+        residual = _norm(w - v - self._gk(v)) / w_norm
         raise SolverError(
             f"detector capacitance GMRES stopped at relative residual {residual:.3e} (target "
             f"{CAPACITANCE_RTOL:g} within {self._max_iter} restarts of {GMRES_RESTART})",
@@ -201,15 +189,18 @@ class CapacitanceSolver:
         self.iterations = 0
         if self._coupled:
             w = np.empty((len(r), len(self._det)), dtype=np.complex128)
-            # a non-finite rhs turns w NaN quietly; the capacitance residual
-            # then raises SolverError
+            # a non-finite rhs turns w NaN quietly; its norm then raises
+            # SolverError before either solve runs, so `gmres` stays as it was
             with np.errstate(invalid="ignore"):
                 for sl, (band, rows) in zip(self._slices, self._rows):
                     w[order[sl]] = r[sl, band] @ rows
-            v = None if self.gmres else self._sweeps(w)
+            w_norm = _norm(w)
+            if not np.isfinite(w_norm):
+                raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
+            v = None if self.gmres else self._sweeps(w, w_norm)
             if v is None:  # the sweeps stalled, on this step or an earlier one
                 self.gmres = True
-                v = self._gmres(w)
+                v = self._gmres(w, w_norm)
             r[:, self._det] -= self._apply_k(v)[order]
         for sl, lu in zip(self._slices, self._factors):
             _tridiagonal_solve(lu, r[sl])
@@ -311,43 +302,6 @@ def _check_residual(r, rhs, rtol):
     return residual
 
 
-def _advance(linear_solver, b_matrix, rhs, x, r, rtol):
-    """Solve A x = rhs into x, which holds the current state, and return
-    (B x, relative residual).
-
-    Because A + B = 2I exactly, A x = 2x - B x, formed in the work array r:
-    the residual check reuses the B x that is the next step's right-hand side.
-    """
-    linear_solver.solve(rhs, out=x)
-    bx = b_matrix @ x
-    np.multiply(x, 2.0, out=r)
-    r -= bx
-    r -= rhs
-    return bx, _check_residual(r, rhs, rtol)
-
-
-def _check_shape(system, state):
-    shape = (system.h.num_channels, system.h.num_points)
-    if state.values.shape != shape:
-        raise ValueError(f"state shape {state.values.shape} does not match system {shape}")
-    return shape
-
-
-def step(system, state, config=None, linear_solver=None):
-    """Advance one Crank-Nicolson step: solve A psi_next = B psi.
-
-    Passing `linear_solver` (from make_linear_solver) reuses a factorization;
-    otherwise one is built for this call.
-    """
-    config = config or SolveConfig()
-    _check_shape(system, state)
-    solver = linear_solver or make_linear_solver(system, config)
-    flat = state.values.ravel()
-    x = flat.copy()
-    _advance(solver, system.b, system.b @ flat, x, np.empty_like(x), config.rtol)
-    return StateVector(x.reshape(state.values.shape), state.dx)
-
-
 @dataclass(eq=False)
 class RunRecord:
     """Per-step diagnostic series plus the final state.
@@ -400,7 +354,9 @@ def run(system, initial, num_steps, config=None, sides=None):
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     config = config or SolveConfig()
-    shape = _check_shape(system, initial)
+    shape = (system.h.num_channels, system.h.num_points)
+    if initial.values.shape != shape:
+        raise ValueError(f"state shape {initial.values.shape} does not match system {shape}")
     tags = observables.class_tags(sides, shape[0]) if sides is not None else None
     dx = initial.dx
     energy_scale = -dx * 2.0 * system.hbar / system.dt
@@ -408,18 +364,19 @@ def run(system, initial, num_steps, config=None, sides=None):
     norm2 = np.empty(num_steps + 1)
     energy = np.empty(num_steps + 1)
     classes = np.empty((num_steps + 1, 5)) if tags is not None else None
+    x = initial.values.ravel().copy()  # the state, advanced in place
+    state = StateVector(x.reshape(shape), dx)
 
-    def record(k, state, bx):
+    def record(k, bx):
         probs = observables.channel_probs(state, t=times[k]).probs
         norm2[k] = probs.sum()
         energy[k] = energy_scale * np.vdot(state.values, bx).imag
         if classes is not None:
             classes[k] = observables.class_sums(probs, tags)
 
-    x = initial.values.ravel().copy()  # the state, advanced in place
-    work = np.empty_like(x)
+    r = np.empty_like(x)
     bx = system.b @ x
-    record(0, initial, bx)
+    record(0, bx)
     # Accuracy (not stability) guard: compare dt against the phase period of
     # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
     # cutoff energy and would flag every well-resolved run.
@@ -433,16 +390,22 @@ def run(system, initial, num_steps, config=None, sides=None):
     iterations = np.empty(num_steps, dtype=np.int64)
     gmres_from_step = None
     for k in range(1, num_steps + 1):
+        rhs = bx
         try:
-            bx, residual = _advance(solver, system.b, bx, x, work, config.rtol)
+            solver.solve(rhs, out=x)
+            bx = system.b @ x
+            # A x = 2x - B x because A + B = 2I exactly, so the residual check
+            # reuses the B x that is the next step's right-hand side
+            np.multiply(x, 2.0, out=r)
+            r -= bx
+            r -= rhs
+            worst = max(worst, _check_residual(r, rhs, config.rtol))
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
-        worst = max(worst, residual)
         iterations[k - 1] = solver.iterations
         if solver.gmres and gmres_from_step is None:
             gmres_from_step = k
-        state = StateVector(x.reshape(shape), dx)
-        record(k, state, bx)
+        record(k, bx)
     return RunRecord(
         times=times,
         norm2=norm2,

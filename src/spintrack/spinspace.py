@@ -73,15 +73,6 @@ class SideAssignment:
         return sum(1 << j for j, s in enumerate(self.signs) if s == RIGHT)
 
 
-def symmetric_sides(num_spins):
-    """Side assignment for the symmetric layout: first half left, second half right."""
-    _check_num_spins(num_spins)
-    if num_spins % 2:
-        raise ValueError(f"symmetric layout needs an even spin count, got {num_spins}")
-    half = num_spins // 2
-    return SideAssignment((LEFT,) * half + (RIGHT,) * half)
-
-
 def spin_sum(mask, num_spins):
     """Sum of the +-1 spin values, i.e. 2*popcount(mask) - N."""
     _check_num_spins(num_spins)

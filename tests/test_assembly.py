@@ -16,6 +16,7 @@ from spintrack import (
     build_grid,
     place_detectors,
     preset_from_epsilon,
+    run,
     spin_sum,
 )
 from spintrack.assembly import DiscreteHamiltonian
@@ -174,9 +175,7 @@ def test_assemble_cn_zero_hamiltonian_is_identity():
     dev = system.a - sparse.identity(5, dtype=complex, format="csc")
     assert dev.count_nonzero() == 0
     state = StateVector(np.arange(5, dtype=complex).reshape(1, 5), 1.0)
-    from spintrack import step
-
-    out = step(system, state)
+    out = run(system, state, 1).final_state
     np.testing.assert_array_equal(out.values, state.values)
 
 

@@ -437,13 +437,48 @@ def test_obsolete_solver_method_key(tmp_path, capsys):
     assert err.value.code == 2
 
 
-def test_run_exits_4_when_out_dir_is_a_file(tmp_path, capsys):
+def _count_simulations(monkeypatch):
+    calls = []
+    real = cli.simulate
+
+    def simulate(setup):
+        calls.append(setup)
+        return real(setup)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    return calls
+
+
+def test_run_exits_4_when_out_dir_is_a_file(tmp_path, monkeypatch, capsys):
+    # the unusable directory is found before the run, not after it
+    calls = _count_simulations(monkeypatch)
     out = tmp_path / "out"
     out.write_text("not a directory")
     cfg = _write(tmp_path / "cfg.json", small_explicit_config(out))
     assert cli.main(["run", "-c", cfg]) == cli.EXIT_IO
     assert "\nI/O error: " in capsys.readouterr().err  # after the regime warning
     assert out.read_text() == "not a directory"
+    assert not calls
+
+
+def test_sweep_exits_4_when_out_dir_is_a_file(tmp_path, monkeypatch, capsys):
+    calls = _count_simulations(monkeypatch)
+    out = tmp_path / "sweep"
+    out.write_text("not a directory")
+    payload = {
+        "epsilon": 0.1,
+        "num_spins": [2, 4],
+        "rho": [100.0],
+        "num_points": 120,
+        "num_steps": 5,
+        "t_final": 0.005,
+        "parallelism": 1,
+        "out_dir": str(out),
+    }
+    assert cli.main(["sweep", "-c", _write(tmp_path / "sweep.json", payload)]) == cli.EXIT_IO
+    assert "I/O error: " in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+    assert not calls
 
 
 def test_sweep_records_failed_points(tmp_path, capsys):
@@ -585,4 +620,5 @@ def test_validate_perturbed_kappa_fails(capsys):
         skewed = case.endswith("kappa=1") and " rho=0 " not in case
         assert captured.out.count(f"[{'FAIL' if skewed else ' ok '}] {case}:") == 1
     assert "validate: 16/24 checks passed" in captured.out
-    assert "worst offender" in captured.err
+    # the largest state difference, not the first failure (N=2 rho=10)
+    assert "worst offender: oracle N=3 rho=100 " in captured.err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spintrack import (
+    SideAssignment,
     StateVector,
     arrival_time,
     assemble_hamiltonian,
@@ -11,7 +12,6 @@ from spintrack import (
     class_probs,
     energy,
     initial_state,
-    symmetric_sides,
 )
 from spintrack.oracle import scaled_params, small_instance
 from spintrack.solver import RunRecord
@@ -36,7 +36,7 @@ def test_channel_probs_sum_is_norm(rng):
 
 
 def test_class_probs_all_in_channel_zero():
-    sides = symmetric_sides(4)
+    sides = SideAssignment((-1, -1, 1, 1))
     state = StateVector.zeros(16, 40, 0.1)
     state.values[0, 3] = np.sqrt(1 / 0.1)
     cls = class_probs(channel_probs(state), sides)
@@ -48,7 +48,7 @@ def test_class_probs_uniform_reference():
     # brute-force expectation for uniform p[mask] = 1/16 (see test_spinspace)
     from spintrack.observables import ChannelProbabilities
 
-    sides = symmetric_sides(4)
+    sides = SideAssignment((-1, -1, 1, 1))
     cp = ChannelProbabilities(probs=np.full(16, 1.0 / 16), t=0.0)
     cls = class_probs(cp, sides)
     assert cls.unchanged == pytest.approx(1 / 16)
@@ -59,7 +59,7 @@ def test_class_probs_uniform_reference():
 
 
 def test_class_probs_partition_identity(rng):
-    sides = symmetric_sides(6)
+    sides = SideAssignment((-1, -1, -1, 1, 1, 1))
     values = rng.standard_normal((64, 30)) + 1j * rng.standard_normal((64, 30))
     cp = channel_probs(StateVector(values, 0.05))
     cls = class_probs(cp, sides)
@@ -70,8 +70,9 @@ def test_class_probs_partition_identity(rng):
 def test_class_probs_channel_count_mismatch():
     from spintrack.observables import ChannelProbabilities
 
+    sides = SideAssignment((-1, -1, 1, 1))
     with pytest.raises(ValueError):
-        class_probs(ChannelProbabilities(probs=np.ones(8), t=0.0), symmetric_sides(4))
+        class_probs(ChannelProbabilities(probs=np.ones(8), t=0.0), sides)
 
 
 def test_energy_zero_state():

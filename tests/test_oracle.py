@@ -6,9 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintrack import StateVector, TimeGrid, assemble_hamiltonian, initial_state
+from spintrack import TimeGrid, assemble_hamiltonian, initial_state
 from spintrack.oracle import (
-    compare,
     dense_hamiltonian,
     dense_run,
     production_vs_dense,
@@ -25,17 +24,6 @@ def test_size_cap():
         dense_hamiltonian(scaled_params(), grid, layout)
     with pytest.raises(ValueError):
         dense_run(scaled_params(), grid, layout, TimeGrid(0.01, 5))
-
-
-def test_compare_basics(rng):
-    v = StateVector(rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8)), 0.1)
-    assert compare(v, v) == (0.0, 0.0)
-    neg = StateVector(-v.values, 0.1)
-    max_abs, norm_diff = compare(v, neg)
-    assert max_abs == pytest.approx(2 * np.max(np.abs(v.values)))
-    assert norm_diff == 0.0
-    with pytest.raises(ValueError):
-        compare(v, StateVector.zeros(2, 9, 0.1))
 
 
 def test_dense_hermitian_symmetrized():

@@ -16,7 +16,6 @@ from spintrack import (
     initial_state,
     make_linear_solver,
     run,
-    step,
 )
 from spintrack import cli, observables
 from spintrack.assembly import DiscreteHamiltonian
@@ -56,21 +55,44 @@ def _with_entry(state, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_step_rejects_nonfinite_state(value):
-    system, psi0, _ = _system()
-    with pytest.raises(SolverError):
-        step(system, _with_entry(psi0, value))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_run_rejects_nonfinite_state(value):
     system, psi0, layout = _system()
     with pytest.raises(SolverError, match="step 1"):
         run(system, _with_entry(psi0, value), 5, sides=layout.sides)
 
 
+def test_nonfinite_rhs_leaves_the_solver_on_the_sweeps():
+    # the refused solve hands nothing to GMRES, so the next one sweeps as a
+    # fresh solver's does
+    system, psi0, _ = _system(num_points=120)
+    rhs = system.b @ psi0.values.ravel()
+    bad = rhs.copy()
+    bad.reshape(psi0.values.shape)[0, system.h.detector_indices[0]] = np.nan
+    solver = make_linear_solver(system, SolveConfig())
+    with pytest.raises(SolverError, match="not finite"):
+        solver.solve(bad)
+    assert not solver.gmres
+    x = solver.solve(rhs)
+    assert solver.iterations == 1
+    np.testing.assert_array_equal(x, make_linear_solver(system, SolveConfig()).solve(rhs))
+
+
+def _solve_chain(system, psi0, num_steps, linear_solver=None):
+    """The states of `num_steps` Crank-Nicolson steps, each one solve of A x = B psi.
+
+    Every step solves on `linear_solver`, or on a solver built anew for it
+    when None.
+    """
+    states = [psi0]
+    for _ in range(num_steps):
+        solver = linear_solver or make_linear_solver(system, SolveConfig())
+        x = solver.solve(system.b @ states[-1].values.ravel())
+        states.append(StateVector(x.reshape(psi0.values.shape), psi0.dx))
+    return states
+
+
 def _stepped_run(system, psi0, layout, num_steps):
-    """run() plus the per-step states from step() calls on one shared solver.
+    """run() plus the per-step states from solves on one shared solver.
 
     Also checks run()'s per-step capacitance iteration counts against the
     shared solver's.
@@ -80,7 +102,8 @@ def _stepped_run(system, psi0, layout, num_steps):
     states = [psi0]
     iterations = []
     for _ in range(num_steps):
-        states.append(step(system, states[-1], linear_solver=shared))
+        x = shared.solve(system.b @ states[-1].values.ravel())
+        states.append(StateVector(x.reshape(psi0.values.shape), psi0.dx))
         iterations.append(shared.iterations)
     np.testing.assert_array_equal(record.capacitance_iterations, iterations)
     return record, states
@@ -124,12 +147,8 @@ def test_run_energy_matches_full_path_backward():
 def test_factorization_reuse_consistency():
     system, psi0, _ = _system()
     cfg = SolveConfig()
-    shared = make_linear_solver(system, cfg)
-    state_shared = psi0.copy()
-    state_fresh = psi0.copy()
-    for _ in range(50):
-        state_shared = step(system, state_shared, cfg, shared)
-        state_fresh = step(system, state_fresh, cfg)  # factors anew each call
+    state_shared = _solve_chain(system, psi0, 50, make_linear_solver(system, cfg))[-1]
+    state_fresh = _solve_chain(system, psi0, 50)[-1]  # factors anew each step
     diff = np.max(np.abs(state_shared.values - state_fresh.values))
     assert diff <= 1e-13
 
@@ -193,20 +212,21 @@ def test_single_free_channel_norm_preserved():
     grid = build_grid(1.5, 200)
     psi = initial_state(scaled_params(), grid, 1)
     before = psi.norm2()
-    after = step(system, psi).norm2()
+    after = run(system, psi, 1).final_state.norm2()
     assert abs(after - before) <= 1e-12
 
 
 def test_iterative_matches_direct(monkeypatch):
     # the sweeps against GMRES, which a forced hand-over runs from step 1
     system, psi0, _ = _system(num_points=120)
+    rhs = system.b @ psi0.values.ravel()
     sweeps = make_linear_solver(system, SolveConfig())
-    direct = step(system, psi0, linear_solver=sweeps)
+    direct = sweeps.solve(rhs)
     _force_handover(monkeypatch)
     gmres = make_linear_solver(system, SolveConfig(max_iter=300))
-    iterative = step(system, psi0, linear_solver=gmres)
+    iterative = gmres.solve(rhs)
     assert not sweeps.gmres and gmres.gmres
-    assert np.max(np.abs(direct.values - iterative.values)) <= 1e-10
+    assert np.max(np.abs(direct - iterative)) <= 1e-10
 
 
 def _large_alpha_system(alpha):
@@ -263,11 +283,11 @@ def test_solve_paths_do_not_build_a(monkeypatch):
     assert "a" not in vars(system)
 
 
-def test_step_rejects_shape_mismatch():
+def test_run_rejects_shape_mismatch():
     system, psi0, _ = _system()
     bad = StateVector(np.zeros((2, 100), dtype=complex), psi0.dx)
     with pytest.raises(ValueError):
-        step(system, bad)
+        run(system, bad, 1)
 
 
 def test_run_rejects_zero_steps():
@@ -348,9 +368,16 @@ def test_direct_solver_reuses_factorization():
     rhs = system.b @ psi0.values.ravel()
     before = rhs.copy()
     x1 = solver.solve(rhs)
+    kept = x1.copy()
     x2 = solver.solve(rhs)
+    np.testing.assert_array_equal(x1, kept)  # the second solve leaves the first result alone
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(rhs, before)
+    # a caller may keep one result while it computes the next
+    assert not np.shares_memory(x1, x2)
+    buffers = [v for v in vars(solver).values() if isinstance(v, np.ndarray)]
+    assert buffers
+    assert not any(np.shares_memory(x, buf) for x in (x1, x2) for buf in buffers)
 
 
 @pytest.mark.parametrize("dt", [0.065 / 350, -0.065 / 350], ids=["forward", "backward"])
@@ -392,29 +419,15 @@ def test_direct_preset_run_matches_sparse_lu():
 
 @pytest.mark.parametrize("handover", [False, True], ids=["direct", "iterative"])
 def test_buffered_run_matches_step_chain(handover, monkeypatch):
-    # run() advances one state buffer in place; step() allocates afresh;
-    # with the forced hand-over both step by GMRES
+    # run() advances one state buffer in place; the chain of solves
+    # allocates afresh; with the forced hand-over both step by GMRES
     if handover:
         _force_handover(monkeypatch)
     system, psi0, layout = _system(num_spins=3, num_points=120)
     record = run(system, psi0, 25, sides=layout.sides)
     assert record.gmres_from_step == (1 if handover else None)
-    shared = make_linear_solver(system, SolveConfig())
-    state = psi0
-    for _ in range(25):
-        state = step(system, state, linear_solver=shared)
+    state = _solve_chain(system, psi0, 25, make_linear_solver(system, SolveConfig()))[-1]
     np.testing.assert_array_equal(record.final_state.values, state.values)
-
-
-def test_step_results_do_not_share_buffers():
-    system, psi0, _ = _system(num_spins=3, num_points=120)
-    shared = make_linear_solver(system, SolveConfig())
-    first = step(system, psi0, linear_solver=shared)
-    kept = first.values.copy()
-    second = step(system, psi0, linear_solver=shared)
-    assert not np.shares_memory(first.values, second.values)
-    np.testing.assert_array_equal(first.values, kept)
-    np.testing.assert_array_equal(second.values, kept)
 
 
 def test_run_final_state_owns_its_memory(monkeypatch):

@@ -11,8 +11,13 @@ from spintrack import (
     mirror,
     spin_sum,
     spin_sums,
-    symmetric_sides,
 )
+
+
+def _halves(num_spins):
+    """The symmetric layout's sides: the first half of the detectors left, the rest right."""
+    half = num_spins // 2
+    return SideAssignment((-1,) * half + (1,) * half)
 
 
 def test_spin_sum_examples():
@@ -41,11 +46,11 @@ def test_num_spins_cap():
     with pytest.raises(ValueError):
         spin_sums(MAX_SPINS + 1)
     with pytest.raises(ValueError):
-        symmetric_sides(0)
+        SideAssignment(())
 
 
 def test_classify_examples():
-    sides = symmetric_sides(4)  # (L, L, R, R)
+    sides = _halves(4)  # (L, L, R, R)
     assert classify(0b0000, sides) is ConfigClass.UNCHANGED
     assert classify(0b0011, sides) is ConfigClass.LEFT_TRACK
     assert classify(0b1100, sides) is ConfigClass.RIGHT_TRACK
@@ -55,7 +60,7 @@ def test_classify_examples():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 12])
 def test_classify_partitions_all_masks(n):
-    sides = symmetric_sides(n)
+    sides = _halves(n)
     half = n // 2
     counts = {tag: 0 for tag in ConfigClass}
     for mask in range(1 << n):
@@ -71,7 +76,7 @@ def test_classify_partitions_all_masks(n):
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_classify_all_matches_scalar(n):
-    sides = symmetric_sides(n)
+    sides = _halves(n)
     tags = classify_all(sides)
     assert tags.shape == (1 << n,)
     for mask in range(1 << n):
@@ -79,7 +84,7 @@ def test_classify_all_matches_scalar(n):
 
 
 def test_classify_all_is_readonly_and_cached():
-    sides = symmetric_sides(4)
+    sides = _halves(4)
     tags = classify_all(sides)
     assert classify_all(sides) is tags
     with pytest.raises(ValueError):
@@ -88,7 +93,7 @@ def test_classify_all_is_readonly_and_cached():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_mirror_swaps_track_sides(n):
-    sides = symmetric_sides(n)
+    sides = _halves(n)
     swap = {
         ConfigClass.LEFT_TRACK: ConfigClass.RIGHT_TRACK,
         ConfigClass.RIGHT_TRACK: ConfigClass.LEFT_TRACK,
@@ -109,7 +114,7 @@ def test_side_assignment_masks():
 
 def test_uniform_distribution_class_weights():
     # brute-force enumeration of the 16 masks at p = 1/16 each
-    sides = symmetric_sides(4)
+    sides = _halves(4)
     weights = {tag: 0.0 for tag in ConfigClass}
     for mask in range(16):
         weights[classify(mask, sides)] += 1.0 / 16.0
