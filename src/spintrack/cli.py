@@ -7,7 +7,7 @@ run       one simulation from a JSON config file; writes timeseries.csv,
 sweep     a grid of (N, rho) points sharing one epsilon-scaled preset;
           writes sweep.csv plus per-point artifacts in subdirectories
 validate  the production path against the dense oracle over a coupling matrix
-info      resolve and print the parameters of a config without running
+info      resolve a config without running; prints its parameters as JSON
 
 Exit codes: 0 success, 1 validation mismatch, 2 config error,
 3 solver failure, 4 I/O error.
@@ -350,32 +350,8 @@ def write_run_artifacts(result, out_dir):
     return summary
 
 
-def _apply_overrides(cfg, args):
-    """Fold command-line flags over the config dict (flags win)."""
-    section = cfg.get("preset") if "preset" in cfg else cfg.get("explicit")
-    if section is None or not isinstance(section, dict):
-        return  # resolve_run_config will report the structural problem
-    if getattr(args, "epsilon", None) is not None:
-        if "preset" not in cfg:
-            raise ConfigurationError("--epsilon only applies to preset configs")
-        section["epsilon"] = args.epsilon
-    for key in ("rho", "num_spins", "kappa", "boundary_mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            section[key] = value
-    if getattr(args, "out_dir", None) is not None:
-        cfg["out_dir"] = args.out_dir
-
-
-def _setup_from_args(args):
-    """The run config file with the command-line flags folded in, resolved."""
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    return resolve_run_config(cfg)
-
-
 def cmd_run(args):
-    setup = _setup_from_args(args)
+    setup = resolve_run_config(load_config(args.config))
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning: {note}", file=sys.stderr)
     Path(setup.out_dir).mkdir(parents=True, exist_ok=True)  # unusable: fail before the run
@@ -477,10 +453,10 @@ def cmd_sweep(args):
     rhos = read("rho", _sorted_list(float))
     if any(n % 2 or n < 2 for n in spins):
         raise ConfigurationError("every entry of 'num_spins' must be even and >= 2")
-    out_root = Path(args.out_dir or read("out_dir", str, "spintrack_sweep"))
-    parallelism = read("parallelism", int, 0) if args.parallelism is None else args.parallelism
+    out_root = Path(read("out_dir", str, "spintrack_sweep"))
+    parallelism = read("parallelism", int, 0)
     if parallelism < 0:
-        raise ConfigurationError(f"parallelism must be >= 0 (0: all cores), got {parallelism}")
+        raise ConfigurationError(f"parallelism must be >= 0 (0: every available CPU), got {parallelism}")
     preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
     shared = {key: cfg[key] for key in ("solver", "arrival_drop") if key in cfg}
     points = [
@@ -502,7 +478,10 @@ def cmd_sweep(args):
     resolve_run_config(points[0])  # fail early on a bad shared key
     out_root.mkdir(parents=True, exist_ok=True)  # and on an unusable output directory
 
-    workers = min(parallelism or os.cpu_count() or 1, len(points))
+    if not parallelism:  # every CPU this process may run on, not every CPU of the host
+        affinity = getattr(os, "sched_getaffinity", None)
+        parallelism = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(parallelism, len(points))
     rows = _run_points(points, workers)
 
     with open(out_root / "sweep.csv", "w", encoding="ascii") as fh:
@@ -528,28 +507,11 @@ def cmd_sweep(args):
 
 
 def cmd_info(args):
-    setup = _setup_from_args(args)
-    info = resolved_dict(setup)
-    if args.json:
-        json.dump(info, sys.stdout, indent=2)
-        print()
-        return EXIT_OK
-    vec_bytes = info["state_vector_bytes"]
-    print(f"channels (2^N)      : {info['num_channels']}  (N={info['num_spins']})")
-    print(f"grid                : Nx={info['num_points']}, dx={info['dx']:.6g}, domain (-{info['half_length']:g}, {info['half_length']:g})")
-    print(f"time                : K={info['num_steps']} steps, dt={info['dt']:.6g}, t*={info['t_final']:g}")
-    print(f"hbar, mass          : {info['hbar']:g}, {info['mass']:g}")
-    print(f"alpha, beta, rho    : {info['alpha']:g}, {info['beta']:g}, {info['rho']:g}")
-    print(f"p0, sigma, trunc_a  : {info['p0']:.6g}, {info['sigma']:g}, {info['trunc_a']:g}")
-    print(f"kappa, boundary     : {info['kappa']}, {info['boundary_mode']}")
-    print(f"detectors (nominal) : {['%.6g' % y for y in info['detector_nominal']]}")
-    print(f"detectors (snapped) : {['%.6g' % y for y in info['detector_positions']]}")
-    print(f"detector indices    : {info['detector_indices']}")
-    print(f"predicted arrival   : D/p0 = {info['predicted_arrival']:.6g}")
-    print(f"state vector        : {vec_bytes} B ({vec_bytes / 1e6:.1f} MB); working set ~{12 * vec_bytes / 1e6:.1f} MB (peak while stepping)")
-    print(f"solver              : rtol={info['solver']['rtol']:g}, max_iter={info['solver']['max_iter']}")
+    setup = resolve_run_config(load_config(args.config))
     for note in model.validate_regime(setup.params, setup.geom):
-        print(f"warning             : {note}")
+        print(f"warning: {note}", file=sys.stderr)
+    json.dump(resolved_dict(setup), sys.stdout, indent=2)
+    print()
     return EXIT_OK
 
 
@@ -601,18 +563,6 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_override_flags(parser):
-    parser.add_argument("--rho", type=float, help="override the flip coupling strength")
-    parser.add_argument("--num-spins", dest="num_spins", type=int, help="override the detector count")
-    parser.add_argument("--kappa", type=int, help="override the coupling factor")
-    parser.add_argument(
-        "--boundary-mode", dest="boundary_mode", choices=BOUNDARY_MODES,
-        help="override the boundary closure",
-    )
-    parser.add_argument("--epsilon", type=float, help="override the preset scale")
-    parser.add_argument("--out-dir", dest="out_dir", help="override the output directory")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spintrack",
@@ -622,13 +572,10 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run one simulation from a JSON config")
     p_run.add_argument("-c", "--config", required=True, help="path to the JSON run config")
-    _add_override_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a (N, rho) grid from a JSON sweep config")
     p_sweep.add_argument("-c", "--config", required=True, help="path to the JSON sweep config")
-    p_sweep.add_argument("--out-dir", dest="out_dir", help="override the output directory")
-    p_sweep.add_argument("--parallelism", type=int, help="max concurrent points")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check the production path against the dense oracle")
@@ -638,10 +585,8 @@ def build_parser():
     )
     p_val.set_defaults(func=cmd_validate)
 
-    p_info = sub.add_parser("info", help="print resolved parameters without running")
+    p_info = sub.add_parser("info", help="print the resolved parameters as JSON without running")
     p_info.add_argument("-c", "--config", required=True, help="path to the JSON run config")
-    _add_override_flags(p_info)
-    p_info.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     p_info.set_defaults(func=cmd_info)
     return parser
 

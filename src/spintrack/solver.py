@@ -122,9 +122,7 @@ class CapacitanceSolver:
         self._g = np.stack(blocks)[group_of]  # (M, N, N)
         # reference block: the middle group's, whose shift is 0 at every even N
         g0 = blocks[len(blocks) // 2]
-        # eigen-label bit j clear: (1, i)/sqrt(2), eigenvalue -gamma of -gamma sigma_y
-        sign = np.where(np.arange(h.num_channels)[:, None] & (1 << np.arange(n)), 1.0, -1.0)
-        d = f * h.flip_strength * sign
+        d = 1j * self._k  # the eigenvalues f gamma sigma_j of each detector's flip coupling
         self._block_inv = np.linalg.inv(np.eye(n) + g0 * d[:, None, :])
         self._transform = _bitwise_transform(n)
 

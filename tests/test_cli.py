@@ -1,5 +1,6 @@
 """Config ingestion, artifacts, sweep, info, and the validation suite."""
 
+import argparse
 import json
 import re
 import time
@@ -39,7 +40,7 @@ def small_explicit_config(out_dir, **overrides):
 
 def test_info_reference_preset(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 8}})
-    assert cli.main(["info", "-c", cfg, "--json"]) == 0
+    assert cli.main(["info", "-c", cfg]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["num_channels"] == 256
     assert info["dt"] == pytest.approx(0.065 / 350)
@@ -50,22 +51,23 @@ def test_info_reference_preset(tmp_path, capsys):
 
 def test_info_memory_estimate_n12(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 12}})
-    assert cli.main(["info", "-c", cfg, "--json"]) == 0
+    assert cli.main(["info", "-c", cfg]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["state_vector_bytes"] == 4096 * 1000 * 16  # ~65.5 MB per vector
 
 
-def test_info_human_readable(tmp_path, capsys):
-    cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 4}})
+def test_info_regime_warning_goes_to_stderr(tmp_path, capsys):
+    # N=2: the detector spacing d = 0.05 exceeds sigma = 0.025
+    cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 2}})
     assert cli.main(["info", "-c", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "predicted arrival" in out
-    assert "0.0375" in out
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["num_spins"] == 2
+    assert "warning: d < sigma violated" in captured.err
 
 
 def test_info_default_rho_is_exact(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 4}})
-    assert cli.main(["info", "-c", cfg, "--json"]) == 0
+    assert cli.main(["info", "-c", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["rho"] == 100.0
 
 
@@ -143,7 +145,7 @@ def test_null_preset_key_takes_default(tmp_path, capsys, key):
     infos = []
     for name, section in (("left_out", preset), ("null", {**preset, key: None})):
         cfg = _write(tmp_path / f"{name}.json", {"preset": section})
-        assert cli.main(["info", "-c", cfg, "--json"]) == 0
+        assert cli.main(["info", "-c", cfg]) == 0
         infos.append(capsys.readouterr().out)
     assert infos[0] == infos[1]
 
@@ -219,8 +221,10 @@ def test_run_writes_artifacts(tmp_path):
 
 def test_run_rho_zero_override(tmp_path):
     out = tmp_path / "out"
-    cfg = _write(tmp_path / "cfg.json", small_explicit_config(out, t_final=0.05, num_steps=40))
-    assert cli.main(["run", "-c", cfg, "--rho", "0"]) == 0
+    cfg = _write(
+        tmp_path / "cfg.json", small_explicit_config(out, rho=0.0, t_final=0.05, num_steps=40)
+    )
+    assert cli.main(["run", "-c", cfg]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["resolved"]["rho"] == 0.0
     assert summary["results"]["UC"] == pytest.approx(1.0, abs=1e-12)
@@ -251,7 +255,7 @@ def test_run_deterministic_csv_bytes(tmp_path):
 def test_info_roundtrips_with_summary(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "cfg.json", small_explicit_config(out))
-    assert cli.main(["info", "-c", cfg, "--json"]) == 0
+    assert cli.main(["info", "-c", cfg]) == 0
     resolved_before = json.loads(capsys.readouterr().out)
     assert cli.main(["run", "-c", cfg]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -315,23 +319,37 @@ def test_sweep_point_resolves_as_run(tmp_path, capsys):
         "arrival_drop": 0.02,
     }
     capsys.readouterr()
-    assert cli.main(["info", "-c", _write(tmp_path / "run.json", run), "--json"]) == 0
+    assert cli.main(["info", "-c", _write(tmp_path / "run.json", run)]) == 0
     assert resolved == json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize(
-    "extra, flags",
-    [({"parallelism": -4}, []), ({}, ["--parallelism", "-2"])],
-    ids=["key", "flag"],
-)
-def test_sweep_rejects_negative_parallelism(tmp_path, capsys, extra, flags):
+def test_sweep_rejects_negative_parallelism(tmp_path, capsys):
     out = tmp_path / "sweep"
     payload = {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "num_points": 120,
-               "num_steps": 5, "t_final": 0.005, "out_dir": str(out), **extra}
+               "num_steps": 5, "t_final": 0.005, "out_dir": str(out), "parallelism": -4}
     cfg = _write(tmp_path / "sweep.json", payload)
-    assert cli.main(["sweep", "-c", cfg, *flags]) == cli.EXIT_CONFIG
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_CONFIG
     assert "parallelism" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_parallelism_zero_counts_this_process_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    seen = []
+
+    def run_points(points, workers):
+        seen.append(workers)
+        values = dict.fromkeys(("LRC_one_side", "two_LRC", "OS", "UC", "MT", "row_sum"), 0.25)
+        return [{"N": p["preset"]["num_spins"], "rho": p["preset"]["rho"], **values,
+                 "arrival_time": None, "wall_seconds": 0.0} for p in points]
+
+    monkeypatch.setattr(cli, "_run_points", run_points)
+    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2, 4],
+                                           "rho": [50.0, 100.0], "parallelism": 0,
+                                           "out_dir": str(tmp_path / "sweep")})
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_OK
+    assert seen == [1]
 
 
 def test_sweep_empty_list_rejected(tmp_path, capsys):
@@ -622,3 +640,21 @@ def test_validate_perturbed_kappa_fails(capsys):
     assert "validate: 16/24 checks passed" in captured.out
     # the largest state difference, not the first failure (N=2 rho=10)
     assert "worst offender: oracle N=3 rho=100 " in captured.err
+
+
+def test_readme_cli_block_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    listed = {}
+    for line in block.strip().splitlines():  # a line not starting "spintrack" continues the last
+        if line.startswith("spintrack "):
+            current = listed.setdefault(line.split()[1], set())
+        current.update(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))
+    commands = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for command in ("run", "sweep", "validate", "info"):
+        options = set(commands[command]._option_string_actions) - {"-h", "--help", "--config"}
+        assert listed[command] == options, command
