@@ -338,7 +338,6 @@ def write_run_artifacts(result, out_dir):
             "max_step_residual": rec.max_step_residual,
             "capacitance_iterations_max": int(iters.max()) if iters is not None else None,
             "capacitance_iterations_mean": float(iters.mean()) if iters is not None else None,
-            "capacitance_gmres_from_step": rec.gmres_from_step,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
         },

@@ -2,7 +2,7 @@
 
 The implicit operator A is constant in time.  `CapacitanceSolver` factors
 its tridiagonal channel blocks once and solves the small detector system
-on every step, by correction sweeps or, once they stall, by GMRES.  It
+on every step by one preconditioned minimal-residual iteration.  It
 forms no sparse factor and does not read the sparse A, so no run builds
 it.  `run` steps in work buffers that it and the solver keep, so a step
 allocates one state-sized array, B x.
@@ -12,21 +12,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import lapack
 
 from . import observables
 from .state import StateVector
 
-# The capacitance sweeps stop at this relative residual and hand the
-# detector system to GMRES when they have not reached it after this many.
+# The detector-system iteration stops at this relative residual, and forgets
+# its search directions after every CAPACITANCE_RESTART iterations.
 CAPACITANCE_RTOL = 1e-15
-CAPACITANCE_MAX_SWEEPS = 20
+CAPACITANCE_RESTART = 30
 # Bits of the channel index that one matrix product of its eigenbasis
 # transform covers.
 TRANSFORM_CHUNK_BITS = 6
-# Krylov dimension of the GMRES capacitance solve's restart cycle.
-GMRES_RESTART = 30
 
 
 class SolverError(RuntimeError):
@@ -43,9 +40,9 @@ class SolveConfig:
 
     `rtol` bounds the relative residual of every step; the default keeps the
     per-step norm drift far below the run-level conservation guarantees.
-    `max_iter` counts the restart cycles, of GMRES_RESTART iterations each,
-    that GMRES may spend on one step's detector system once the correction
-    sweeps have handed it over.
+    `max_iter` counts the restart cycles, of CAPACITANCE_RESTART iterations
+    each, that the minimal-residual iteration may spend on one step's
+    detector system.
     """
 
     rtol: float = 1e-12
@@ -81,13 +78,11 @@ class CapacitanceSolver:
     change U acts bit by bit on the channel index and is never formed as an
     M x M matrix.  U (I + G0 D)^-1 U^H therefore preconditions the
     capacitance solve, which must absorb the group differences, of relative
-    size (dt / 2 hbar) * alpha * N.  A few correction sweeps absorb them.
-    When they do not reach CAPACITANCE_RTOL within CAPACITANCE_MAX_SWEEPS
-    (they slow down as alpha grows next to the flip coupling) or turn
-    non-finite, GMRES with the same preconditioner solves that step's
-    system and, with `gmres` set, every later one: the operator is the same
-    on every step.  `iterations` holds the sweeps plus GMRES iterations of
-    the last solve.  No sparse factor is formed.
+    size (dt / 2 hbar) * alpha * N.  GCR, a minimal-residual Krylov
+    iteration on the preconditioned system, absorbs them: two iterations at
+    the preset, and a few tens when alpha is large next to the flip
+    coupling, restarting every CAPACITANCE_RESTART iterations.  `iterations`
+    holds the iterations of the last solve.  No sparse factor is formed.
     """
 
     def __init__(self, system, config):
@@ -105,7 +100,6 @@ class CapacitanceSolver:
         self._coupled = bool(h.flip_strength)
         self._max_iter = config.max_iter
         self.iterations = 0
-        self.gmres = False
         if not self._coupled:
             return
         det = h.detector_indices
@@ -137,45 +131,41 @@ class CapacitanceSolver:
         y = np.matmul(self._block_inv, y[:, :, None])[:, :, 0]
         return _apply_bitwise(self._transform, y, adjoint=False)
 
-    def _sweeps(self, w, w_norm):
-        """Solve (I + G K) v = w by preconditioned correction sweeps; None if they stall."""
-        v = self._precondition(w)
-        for _ in range(CAPACITANCE_MAX_SWEEPS):
-            res = w - v - self._gk(v)
-            residual = _norm(res) / w_norm if w_norm else _norm(res)
+    def _minimal_residual(self, w, w_norm):
+        """Solve (I + G K) v = w by GCR, from v = 0.
+
+        Each new pair z = P r, q = (I + G K) z is orthonormalized against the cycle's q.
+        """
+        v = np.zeros_like(w)
+        if not w_norm:
+            return v
+        r = w.copy()
+        for k in range(self._max_iter * CAPACITANCE_RESTART):
+            if k % CAPACITANCE_RESTART == 0:
+                zs, qs = [], []  # a new restart cycle
+            z = self._precondition(r)
+            q = z + self._gk(z)
+            for zi, qi in zip(zs, qs):
+                c = np.vdot(qi, q)
+                q -= c * qi
+                z -= c * zi
+            q_norm = _norm(q)
+            q /= q_norm
+            z /= q_norm
+            a = np.vdot(q, r)
+            v += a * z
+            r -= a * q
+            self.iterations += 1
+            residual = _norm(r) / w_norm
             if residual <= CAPACITANCE_RTOL:
                 return v
             if not np.isfinite(residual):
                 break
-            v += self._precondition(res)
-            self.iterations += 1
-        return None
-
-    def _gmres(self, w, w_norm):
-        """Solve (I + G K) v = w by GMRES with the sweeps' preconditioner."""
-        iterations = []  # one entry per GMRES iteration
-        # built per call: operators kept on self would close a reference
-        # cycle, which holds every dropped solver's buffers until a collection
-        size = (w.size, w.size)
-        operator = sparse_linalg.LinearOperator(
-            size, matvec=lambda v: v + self._gk(v.reshape(w.shape)).ravel(), dtype=w.dtype
-        )
-        preconditioner = sparse_linalg.LinearOperator(
-            size, matvec=lambda v: self._precondition(v.reshape(w.shape)).ravel(), dtype=w.dtype
-        )
-        v, info = sparse_linalg.gmres(
-            operator, w.ravel(), rtol=CAPACITANCE_RTOL, atol=0.0, restart=GMRES_RESTART,
-            maxiter=self._max_iter, M=preconditioner,
-            callback=iterations.append, callback_type="pr_norm",
-        )
-        v = v.reshape(w.shape)
-        self.iterations += len(iterations)
-        if info == 0:
-            return v
-        residual = _norm(w - v - self._gk(v)) / w_norm
+            zs.append(z)
+            qs.append(q)
         raise SolverError(
-            f"detector capacitance GMRES stopped at relative residual {residual:.3e} (target "
-            f"{CAPACITANCE_RTOL:g} within {self._max_iter} restarts of {GMRES_RESTART})",
+            f"detector capacitance solve stopped at relative residual {residual:.3e} (target "
+            f"{CAPACITANCE_RTOL:g} within {self._max_iter} restarts of {CAPACITANCE_RESTART})",
             residual=residual,
         )
 
@@ -188,17 +178,14 @@ class CapacitanceSolver:
         if self._coupled:
             w = np.empty((len(r), len(self._det)), dtype=np.complex128)
             # a non-finite rhs turns w NaN quietly; its norm then raises
-            # SolverError before either solve runs, so `gmres` stays as it was
+            # SolverError before the iteration runs
             with np.errstate(invalid="ignore"):
                 for sl, (band, rows) in zip(self._slices, self._rows):
                     w[order[sl]] = r[sl, band] @ rows
             w_norm = _norm(w)
             if not np.isfinite(w_norm):
                 raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
-            v = None if self.gmres else self._sweeps(w, w_norm)
-            if v is None:  # the sweeps stalled, on this step or an earlier one
-                self.gmres = True
-                v = self._gmres(w, w_norm)
+            v = self._minimal_residual(w, w_norm)
             r[:, self._det] -= self._apply_k(v)[order]
         for sl, lu in zip(self._slices, self._factors):
             _tridiagonal_solve(lu, r[sl])
@@ -309,9 +296,7 @@ class RunRecord:
     `max_step_residual` is the largest relative residual of any step, and
     `capacitance_iterations` (length num_steps) holds each step's detector
     solve iterations (`CapacitanceSolver.iterations`); both are None when
-    the record was not produced by `run`.  `gmres_from_step` is the first
-    step whose detector system GMRES solved, None when the sweeps held on
-    every step.
+    the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -325,7 +310,6 @@ class RunRecord:
     final_state: StateVector
     max_step_residual: float | None = None
     capacitance_iterations: np.ndarray | None = None
-    gmres_from_step: int | None = None
 
 
 def run(system, initial, num_steps, config=None, sides=None):
@@ -386,7 +370,6 @@ def run(system, initial, num_steps, config=None, sides=None):
     solver = make_linear_solver(system, config)
     worst = 0.0
     iterations = np.empty(num_steps, dtype=np.int64)
-    gmres_from_step = None
     for k in range(1, num_steps + 1):
         rhs = bx
         try:
@@ -401,8 +384,6 @@ def run(system, initial, num_steps, config=None, sides=None):
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
         iterations[k - 1] = solver.iterations
-        if solver.gmres and gmres_from_step is None:
-            gmres_from_step = k
         record(k, bx)
     return RunRecord(
         times=times,
@@ -416,5 +397,4 @@ def run(system, initial, num_steps, config=None, sides=None):
         final_state=state,
         max_step_residual=worst,
         capacitance_iterations=iterations,
-        gmres_from_step=gmres_from_step,
     )

@@ -216,7 +216,6 @@ def test_run_writes_artifacts(tmp_path):
     assert 0.0 < res["max_step_residual"] <= summary["resolved"]["solver"]["rtol"]
     assert isinstance(res["capacitance_iterations_max"], int)
     assert res["capacitance_iterations_max"] >= res["capacitance_iterations_mean"] >= 0.0
-    assert res["capacitance_gmres_from_step"] is None  # the sweeps held on every step
 
 
 def test_run_rho_zero_override(tmp_path):
@@ -408,29 +407,27 @@ def _coarse_sweep(tmp_path):
 
 
 def _large_alpha_config(tmp_path, **solver):
-    # a spin energy far above the preset's stalls the detector-capacitance
-    # sweeps at their bound on step 1
+    # a spin energy far above the preset's takes the detector-capacitance
+    # iteration tens of steps
     payload = small_explicit_config(tmp_path / "out", alpha=1e3, rho=1e6, num_spins=4)
     return _write(tmp_path / "cfg.json", {**payload, "solver": solver})
 
 
-def test_run_hands_over_to_gmres_at_large_alpha(tmp_path):
+def test_run_solves_large_alpha(tmp_path):
     cfg = _large_alpha_config(tmp_path)
     with pytest.warns(UserWarning, match="phases will be inaccurate"):
         assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
     res = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
-    assert res["capacitance_gmres_from_step"] == 1
     assert res["max_step_residual"] <= 1e-12
 
 
 def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys, monkeypatch):
-    # GMRES, handed the stalled step, gets one restart cycle of two
-    # iterations, too few for this detector system
-    monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
+    # one restart cycle of two iterations is too few for this detector system
+    monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 2)
     cfg = _large_alpha_config(tmp_path, max_iter=1)
     with pytest.warns(UserWarning, match="phases will be inaccurate"):
         assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
-    assert "GMRES" in capsys.readouterr().err
+    assert "detector capacitance solve stopped" in capsys.readouterr().err
 
 
 def test_obsolete_solver_method_key(tmp_path, capsys):
@@ -658,3 +655,15 @@ def test_readme_cli_block_matches_the_parser():
     for command in ("run", "sweep", "validate", "info"):
         options = set(commands[command]._option_string_actions) - {"-h", "--help", "--config"}
         assert listed[command] == options, command
+
+
+def test_readme_outputs_list_the_summary_results(tmp_path):
+    # README's "Outputs" names every results key of summary.json in its list
+    # items, and no other, so a key added, renamed or deleted shows there
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", _write(tmp_path / "cfg.json", small_explicit_config(out))]) == 0
+    results = json.loads((out / "summary.json").read_text())["results"]
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    outputs = readme.split("\n### Outputs\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", " ".join(re.findall(r"^  - (.*?):", outputs, re.M)))
+    assert sorted(listed) == sorted(results)

@@ -1,4 +1,8 @@
-"""Dense reference implementation vs the production path."""
+"""The dense reference implementation.
+
+Its comparison with the production path over the 24-case matrix runs as
+`spintrack validate`, in tests/test_cli.py.
+"""
 
 import runpy
 from pathlib import Path
@@ -10,7 +14,6 @@ from spintrack import TimeGrid, assemble_hamiltonian, initial_state
 from spintrack.oracle import (
     dense_hamiltonian,
     dense_run,
-    production_vs_dense,
     scaled_params,
     small_instance,
 )
@@ -64,47 +67,6 @@ def test_free_single_spin_channels_evolve_independently():
         psi = np.linalg.solve(a, b @ psi)
     assert np.max(np.abs(final.values[0] - psi)) <= 1e-12
     assert np.all(final.values[1] == 0.0)
-
-
-@pytest.mark.parametrize("rho", [0.0, 10.0, 100.0])
-def test_production_matches_oracle(rho):
-    # validate's N=2 instance, whose packet starts on the right detector, over
-    # its beta and kappa cases
-    grid, layout = small_instance(2, 100)
-    tgrid = TimeGrid(t_final=50 * 0.065 / 350, num_steps=50)
-    for beta in (0.0, 1e-4):
-        for kappa in (1, 2):
-            params = scaled_params(rho=rho, beta=beta, kappa=kappa, x0=0.5)
-            max_abs, prob_diff = production_vs_dense(params, grid, layout, tgrid)
-            assert max_abs <= 1e-10, (beta, kappa)
-            assert prob_diff <= 1e-12, (beta, kappa)
-
-
-@pytest.mark.parametrize("beta", [0.0, 1e-4])
-@pytest.mark.parametrize("kappa", [1, 2])
-def test_production_matches_oracle_matrix_n3(beta, kappa):
-    # validate's N=3 instance over its rho cases
-    grid, layout = small_instance(3, 128)
-    tgrid = TimeGrid(t_final=40 * 0.065 / 350, num_steps=40)
-    for rho in (0.0, 10.0, 100.0):
-        params = scaled_params(rho=rho, beta=beta, kappa=kappa)
-        max_abs, prob_diff = production_vs_dense(params, grid, layout, tgrid)
-        assert max_abs <= 1e-10, rho
-        assert prob_diff <= 1e-12, rho
-
-
-@pytest.mark.parametrize("beta", [0.0, 1e-4])
-@pytest.mark.parametrize("kappa", [1, 2])
-def test_gmres_matches_oracle_n3(beta, kappa, monkeypatch):
-    # validate's N=3, rho=100 cases with no correction sweeps allowed, so
-    # that GMRES solves the detector system from step 1
-    monkeypatch.setattr("spintrack.solver.CAPACITANCE_MAX_SWEEPS", 0)
-    grid, layout = small_instance(3, 128)
-    tgrid = TimeGrid(t_final=40 * 0.065 / 350, num_steps=40)
-    params = scaled_params(rho=100.0, beta=beta, kappa=kappa)
-    max_abs, prob_diff = production_vs_dense(params, grid, layout, tgrid)
-    assert max_abs <= 1e-10
-    assert prob_diff <= 1e-12
 
 
 def test_dense_oracle_demo_runs(tmp_path, monkeypatch):

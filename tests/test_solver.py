@@ -20,7 +20,7 @@ from spintrack import (
 from spintrack import cli, observables
 from spintrack.assembly import DiscreteHamiltonian
 from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
-from spintrack.solver import CAPACITANCE_MAX_SWEEPS, CAPACITANCE_RTOL, CapacitanceSolver
+from spintrack.solver import CAPACITANCE_RTOL, CapacitanceSolver
 
 
 def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065 / 350):
@@ -30,11 +30,6 @@ def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065
     system = assemble_cn(h, dt, params.hbar)
     psi0 = initial_state(params, grid, h.num_channels)
     return system, psi0, layout
-
-
-def _force_handover(monkeypatch):
-    """No correction sweeps: every solver hands its first solve to GMRES."""
-    monkeypatch.setattr("spintrack.solver.CAPACITANCE_MAX_SWEEPS", 0)
 
 
 def test_solve_config_validation():
@@ -61,9 +56,9 @@ def test_run_rejects_nonfinite_state(value):
         run(system, _with_entry(psi0, value), 5, sides=layout.sides)
 
 
-def test_nonfinite_rhs_leaves_the_solver_on_the_sweeps():
-    # the refused solve hands nothing to GMRES, so the next one sweeps as a
-    # fresh solver's does
+def test_nonfinite_rhs_leaves_the_solver_usable():
+    # the refused solve keeps no state, so the next one runs as a fresh
+    # solver's does
     system, psi0, _ = _system(num_points=120)
     rhs = system.b @ psi0.values.ravel()
     bad = rhs.copy()
@@ -71,10 +66,10 @@ def test_nonfinite_rhs_leaves_the_solver_on_the_sweeps():
     solver = make_linear_solver(system, SolveConfig())
     with pytest.raises(SolverError, match="not finite"):
         solver.solve(bad)
-    assert not solver.gmres
     x = solver.solve(rhs)
-    assert solver.iterations == 1
-    np.testing.assert_array_equal(x, make_linear_solver(system, SolveConfig()).solve(rhs))
+    fresh = make_linear_solver(system, SolveConfig())
+    np.testing.assert_array_equal(x, fresh.solve(rhs))
+    assert solver.iterations == fresh.iterations > 0
 
 
 def _solve_chain(system, psi0, num_steps, linear_solver=None):
@@ -216,22 +211,35 @@ def test_single_free_channel_norm_preserved():
     assert abs(after - before) <= 1e-12
 
 
-def test_iterative_matches_direct(monkeypatch):
-    # the sweeps against GMRES, which a forced hand-over runs from step 1
+def test_iterative_matches_direct():
+    # the minimal-residual iteration against a dense solve of the same
+    # detector system, (I + G K) v = w, formed column by column
+    system, psi0, _ = _system(num_spins=3, num_points=120)
+    solver = make_linear_solver(system, SolveConfig())
+    w = system.b @ psi0.values.ravel()
+    w = w.reshape(psi0.values.shape)[:, system.h.detector_indices]
+    eye = np.eye(w.size).reshape(-1, *w.shape)
+    dense = np.stack([(e + solver._gk(e)).ravel() for e in eye], axis=1)
+    v = solver._minimal_residual(w, np.linalg.norm(w))
+    reference = np.linalg.solve(dense, w.ravel()).reshape(w.shape)
+    assert np.linalg.norm(v - reference) <= 1e-14 * np.linalg.norm(reference)
+    assert solver.iterations == 2
+
+
+def test_zero_rhs_solves_to_zero_without_iterating(recwarn):
+    # w = 0 returns before any direction is normalized, so nothing divides
+    # by a zero norm
     system, psi0, _ = _system(num_points=120)
-    rhs = system.b @ psi0.values.ravel()
-    sweeps = make_linear_solver(system, SolveConfig())
-    direct = sweeps.solve(rhs)
-    _force_handover(monkeypatch)
-    gmres = make_linear_solver(system, SolveConfig(max_iter=300))
-    iterative = gmres.solve(rhs)
-    assert not sweeps.gmres and gmres.gmres
-    assert np.max(np.abs(direct - iterative)) <= 1e-10
+    solver = make_linear_solver(system, SolveConfig())
+    x = solver.solve(np.zeros(system.dim, dtype=complex))
+    assert not x.any()
+    assert solver.iterations == 0
+    assert not recwarn.list
 
 
 def _large_alpha_system(alpha):
     # a spin energy this large next to the flip coupling makes the groups'
-    # detector blocks differ so much that the correction sweeps stall
+    # detector blocks differ so much that the iteration needs tens of steps
     params = scaled_params(rho=1e6, alpha=alpha)
     grid, layout = small_instance(4, 100)
     h = assemble_hamiltonian(params, grid, layout)
@@ -239,47 +247,56 @@ def _large_alpha_system(alpha):
 
 
 def test_iterative_exhaustion_raises_with_residual(rng, monkeypatch):
-    # the large-alpha detector system needs more GMRES iterations than a
-    # starved budget of one restart cycle of two gives it
-    monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
-    _force_handover(monkeypatch)
+    # the large-alpha detector system needs more iterations than a starved
+    # budget of one restart cycle of two gives it
+    monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 2)
     system = _large_alpha_system(1e3)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
     solver = make_linear_solver(system, SolveConfig(max_iter=1))
-    with pytest.raises(SolverError, match="GMRES") as err:
+    with pytest.raises(SolverError, match="capacitance") as err:
         solver.solve(rhs)
     assert err.value.residual > CAPACITANCE_RTOL
     assert solver.iterations == 2
 
 
 @pytest.mark.parametrize("alpha", [1e3, 1e6])
-def test_iterative_solves_large_alpha(alpha, rng, monkeypatch):
-    # the sweeps stall here and hand the detector system to GMRES, with the
-    # same preconditioner, which matches a sparse LU of the assembled A; the
-    # next solve goes to GMRES without sweeping
+def test_iterative_solves_large_alpha(alpha, rng):
+    # tens of iterations, which match a sparse LU of the assembled A, and
+    # a repeated solve repeats them exactly
     system = _large_alpha_system(alpha)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
     solver = make_linear_solver(system, SolveConfig())
     x = solver.solve(rhs)
     reference = sparse_linalg.spsolve(system.a, rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
-    assert solver.gmres
     first = solver.iterations
-    swept = []
-    monkeypatch.setattr(solver, "_sweeps", swept.append)
     np.testing.assert_array_equal(solver.solve(rhs), x)
-    assert not swept
-    assert 0 < solver.iterations < first
+    assert solver.iterations == first
 
 
-def test_solve_paths_do_not_build_a(monkeypatch):
-    # A is built only when read; neither the sweeps nor GMRES reads it
+def test_iterative_restarts_converge(rng, monkeypatch):
+    # the preset never reaches a restart; with one every two iterations the
+    # large-alpha system needs many cycles, more iterations than without
+    # restarts, and still converges
+    system = _large_alpha_system(1e3)
+    rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    unrestarted = make_linear_solver(system, SolveConfig())
+    unrestarted.solve(rhs)
+    monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 2)
+    solver = make_linear_solver(system, SolveConfig())
+    x = solver.solve(rhs)
+    reference = sparse_linalg.spsolve(system.a, rhs)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert solver.iterations > unrestarted.iterations
+
+
+def test_solve_paths_do_not_build_a(rng):
+    # A is built only when read; neither run() nor a many-iteration solve reads it
     system, psi0, layout = _system(num_points=120)
     run(system, psi0, 3, sides=layout.sides)
     assert "a" not in vars(system)
-    _force_handover(monkeypatch)
-    system, psi0, layout = _system(num_points=120)
-    assert run(system, psi0, 3, sides=layout.sides).gmres_from_step == 1
+    system = _large_alpha_system(1e3)
+    make_linear_solver(system, SolveConfig()).solve(rng.standard_normal(system.dim) + 0j)
     assert "a" not in vars(system)
 
 
@@ -417,15 +434,11 @@ def test_direct_preset_run_matches_sparse_lu():
     assert 1 <= record.capacitance_iterations.max() <= 3
 
 
-@pytest.mark.parametrize("handover", [False, True], ids=["direct", "iterative"])
-def test_buffered_run_matches_step_chain(handover, monkeypatch):
+def test_buffered_run_matches_step_chain():
     # run() advances one state buffer in place; the chain of solves
-    # allocates afresh; with the forced hand-over both step by GMRES
-    if handover:
-        _force_handover(monkeypatch)
+    # allocates afresh
     system, psi0, layout = _system(num_spins=3, num_points=120)
     record = run(system, psi0, 25, sides=layout.sides)
-    assert record.gmres_from_step == (1 if handover else None)
     state = _solve_chain(system, psi0, 25, make_linear_solver(system, SolveConfig()))[-1]
     np.testing.assert_array_equal(record.final_state.values, state.values)
 
@@ -444,20 +457,6 @@ def test_run_final_state_owns_its_memory(monkeypatch):
     assert buffers
     assert not any(np.shares_memory(final, buf) for buf in buffers)
     assert not np.shares_memory(final, psi0.values)
-
-
-def test_direct_capacitance_bound_raises_with_residual(rng, monkeypatch):
-    # the sweeps run to their bound and hand over; the only capacitance
-    # error left is GMRES's, here on a starved budget, and the step's count
-    # holds both the sweeps and the GMRES iterations
-    monkeypatch.setattr("spintrack.solver.GMRES_RESTART", 2)
-    system = _large_alpha_system(1e3)
-    rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-    solver = make_linear_solver(system, SolveConfig(max_iter=1))
-    with pytest.raises(SolverError, match="capacitance GMRES") as err:
-        solver.solve(rhs)
-    assert err.value.residual > CAPACITANCE_RTOL
-    assert solver.iterations == CAPACITANCE_MAX_SWEEPS + 2
 
 
 def test_direct_detector_free_solve(rng):
