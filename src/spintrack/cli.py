@@ -6,7 +6,7 @@ run       one simulation from a JSON config file; writes timeseries.csv,
           channels_final.csv and summary.json into the output directory
 sweep     a grid of (N, rho) points sharing one epsilon-scaled preset;
           writes sweep.csv plus per-point artifacts in subdirectories
-validate  the production path against the dense oracle over a coupling matrix
+validate  production vs dense oracle over a coupling matrix, plus kappa controls
 info      resolve a config without running; prints its parameters as JSON
 
 Exit codes: 0 success, 1 validation mismatch, 2 config error,
@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -518,11 +518,12 @@ def cmd_info(args):
 # validate: the production path against the dense oracle
 
 
-def _validate_checks(perturb_kappa=False):
-    """Yield (name, max state diff, max probability diff) for each case of the dense-oracle matrix.
+def _validate_checks():
+    """Yield (name, max state diff, max probability diff, must agree) for each check.
 
-    With `perturb_kappa` the production path runs every kappa=1 case at
-    kappa=2, a negative control that must fail exactly those cases.
+    A check compares the production and dense evolutions of one case of the
+    matrix, which must agree.  For rho > 0 a control pairs the kappa=2
+    production state with the kappa=1 dense state, which must not.
     """
     # Started at the origin, the N=2 packet would not reach its detectors
     # (x = +-0.56) in 50 steps, so it starts on the right one.
@@ -531,29 +532,29 @@ def _validate_checks(perturb_kappa=False):
         tgrid = model.TimeGrid(t_final=0.065 * steps / 350.0, num_steps=steps)
         for rho in (0.0, 10.0, 100.0):
             for beta in (0.0, 1e-4):
+                final = {}  # kappa -> (production, dense) final states
                 for kappa in (1, 2):
                     params = oracle.scaled_params(rho, beta, kappa, x0=x0)
-                    skewed = replace(params, kappa=2) if perturb_kappa else params
-                    max_abs, prob_diff = oracle.production_vs_dense(
-                        params, grid, layout, tgrid, production_params=skewed
-                    )
-                    yield f"oracle N={n} rho={rho:g} beta={beta:g} kappa={kappa}", max_abs, prob_diff
+                    final[kappa] = oracle.final_states(params, grid, layout, tgrid)
+                    name = f"oracle N={n} rho={rho:g} beta={beta:g} kappa={kappa}"
+                    yield name, *oracle.differences(*final[kappa]), True
+                if rho:  # at rho = 0, kappa has nothing to scale
+                    name = f"control N={n} rho={rho:g} beta={beta:g} kappa=2 vs dense kappa=1"
+                    yield name, *oracle.differences(final[2][0], final[1][1]), False
 
 
 def cmd_validate(args):
-    perturb = getattr(args, "perturb_kappa", False)
-    failures = []  # (state diff, name, detail)
-    count = 0
-    for name, max_abs, prob_diff in _validate_checks(perturb_kappa=perturb):
-        count += 1
-        passed = max_abs <= 1e-10 and prob_diff <= 1e-12
+    results = {True: [], False: []}  # must agree -> (passed, state diff, name, detail) of each
+    for name, max_abs, prob_diff, must_agree in _validate_checks():
+        passed = (max_abs <= 1e-10 and prob_diff <= 1e-12) == must_agree
         detail = f"state diff {max_abs:.2e}, prob diff {prob_diff:.2e}"
         print(f"[{' ok ' if passed else 'FAIL'}] {name}: {detail}")
-        if not passed:
-            failures.append((max_abs, name, detail))
-    print(f"validate: {count - len(failures)}/{count} checks passed")
-    if failures:
-        _, name, detail = max(failures, key=lambda failure: failure[0])
+        results[must_agree].append((passed, max_abs, name, detail))
+    checks, controls = (f"{sum(r[0] for r in results[k])}/{len(results[k])}" for k in (True, False))
+    print(f"validate: {checks} checks passed, {controls} controls caught")
+    failed = [r for r in results[True] if not r[0]] or [r for r in results[False] if not r[0]]
+    if failed:  # the failed check with the largest state diff, else an uncaught control
+        _, _, name, detail = max(failed)
         print(f"worst offender: {name} ({detail})", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
@@ -578,10 +579,6 @@ def build_parser():
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check the production path against the dense oracle")
-    p_val.add_argument(
-        "--perturb-kappa", dest="perturb_kappa", action="store_true",
-        help="negative control: force a coupling-factor mismatch (must fail)",
-    )
     p_val.set_defaults(func=cmd_validate)
 
     p_info = sub.add_parser("info", help="print the resolved parameters as JSON without running")

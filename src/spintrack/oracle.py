@@ -4,8 +4,8 @@ The dense Hamiltonian is written directly from the stencil definitions,
 entry by entry, on purpose sharing no construction code with `assembly`,
 and `dense_run` evolves it with dense LU instead of the structured direct
 solve: a transcription slip in either implementation shows up as a mismatch
-when the two evolutions are compared.  Only `production_vs_dense` runs
-production code, to make that comparison.  Size is capped so the dense
+when the two evolutions are compared.  Only `final_states` runs production
+code, to make that comparison.  Size is capped so the dense
 matrices stay trivially cheap.  `scaled_params` and `small_instance` build
 the coarse instances that `spintrack validate` and the test suite run on.
 """
@@ -119,19 +119,20 @@ def dense_run(params, grid, layout, time_grid):
     return StateVector(v.reshape(m, grid.num_points), grid.dx)
 
 
-def production_vs_dense(params, grid, layout, time_grid, production_params=None):
-    """(max state diff, max channel-probability diff) of the two evolutions.
+def final_states(params, grid, layout, time_grid):
+    """(production, dense) final StateVectors of one instance, from `run` and `dense_run`."""
+    h = assemble_hamiltonian(params, grid, layout)
+    system = assemble_cn(h, time_grid.dt, params.hbar)
+    production = run(system, model.initial_state(params, grid, h.num_channels), time_grid.num_steps)
+    return production.final_state, dense_run(params, grid, layout, time_grid)
 
-    The production path (`assemble_hamiltonian`, `assemble_cn`,
-    `initial_state`, `run`) evolves one instance with `production_params`
-    (default `params`), and `dense_run` evolves it with `params`.
-    """
-    production_params = production_params or params
-    h = assemble_hamiltonian(production_params, grid, layout)
-    system = assemble_cn(h, time_grid.dt, production_params.hbar)
-    psi0 = model.initial_state(production_params, grid, h.num_channels)
-    production = run(system, psi0, time_grid.num_steps).final_state
-    reference = dense_run(params, grid, layout, time_grid)
-    max_abs = np.max(np.abs(production.values - reference.values))
-    prob_diff = np.max(np.abs(channel_probs(production).probs - channel_probs(reference).probs))
-    return float(max_abs), float(prob_diff)
+
+def differences(a, b):
+    """(max state diff, max channel-probability diff) of two final states."""
+    prob_diff = np.max(np.abs(channel_probs(a).probs - channel_probs(b).probs))
+    return float(np.max(np.abs(a.values - b.values))), float(prob_diff)
+
+
+def production_vs_dense(params, grid, layout, time_grid):
+    """`differences` of the production and dense evolutions of one instance."""
+    return differences(*final_states(params, grid, layout, time_grid))

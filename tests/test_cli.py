@@ -616,27 +616,45 @@ def _oracle_cases():
     ]
 
 
+def _control_cases():
+    # kappa scales the coupling kappa*rho, so only rho > 0 has a control
+    return [
+        f"control N={n} rho={rho:g} beta={beta:g} kappa=2 vs dense kappa=1"
+        for n in (2, 3)
+        for rho in (10.0, 100.0)
+        for beta in (0.0, 1e-4)
+    ]
+
+
 def test_validate_passes(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[ ok ]") == 24
-    assert "validate: 24/24 checks passed" in out
-    for case in _oracle_cases():
+    assert out.count("[ ok ]") == 32
+    assert "validate: 24/24 checks passed, 8/8 controls caught" in out
+    for case in _oracle_cases() + _control_cases():
         assert out.count(f"[ ok ] {case}:") == 1
     assert "FAIL" not in out
 
 
-def test_validate_perturbed_kappa_fails(capsys):
-    assert cli.main(["validate", "--perturb-kappa"]) == cli.EXIT_MISMATCH
+def test_validate_reports_failed_checks_and_uncaught_controls(monkeypatch, capsys):
+    # a check fails when its pair differs; a control, when its pair agrees
+    def checks():
+        yield "check a", 1e-3, 1e-5, True
+        yield "check b", 1e-14, 1e-15, True
+        yield "check c", 2e-2, 1e-14, True
+        yield "control d", 1e-14, 1e-15, False
+        yield "control e", 1e-1, 1e-3, False
+
+    monkeypatch.setattr(cli, "_validate_checks", checks)
+    assert cli.main(["validate"]) == cli.EXIT_MISMATCH
     captured = capsys.readouterr()
-    # kappa scales the coupling kappa*rho, so the skew shows in exactly the
-    # kappa=1 cases with rho > 0
-    for case in _oracle_cases():
-        skewed = case.endswith("kappa=1") and " rho=0 " not in case
-        assert captured.out.count(f"[{'FAIL' if skewed else ' ok '}] {case}:") == 1
-    assert "validate: 16/24 checks passed" in captured.out
-    # the largest state difference, not the first failure (N=2 rho=10)
-    assert "worst offender: oracle N=3 rho=100 " in captured.err
+    for name in ("check a", "check c", "control d"):
+        assert captured.out.count(f"[FAIL] {name}:") == 1
+    for name in ("check b", "control e"):
+        assert captured.out.count(f"[ ok ] {name}:") == 1
+    assert "validate: 1/3 checks passed, 1/2 controls caught" in captured.out
+    # the largest state difference among the failed checks, not the first failure
+    assert captured.err == "worst offender: check c (state diff 2.00e-02, prob diff 1.00e-14)\n"
 
 
 def test_readme_cli_block_matches_the_parser():
