@@ -19,6 +19,7 @@ import inspect
 import json
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -68,6 +69,11 @@ _EXPLICIT_KEYS = {
 }
 _SOLVER_KEYS = {"method", *_keys(SolveConfig)}  # "method" is obsolete, kept for saved configs
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
+
+
+# A run's peak RSS above the interpreter is 10.3-12 state vectors (README,
+# "Performance notes"), so a run must have room for this many.
+WORKING_SET_VECTORS = 12
 
 
 def _fmt(x):
@@ -233,6 +239,24 @@ def resolve_run_config(cfg):
     )
 
 
+def _state_vector_bytes(setup):
+    """Bytes of one state vector: 2^N channels of Nx complex128 values."""
+    return (1 << setup.geom.num_spins) * setup.grid.num_points * 16
+
+
+def _memory_bytes():
+    """The memory this process can get: physical memory, or RLIMIT_AS when that is lower."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return physical if limit == resource.RLIM_INFINITY else min(physical, limit)
+
+
+def _peak_rss_mb():
+    """This process's peak resident set size in MB (1e6 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6  # bytes there, KiB elsewhere
+
+
 def resolved_dict(setup):
     """JSON-safe view of every resolved parameter; shared by `info` and summaries."""
     params, geom, grid, tgrid = setup.params, setup.geom, setup.grid, setup.tgrid
@@ -252,14 +276,25 @@ def resolved_dict(setup):
         "detector_indices": [int(i) for i in setup.layout.grid_indices],
         "sides": list(setup.layout.sides.signs),
         "predicted_arrival": geom.cluster_distance / params.p0,
-        "state_vector_bytes": m * grid.num_points * 16,
+        "state_vector_bytes": _state_vector_bytes(setup),
         "solver": asdict(setup.solve_config),
         "arrival_drop": setup.arrival_drop,
     }
 
 
 def simulate(setup):
-    """Assemble, integrate, and aggregate one configured run."""
+    """Assemble, integrate, and aggregate one configured run.
+
+    Raises ConfigurationError, before it allocates, when the run's working
+    set of WORKING_SET_VECTORS state vectors does not fit in memory.
+    """
+    needed = WORKING_SET_VECTORS * _state_vector_bytes(setup)
+    available = _memory_bytes()
+    if needed > available:
+        raise ConfigurationError(
+            f"the run needs about {needed} bytes ({WORKING_SET_VECTORS} state vectors), "
+            f"but this process can get {available} bytes"
+        )
     regime_notes = model.validate_regime(setup.params, setup.geom)
     h = assemble_hamiltonian(
         setup.params, setup.grid, setup.layout, boundary_mode=setup.boundary_mode
@@ -340,6 +375,7 @@ def write_run_artifacts(result, out_dir):
             "capacitance_iterations_mean": float(iters.mean()) if iters is not None else None,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
+            "peak_rss_mb": _peak_rss_mb(),
         },
         "warnings": result.regime_notes,
     }

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import time
 from pathlib import Path
@@ -216,6 +217,7 @@ def test_run_writes_artifacts(tmp_path):
     assert 0.0 < res["max_step_residual"] <= summary["resolved"]["solver"]["rtol"]
     assert isinstance(res["capacitance_iterations_max"], int)
     assert res["capacitance_iterations_max"] >= res["capacitance_iterations_mean"] >= 0.0
+    assert res["peak_rss_mb"] >= summary["resolved"]["state_vector_bytes"] / 1e6 > 0.0
 
 
 def test_run_rho_zero_override(tmp_path):
@@ -438,7 +440,7 @@ def test_obsolete_solver_method_key(tmp_path, capsys):
         payload = {**small_explicit_config(out), "solver": {"method": method}}
         assert cli.main(["run", "-c", _write(tmp_path / f"{method}.json", payload)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        del summary["results"]["wall_seconds"]
+        del summary["results"]["wall_seconds"], summary["results"]["peak_rss_mb"]
         artifacts.append(
             [(out / name).read_bytes() for name in ("timeseries.csv", "channels_final.csv")] + [summary]
         )
@@ -494,6 +496,41 @@ def test_sweep_exits_4_when_out_dir_is_a_file(tmp_path, monkeypatch, capsys):
     assert "I/O error: " in capsys.readouterr().err
     assert out.read_text() == "not a directory"
     assert not calls
+
+
+def test_run_refuses_a_working_set_that_does_not_fit(tmp_path, monkeypatch, capsys):
+    # 12 state vectors of 4 channels x 120 points: the run fits in exactly
+    # that much memory, and with one byte less it exits 2 before assembling
+    needed = cli.WORKING_SET_VECTORS * 4 * 120 * 16
+    cfg = _write(tmp_path / "cfg.json", small_explicit_config(tmp_path / "out"))
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: needed)
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
+    capsys.readouterr()
+
+    def assemble_hamiltonian(*args, **kwargs):
+        raise AssertionError("assembled a run that does not fit")
+
+    monkeypatch.setattr(cli, "assemble_hamiltonian", assemble_hamiltonian)
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: needed - 1)
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: the run needs about {needed} bytes" in err
+    assert f"can get {needed - 1} bytes" in err
+    assert cli.main(["info", "-c", cfg]) == cli.EXIT_OK  # info allocates nothing
+    out = tmp_path / "sweep"
+    sweep = {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "num_points": 120,
+             "num_steps": 5, "t_final": 0.005, "parallelism": 1, "out_dir": str(out)}
+    assert cli.main(["sweep", "-c", _write(tmp_path / "sweep.json", sweep)]) == cli.EXIT_CONFIG
+    assert "nan" in (out / "sweep.csv").read_text().split("\n")[1]
+
+
+def test_memory_bytes_takes_the_lower_address_space_limit(monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < cli._memory_bytes() <= physical
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda kind: (physical // 2, physical // 2))
+    assert cli._memory_bytes() == physical // 2
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda kind: (physical * 2, physical * 2))
+    assert cli._memory_bytes() == physical
 
 
 def test_sweep_records_failed_points(tmp_path, capsys):

@@ -237,6 +237,17 @@ def test_zero_rhs_solves_to_zero_without_iterating(recwarn):
     assert not recwarn.list
 
 
+def test_run_from_zero_state_stays_zero(recwarn):
+    # every right-hand side is zero, so the residual check falls back to the
+    # absolute residual, which is exactly zero, and no step iterates
+    system, psi0, layout = _system(num_points=120)
+    record = run(system, StateVector.zeros(*psi0.values.shape, psi0.dx), 10, sides=layout.sides)
+    assert not record.final_state.values.any()
+    assert record.max_step_residual == 0.0
+    assert not record.capacitance_iterations.any()
+    assert not recwarn.list
+
+
 def _large_alpha_system(alpha):
     # a spin energy this large next to the flip coupling makes the groups'
     # detector blocks differ so much that the iteration needs tens of steps
