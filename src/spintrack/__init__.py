@@ -53,6 +53,7 @@ from .spinspace import (
     classify,
     classify_all,
     mirror,
+    mirrors,
     spin_sum,
     spin_sums,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "initial_state",
     "make_linear_solver",
     "mirror",
+    "mirrors",
     "nominal_detector_positions",
     "place_detectors",
     "preset_from_epsilon",

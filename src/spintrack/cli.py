@@ -71,7 +71,7 @@ _SOLVER_KEYS = {"method", *_keys(SolveConfig)}  # "method" is obsolete, kept for
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
-# A run's peak RSS above the interpreter is 10.3-12 state vectors (README,
+# A preset run's peak RSS above the interpreter is 9.1-12 state vectors (README,
 # "Performance notes"), so a run must have room for this many.
 WORKING_SET_VECTORS = 12
 
@@ -282,12 +282,8 @@ def resolved_dict(setup):
     }
 
 
-def simulate(setup):
-    """Assemble, integrate, and aggregate one configured run.
-
-    Raises ConfigurationError, before it allocates, when the run's working
-    set of WORKING_SET_VECTORS state vectors does not fit in memory.
-    """
+def _check_footprint(setup):
+    """Raise ConfigurationError unless WORKING_SET_VECTORS state vectors fit in memory."""
     needed = WORKING_SET_VECTORS * _state_vector_bytes(setup)
     available = _memory_bytes()
     if needed > available:
@@ -295,6 +291,15 @@ def simulate(setup):
             f"the run needs about {needed} bytes ({WORKING_SET_VECTORS} state vectors), "
             f"but this process can get {available} bytes"
         )
+
+
+def simulate(setup):
+    """Assemble, integrate, and aggregate one configured run.
+
+    Raises ConfigurationError, before it allocates, when the run does not
+    fit in memory (`_check_footprint`).
+    """
+    _check_footprint(setup)
     regime_notes = model.validate_regime(setup.params, setup.geom)
     h = assemble_hamiltonian(
         setup.params, setup.grid, setup.layout, boundary_mode=setup.boundary_mode
@@ -373,6 +378,7 @@ def write_run_artifacts(result, out_dir):
             "max_step_residual": rec.max_step_residual,
             "capacitance_iterations_max": int(iters.max()) if iters is not None else None,
             "capacitance_iterations_mean": float(iters.mean()) if iters is not None else None,
+            "stored_channels": rec.stored_channels,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
             "peak_rss_mb": _peak_rss_mb(),
@@ -389,6 +395,7 @@ def cmd_run(args):
     setup = resolve_run_config(load_config(args.config))
     for note in model.validate_regime(setup.params, setup.geom):
         print(f"warning: {note}", file=sys.stderr)
+    _check_footprint(setup)  # a refused run leaves no output directory behind
     Path(setup.out_dir).mkdir(parents=True, exist_ok=True)  # unusable: fail before the run
     result = simulate(setup)
     summary = write_run_artifacts(result, setup.out_dir)

@@ -131,7 +131,11 @@ def build_grid(half_length, num_points):
         raise ConfigurationError(f"need at least 3 grid points, got {num_points}")
     if half_length <= 0:
         raise ConfigurationError("half_length must be positive")
-    xs = np.linspace(-half_length, half_length, num_points)
+    # x_i = (2i - (Nx-1)) L/(Nx-1): the integer factor is exactly odd under
+    # i -> Nx-1-i, so xs == -xs[::-1] holds bit for bit (linspace misses by
+    # an ulp), and a mirror-symmetric run stays exactly symmetric
+    xs = (2 * np.arange(num_points) - (num_points - 1)) * (half_length / (num_points - 1))
+    xs[[0, -1]] = -half_length, half_length
     dx = 2.0 * half_length / (num_points - 1)
     return Grid(xs=xs, dx=dx)
 

@@ -5,16 +5,24 @@ its tridiagonal channel blocks once and solves the small detector system
 on every step by one preconditioned minimal-residual iteration.  It
 forms no sparse factor and does not read the sparse A, so no run builds
 it.  `run` steps in work buffers that it and the solver keep, so a step
-allocates one state-sized array, B x.
+allocates one array the size of the stored state, B x.
+
+When H and the initial state are both even under the mirror map
+P = (x -> -x) x (detector j <-> N-1-j), every state of the run is too:
+psi(mirror m, x) = psi(m, -x).  `run` then stores one channel per orbit
+{m, mirror m} (`_Orbits`), 136 of the 256 at N = 8, and reads the other
+channel of a pair from its stored image, reversed in x.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.linalg import lapack
 
 from . import observables
+from .spinspace import mirrors
 from .state import StateVector
 
 # The detector-system iteration stops at this relative residual, and forgets
@@ -90,6 +98,7 @@ class CapacitanceSolver:
         f = 1j * system.dt / (2.0 * system.hbar)
         lower, upper = f * h.lower, f * h.upper
         shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
+        self._group_of = group_of
         self._order = np.argsort(group_of, kind="stable")
         bounds = np.searchsorted(group_of[self._order], np.arange(len(shifts) + 1))
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
@@ -169,28 +178,58 @@ class CapacitanceSolver:
             residual=residual,
         )
 
+    def _solve_grouped(self, r, channels, slices, orbits=None):
+        """Overwrite the rows `r` with A^-1 r.
+
+        Row s of `r` is channel `channels[s]`, and the rows of group g are
+        `slices[g]`.  Without `orbits` the rows are every channel; with
+        them, they are the stored rows, and the detector values of an
+        unstored channel are its image's, reversed: each block T_g is
+        reversal-symmetric, so (T_g^-1 J r)[i_j] = (T_g^-1 r)[i_(N-1-j)].
+        """
+        self.iterations = 0
+        if self._coupled:
+            w = np.empty((len(self._g), len(self._det)), dtype=np.complex128)
+            # a non-finite rhs turns w NaN quietly; its norm then raises
+            # SolverError before the iteration runs
+            with np.errstate(invalid="ignore"):
+                for sl, (band, rows) in zip(slices, self._rows):
+                    w[channels[sl]] = r[sl, band] @ rows
+            if orbits is not None:
+                orbits.fill(w)
+            w_norm = _norm(w)
+            if not np.isfinite(w_norm):
+                raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
+            v = self._minimal_residual(w, w_norm)
+            r[:, self._det] -= self._apply_k(v)[channels]
+        for sl, lu in zip(slices, self._factors):
+            _tridiagonal_solve(lu, r[sl])
+
     def solve(self, rhs, x0=None, out=None):
         """A^-1 rhs into `out` (a new array when None); `x0` is not used."""
         order, r = self._order, self._r
         # mode="clip" skips the bounds check that makes "raise" buffer the gather
         np.take(rhs.reshape(r.shape), order, axis=0, out=r, mode="clip")
-        self.iterations = 0
-        if self._coupled:
-            w = np.empty((len(r), len(self._det)), dtype=np.complex128)
-            # a non-finite rhs turns w NaN quietly; its norm then raises
-            # SolverError before the iteration runs
-            with np.errstate(invalid="ignore"):
-                for sl, (band, rows) in zip(self._slices, self._rows):
-                    w[order[sl]] = r[sl, band] @ rows
-            w_norm = _norm(w)
-            if not np.isfinite(w_norm):
-                raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
-            v = self._minimal_residual(w, w_norm)
-            r[:, self._det] -= self._apply_k(v)[order]
-        for sl, lu in zip(self._slices, self._factors):
-            _tridiagonal_solve(lu, r[sl])
+        self._solve_grouped(r, order, self._slices)
         out = np.empty(rhs.shape, dtype=np.complex128) if out is None else out
         out.reshape(r.shape)[order] = r
+        return out
+
+    def orbits(self, images):
+        """The `_Orbits` of the mirror images `images` (each channel's), in this solver's groups."""
+        return _Orbits(images, self._group_of)
+
+    def solve_stored(self, rhs, orbits, out):
+        """A^-1 rhs into `out`, both holding the stored rows of `orbits` in their order.
+
+        With one-channel orbits that is `solve`; otherwise the rows are in
+        group order and are solved in place, with no gather or scatter.
+        """
+        if orbits.slices is None:
+            return self.solve(rhs, out=out)
+        r = out.reshape(len(orbits.channels), -1)
+        np.copyto(r, rhs.reshape(r.shape))
+        self._solve_grouped(r, orbits.channels, orbits.slices, orbits)
         return out
 
 
@@ -264,21 +303,126 @@ def make_linear_solver(system, config):
     return CapacitanceSolver(system, config)
 
 
-def _norm(v):
-    # BLAS dot: np.linalg.norm squares elementwise, which is several times
-    # slower on wavefunction tails whose squares underflow to subnormals
-    return np.sqrt(np.vdot(v, v).real)
+class _Orbits:
+    """The rows `run` stores: one channel per orbit {m, images[m]} of the mirror map.
+
+    Row s holds channel `channels[s]`, the smaller one of its orbit, and
+    channel m's values are row `slot[m]`: reversed in x for the `unstored`
+    channels, whose stored images are `images`.  `weights[s]` is the size
+    of row s's orbit, 2 for a pair and 1 for a palindrome, so a sum over
+    all channels is a weighted sum over the rows.  With one-channel orbits
+    (`images[m] == m`) the rows are every channel in natural order,
+    `weights` is None and `slices` is None; otherwise the rows are sorted
+    by the solver's group, and group g holds rows `slices[g]`.
+    """
+
+    def __init__(self, images, group_of):
+        m = len(images)
+        smaller = np.minimum(np.arange(m), images)
+        stored = np.flatnonzero(smaller == np.arange(m))
+        if len(stored) == m:
+            self.channels, self.weights, self.slices = stored, None, None
+        else:
+            self.channels = stored[np.argsort(group_of[stored], kind="stable")]
+            self.weights = np.where(images[self.channels] == self.channels, 1.0, 2.0)
+            bounds = np.searchsorted(group_of[self.channels], np.arange(group_of.max() + 2))
+            self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        row = np.empty(m, dtype=np.int64)
+        row[self.channels] = np.arange(len(self.channels))
+        self.slot = row[smaller]
+        self.reflected = smaller != np.arange(m)
+        self.unstored = np.flatnonzero(self.reflected)
+        self.images = smaller[self.unstored]
+
+    def fill(self, values):
+        """Set the unstored rows of the natural-order (M, k) `values` to their images', reversed."""
+        values[self.unstored] = values[self.images, ::-1]
+
+    def expand(self, rows):
+        """The natural-order (M, Nx) state of the stored (S, Nx) `rows`; `rows` itself when S = M."""
+        if self.slices is None:
+            return rows
+        values = np.empty((len(self.slot), rows.shape[1]), dtype=rows.dtype)
+        values[self.channels] = rows
+        self.fill(values)
+        return values
+
+    def fold_columns(self, columns, nx):
+        """Map each flat column p Nx + i, in place, to row slot[p], at Nx - 1 - i when p is unstored."""
+        channel = columns // nx
+        columns -= channel * nx
+        np.subtract(nx - 1, columns, out=columns, where=self.reflected[channel])
+        columns += (self.slot * nx).astype(columns.dtype)[channel]
 
 
-def _check_residual(r, rhs, rtol):
-    """Relative residual ||r|| / ||rhs|| of r = A x - rhs, raising SolverError above rtol.
+def _mirror_images(h, values):
+    """Each channel's image under the mirror map when it leaves the run unchanged, else each channel.
 
-    A non-finite entry in x or rhs makes the residual NaN or inf, which the
-    negated comparison rejects, so this is also the finiteness check.  A zero
+    The map P = (x -> -x) x (detector j <-> N-1-j) sends channel m to
+    mirror(m).  It leaves H unchanged when the detector indices, the
+    kinetic diagonal, the bands and the spin energies are mirror-symmetric,
+    bit for bit, and the initial state `values` when psi0(mirror m) is
+    psi0(m) reversed, bit for bit (a NaN never is).
+    """
+    m, nx = values.shape
+    det = h.detector_indices
+    if not len(det) or m != 1 << len(det):
+        return np.arange(m)
+    images = mirrors(len(det))
+    symmetric = (
+        np.array_equal(det[::-1], nx - 1 - det)
+        and np.array_equal(h.kin_diag, h.kin_diag[::-1])
+        and np.array_equal(h.upper, h.lower[::-1])
+        and np.array_equal(h.channel_shift[images], h.channel_shift)
+        and all(np.array_equal(values[images[k]], values[k, ::-1]) for k in range(m) if images[k] >= k)
+    )
+    return images if symmetric else np.arange(m)
+
+
+def _fold(b, orbits, nx):
+    """B over the stored rows of `orbits`; B itself with one-channel orbits.
+
+    Row s is B's row at channel channels[s], and a column (p, i) of an
+    unstored channel p moves to its image's row, at the point Nx - 1 - i
+    (`_Orbits.fold_columns`).  No two columns of a row fold together,
+    because a channel and its mirror never differ in exactly one bit, and
+    each row keeps B's order of its entries, so it sums them as B does.
+    """
+    if orbits.slices is None:
+        return b
+    size = len(orbits.channels) * nx
+    rows = b[(orbits.channels[:, None] * nx + np.arange(nx)).ravel()]  # a copy
+    orbits.fold_columns(rows.indices, nx)
+    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(size, size))
+
+
+def _dot(a, b, weights=None):
+    """sum_s weights[s] <a_s, b_s> over the rows a_s of a and b; <a, b> when weights is None."""
+    if weights is None:
+        # BLAS dot: elementwise products are several times slower on
+        # wavefunction tails whose squares underflow to subnormals
+        return np.vdot(a, b)
+    rows = (len(weights), -1)
+    return weights @ np.vecdot(a.reshape(rows), b.reshape(rows))
+
+
+def _norm(v, weights=None):
+    if weights is None:
+        return np.sqrt(_dot(v, v).real)
+    re_im = v.reshape(len(weights), -1).view(v.real.dtype)
+    return np.sqrt(weights @ np.vecdot(re_im, re_im))
+
+
+def _check_residual(r, rhs_norm, rtol, weights=None):
+    """Relative residual ||r|| / ||rhs|| of r = +-(A x - rhs), raising SolverError above rtol.
+
+    With `weights`, r holds stored rows and its norm is their weighted
+    sum, which covers every channel, as `rhs_norm` must.  A non-finite
+    entry in x or rhs makes the residual NaN or inf, which the negated
+    comparison rejects, so this is also the finiteness check.  A zero
     right-hand side falls back to the absolute residual.
     """
-    rhs_norm = _norm(rhs)
-    residual = float(_norm(r) / (rhs_norm if rhs_norm != 0.0 else 1.0))
+    residual = float(_norm(r, weights) / (rhs_norm if rhs_norm != 0.0 else 1.0))
     if not residual <= rtol:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds tolerance {rtol:.3e}",
@@ -293,10 +437,11 @@ class RunRecord:
 
     All series have length num_steps + 1 and include t = 0.  The class
     probability series are None when the run was not given side labels.
-    `max_step_residual` is the largest relative residual of any step, and
+    `max_step_residual` is the largest relative residual of any step,
     `capacitance_iterations` (length num_steps) holds each step's detector
-    solve iterations (`CapacitanceSolver.iterations`); both are None when
-    the record was not produced by `run`.
+    solve iterations (`CapacitanceSolver.iterations`), and `stored_channels`
+    counts the channels the run evolved (one per mirror orbit, or all 2^N);
+    all three are None when the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -310,6 +455,7 @@ class RunRecord:
     final_state: StateVector
     max_step_residual: float | None = None
     capacitance_iterations: np.ndarray | None = None
+    stored_channels: int | None = None
 
 
 def run(system, initial, num_steps, config=None, sides=None):
@@ -319,6 +465,12 @@ def run(system, initial, num_steps, config=None, sides=None):
     the next right-hand side, and it also yields the residual check
     (A x = 2x - B x) and the energy (B = I - i f H with f = dt / 2 hbar, so
     Re <x, H x> = -Im <x, B x> / f).
+
+    When H and `initial` are mirror-symmetric (`_mirror_images`), the run
+    stores one channel per mirror orbit, in the solver's group order, and
+    steps with B folded onto those rows; the norm, the energy and the
+    residual are sums over the rows weighted by their orbits' sizes, so
+    they cover every channel.  Any other input stores every channel.
 
     Parameters
     ----------
@@ -331,7 +483,7 @@ def run(system, initial, num_steps, config=None, sides=None):
 
     Returns
     -------
-    RunRecord
+    RunRecord, whose final state holds every channel in natural order.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
@@ -346,18 +498,22 @@ def run(system, initial, num_steps, config=None, sides=None):
     norm2 = np.empty(num_steps + 1)
     energy = np.empty(num_steps + 1)
     classes = np.empty((num_steps + 1, 5)) if tags is not None else None
-    x = initial.values.ravel().copy()  # the state, advanced in place
-    state = StateVector(x.reshape(shape), dx)
+    solver = make_linear_solver(system, config)
+    orbits = solver.orbits(_mirror_images(system.h, initial.values))
+    weights = orbits.weights
+    b = _fold(system.b, orbits, shape[1])
+    rows = initial.values[orbits.channels]  # the stored state, advanced in place
+    x = rows.ravel()
+    state = StateVector(rows, dx)
 
     def record(k, bx):
-        probs = observables.channel_probs(state, t=times[k]).probs
+        probs = observables.channel_probs(state, t=times[k]).probs[orbits.slot]
         norm2[k] = probs.sum()
-        energy[k] = energy_scale * np.vdot(state.values, bx).imag
+        energy[k] = energy_scale * _dot(x, bx, weights).imag
         if classes is not None:
             classes[k] = observables.class_sums(probs, tags)
 
-    r = np.empty_like(x)
-    bx = system.b @ x
+    bx = b @ x
     record(0, bx)
     # Accuracy (not stability) guard: compare dt against the phase period of
     # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
@@ -367,24 +523,26 @@ def run(system, initial, num_steps, config=None, sides=None):
             f"dt={system.dt:g} exceeds 2*hbar/|<H>|~{2.0 * system.hbar / abs(energy[0]):g}; "
             "the scheme stays stable but phases will be inaccurate"
         )
-    solver = make_linear_solver(system, config)
     worst = 0.0
     iterations = np.empty(num_steps, dtype=np.int64)
     for k in range(1, num_steps + 1):
         rhs = bx
         try:
-            solver.solve(rhs, out=x)
-            bx = system.b @ x
+            solver.solve_stored(rhs, orbits, out=x)
+            bx = b @ x
             # A x = 2x - B x because A + B = 2I exactly, so the residual check
-            # reuses the B x that is the next step's right-hand side
-            np.multiply(x, 2.0, out=r)
-            r -= bx
-            r -= rhs
-            worst = max(worst, _check_residual(r, rhs, config.rtol))
+            # reuses the B x that is the next step's right-hand side; the
+            # residual's negative overwrites rhs, which the step is done with
+            rhs_norm = _norm(rhs, weights)
+            rhs += bx
+            rhs -= x
+            rhs -= x
+            worst = max(worst, _check_residual(rhs, rhs_norm, config.rtol, weights))
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
         iterations[k - 1] = solver.iterations
         record(k, bx)
+    del b, rhs, bx  # the stepping buffers go before the full final state is built
     return RunRecord(
         times=times,
         norm2=norm2,
@@ -394,7 +552,8 @@ def run(system, initial, num_steps, config=None, sides=None):
         left_track=classes[:, 2] if classes is not None else None,
         right_track=classes[:, 3] if classes is not None else None,
         multi_track=classes[:, 4] if classes is not None else None,
-        final_state=state,
+        final_state=StateVector(orbits.expand(rows), dx),
         max_step_residual=worst,
         capacitance_iterations=iterations,
+        stored_channels=len(orbits.channels),
     )

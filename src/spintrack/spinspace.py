@@ -97,6 +97,16 @@ def mirror(mask, num_spins):
     return out
 
 
+def mirrors(num_spins):
+    """Vector of `mirror(mask, num_spins)` over all 2**N masks, in mask order."""
+    _check_num_spins(num_spins)
+    masks = np.arange(1 << num_spins, dtype=np.int64)
+    out = np.zeros_like(masks)
+    for j in range(num_spins):
+        out |= ((masks >> j) & 1) << (num_spins - 1 - j)
+    return out
+
+
 def classify(mask, sides):
     """Class of a single configuration under the given side assignment.
 

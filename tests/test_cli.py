@@ -218,6 +218,7 @@ def test_run_writes_artifacts(tmp_path):
     assert isinstance(res["capacitance_iterations_max"], int)
     assert res["capacitance_iterations_max"] >= res["capacitance_iterations_mean"] >= 0.0
     assert res["peak_rss_mb"] >= summary["resolved"]["state_vector_bytes"] / 1e6 > 0.0
+    assert res["stored_channels"] == 3  # one per mirror orbit of the 4 channels
 
 
 def test_run_rho_zero_override(tmp_path):
@@ -522,6 +523,17 @@ def test_run_refuses_a_working_set_that_does_not_fit(tmp_path, monkeypatch, caps
              "num_steps": 5, "t_final": 0.005, "parallelism": 1, "out_dir": str(out)}
     assert cli.main(["sweep", "-c", _write(tmp_path / "sweep.json", sweep)]) == cli.EXIT_CONFIG
     assert "nan" in (out / "sweep.csv").read_text().split("\n")[1]
+
+
+@pytest.mark.parametrize("num_spins", [4, 20])
+def test_refused_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, num_spins):
+    # one byte less than the N=4 preset needs (16 channels x 1000 points)
+    monkeypatch.setattr(cli, "_memory_bytes", lambda: cli.WORKING_SET_VECTORS * 16 * 1000 * 16 - 1)
+    out = tmp_path / "nested" / "out"
+    config = {"preset": {"epsilon": 0.1, "num_spins": num_spins}, "out_dir": str(out)}
+    assert cli.main(["run", "-c", _write(tmp_path / "cfg.json", config)]) == cli.EXIT_CONFIG
+    assert "config error: the run needs about" in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()
 
 
 def test_memory_bytes_takes_the_lower_address_space_limit(monkeypatch):

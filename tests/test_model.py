@@ -14,6 +14,7 @@ from spintrack import (
     validate_regime,
 )
 from spintrack.model import cluster_offsets
+from spintrack.spinspace import mirrors
 from spintrack.oracle import scaled_params
 
 
@@ -34,6 +35,24 @@ def test_build_grid_spacing_reconstruction():
     grid = build_grid(1.5, 1000)
     diffs = np.diff(grid.xs)
     assert np.max(np.abs(diffs - grid.dx)) < 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("num_points", [3, 100, 301, 1000, 1001])
+def test_build_grid_exactly_antisymmetric(num_points):
+    grid = build_grid(1.5, num_points)
+    np.testing.assert_array_equal(grid.xs, -grid.xs[::-1])
+    assert grid.xs[0] == -1.5 and grid.xs[-1] == 1.5
+
+
+@pytest.mark.parametrize("num_spins", [2, 4, 6, 8])
+def test_preset_initial_state_exactly_mirror_even(num_spins):
+    # psi0(mirror m, x) == psi0(m, -x) bit for bit, so runs of the preset
+    # store one channel per mirror orbit
+    params, geom, grid, _ = preset_from_epsilon(0.1, num_spins)
+    psi = initial_state(params, grid, 1 << num_spins).values
+    assert np.array_equal(psi[mirrors(num_spins)], psi[:, ::-1])
+    layout = place_detectors(geom, grid)
+    np.testing.assert_array_equal(layout.grid_indices[::-1], grid.num_points - 1 - layout.grid_indices)
 
 
 def test_build_grid_rejects_tiny():

@@ -86,6 +86,13 @@ def _solve_chain(system, psi0, num_steps, linear_solver=None):
     return states
 
 
+def _full_path(monkeypatch):
+    """Make run() store every channel, as it does for an input without mirror symmetry."""
+    monkeypatch.setattr(
+        "spintrack.solver._mirror_images", lambda h, values: np.arange(len(values))
+    )
+
+
 def _stepped_run(system, psi0, layout, num_steps):
     """run() plus the per-step states from solves on one shared solver.
 
@@ -104,9 +111,13 @@ def _stepped_run(system, psi0, layout, num_steps):
     return record, states
 
 
-def test_run_matches_full_path():
+def test_run_matches_full_path(monkeypatch):
     # run() takes the residual and the energy from B x; check both, and the
-    # recorded probabilities, against the explicit A x, H x and observables
+    # recorded probabilities, against the explicit A x, H x and observables.
+    # The instance is mirror-symmetric; on the full path, run() must equal
+    # the chain of full-space solves bit for bit (test_mirror.py checks the
+    # path that stores one channel per mirror orbit against this one)
+    _full_path(monkeypatch)
     system, psi0, layout = _system(num_points=120)
     cfg = SolveConfig()
     record, states = _stepped_run(system, psi0, layout, 30)
@@ -129,8 +140,9 @@ def test_run_matches_full_path():
     np.testing.assert_array_equal(record.final_state.values, states[-1].values)
 
 
-def test_run_energy_matches_full_path_backward():
+def test_run_energy_matches_full_path_backward(monkeypatch):
     # with dt < 0 the factor dt / 2 hbar in the energy changes sign
+    _full_path(monkeypatch)
     system, psi0, layout = _system(num_points=120, dt=-0.065 / 350)
     record, states = _stepped_run(system, psi0, layout, 30)
     np.testing.assert_array_equal(record.final_state.values, states[-1].values)

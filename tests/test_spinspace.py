@@ -9,6 +9,7 @@ from spintrack import (
     classify,
     classify_all,
     mirror,
+    mirrors,
     spin_sum,
     spin_sums,
 )
@@ -102,6 +103,13 @@ def test_mirror_swaps_track_sides(n):
         tag = classify(mask, sides)
         mirrored = classify(mirror(mask, n), sides)
         assert mirrored == swap.get(tag, tag)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_mirrors_vector_matches_mirror(n):
+    images = mirrors(n)
+    assert [int(m) for m in images] == [mirror(mask, n) for mask in range(1 << n)]
+    assert all(images[images] == range(1 << n))  # an involution
 
 
 def test_side_assignment_masks():
