@@ -109,11 +109,11 @@ class CNSystem:
     """The pair (A, B) with A psi_next = B psi for one Crank-Nicolson step.
 
     A = I + (i dt / 2 hbar) H and B = I - (i dt / 2 hbar) H, so A + B = 2I
-    holds entrywise and exactly.  No solve reads A: it is built on first
-    access, for the checks that compare it with B.
+    holds entrywise and exactly.  Both are built on first access, for the
+    checks and the benchmark's traced loop.  No solve reads A, and `run`
+    builds its own B (`build_b`), so a run caches neither.
     """
 
-    b: sparse.csr_matrix
     h: DiscreteHamiltonian
     dt: float
     hbar: float
@@ -121,6 +121,14 @@ class CNSystem:
     @functools.cached_property
     def a(self):
         return _identity_plus(self.h, 1j * self.dt / (2.0 * self.hbar)).tocsc()
+
+    @functools.cached_property
+    def b(self):
+        return self.build_b()
+
+    def build_b(self):
+        """A new natural-order B as a canonical CSR matrix; `b` caches one."""
+        return _identity_plus(self.h, -1j * self.dt / (2.0 * self.hbar))
 
     @property
     def dim(self):
@@ -225,11 +233,10 @@ def _identity_plus(h, scale, eye=1.0):
 def assemble_cn(h, dt, hbar):
     """Crank-Nicolson operators A = I + (i dt/2 hbar) H, B = I - (i dt/2 hbar) H.
 
-    Only B is built here; A is built when `CNSystem.a` is first read.  A
-    negative dt is allowed: it yields the exact inverse step, which the
-    time-reversal checks rely on.
+    Neither is built here: each is built when `CNSystem.a` or `CNSystem.b`
+    is first read.  A negative dt is allowed: it yields the exact inverse
+    step, which the time-reversal checks rely on.
     """
     if dt == 0:
         raise ConfigurationError("dt must be nonzero")
-    b = _identity_plus(h, -1j * dt / (2.0 * hbar))
-    return CNSystem(b=b, h=h, dt=dt, hbar=hbar)
+    return CNSystem(h=h, dt=dt, hbar=hbar)

@@ -71,8 +71,9 @@ _SOLVER_KEYS = {"method", *_keys(SolveConfig)}  # "method" is obsolete, kept for
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
-# A preset run's peak RSS above the interpreter is 9.1-12 state vectors (README,
-# "Performance notes"), so a run must have room for this many.
+# A preset run's peak RSS above the interpreter, reached while `run` builds
+# its B, is 6.9-10.4 state vectors at N = 6 and 8 on either stepping path
+# (README, "Performance notes"), so a run must have room for this many.
 WORKING_SET_VECTORS = 12
 
 

@@ -7,11 +7,14 @@ forms no sparse factor and does not read the sparse A, so no run builds
 it.  `run` steps in work buffers that it and the solver keep, so a step
 allocates one array the size of the stored state, B x.
 
-When H and the initial state are both even under the mirror map
+`run` stores one channel per orbit {m, images[m]} (`_Orbits`), in the
+solver's group order, and builds B over those rows only.  When H and the
+initial state are both even under the mirror map
 P = (x -> -x) x (detector j <-> N-1-j), every state of the run is too:
-psi(mirror m, x) = psi(m, -x).  `run` then stores one channel per orbit
-{m, mirror m} (`_Orbits`), 136 of the 256 at N = 8, and reads the other
-channel of a pair from its stored image, reversed in x.
+psi(mirror m, x) = psi(m, -x).  The orbits are then the mirror pairs,
+136 of the 256 channels at N = 8, and the other channel of a pair is read
+from its stored image, reversed in x.  Any other input takes the same
+path with one-channel orbits.
 """
 
 import warnings
@@ -99,9 +102,7 @@ class CapacitanceSolver:
         lower, upper = f * h.lower, f * h.upper
         shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
         self._group_of = group_of
-        self._order = np.argsort(group_of, kind="stable")
-        bounds = np.searchsorted(group_of[self._order], np.arange(len(shifts) + 1))
-        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._every = self.orbits(np.arange(h.num_channels))  # one-channel orbits, for `solve`
         self._factors = [
             _tridiagonal_factor(lower, 1.0 + f * (h.kin_diag + shift), upper) for shift in shifts
         ]
@@ -178,41 +179,39 @@ class CapacitanceSolver:
             residual=residual,
         )
 
-    def _solve_grouped(self, r, channels, slices, orbits=None):
-        """Overwrite the rows `r` with A^-1 r.
+    def _solve_grouped(self, r, orbits):
+        """Overwrite the stored rows `r` of `orbits` with A^-1 r.
 
-        Row s of `r` is channel `channels[s]`, and the rows of group g are
-        `slices[g]`.  Without `orbits` the rows are every channel; with
-        them, they are the stored rows, and the detector values of an
-        unstored channel are its image's, reversed: each block T_g is
-        reversal-symmetric, so (T_g^-1 J r)[i_j] = (T_g^-1 r)[i_(N-1-j)].
+        The detector values of an unstored channel are its image's,
+        reversed: each block T_g is reversal-symmetric, so
+        (T_g^-1 J r)[i_j] = (T_g^-1 r)[i_(N-1-j)].
         """
         self.iterations = 0
+        channels = orbits.channels
         if self._coupled:
             w = np.empty((len(self._g), len(self._det)), dtype=np.complex128)
             # a non-finite rhs turns w NaN quietly; its norm then raises
             # SolverError before the iteration runs
             with np.errstate(invalid="ignore"):
-                for sl, (band, rows) in zip(slices, self._rows):
+                for sl, (band, rows) in zip(orbits.slices, self._rows):
                     w[channels[sl]] = r[sl, band] @ rows
-            if orbits is not None:
-                orbits.fill(w)
+            orbits.fill(w)
             w_norm = _norm(w)
             if not np.isfinite(w_norm):
                 raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
             v = self._minimal_residual(w, w_norm)
             r[:, self._det] -= self._apply_k(v)[channels]
-        for sl, lu in zip(slices, self._factors):
+        for sl, lu in zip(orbits.slices, self._factors):
             _tridiagonal_solve(lu, r[sl])
 
     def solve(self, rhs, x0=None, out=None):
-        """A^-1 rhs into `out` (a new array when None); `x0` is not used."""
-        order, r = self._order, self._r
+        """A^-1 rhs into `out` (a new array when None), both in natural order; `x0` is not used."""
+        channels, r = self._every.channels, self._r
         # mode="clip" skips the bounds check that makes "raise" buffer the gather
-        np.take(rhs.reshape(r.shape), order, axis=0, out=r, mode="clip")
-        self._solve_grouped(r, order, self._slices)
+        np.take(rhs.reshape(r.shape), channels, axis=0, out=r, mode="clip")
+        self._solve_grouped(r, self._every)
         out = np.empty(rhs.shape, dtype=np.complex128) if out is None else out
-        out.reshape(r.shape)[order] = r
+        out.reshape(r.shape)[channels] = r
         return out
 
     def orbits(self, images):
@@ -220,16 +219,13 @@ class CapacitanceSolver:
         return _Orbits(images, self._group_of)
 
     def solve_stored(self, rhs, orbits, out):
-        """A^-1 rhs into `out`, both holding the stored rows of `orbits` in their order.
+        """A^-1 rhs into `out`, both holding the stored rows of `orbits` in their group order.
 
-        With one-channel orbits that is `solve`; otherwise the rows are in
-        group order and are solved in place, with no gather or scatter.
+        The rows are solved in place, with no gather or scatter.
         """
-        if orbits.slices is None:
-            return self.solve(rhs, out=out)
         r = out.reshape(len(orbits.channels), -1)
         np.copyto(r, rhs.reshape(r.shape))
-        self._solve_grouped(r, orbits.channels, orbits.slices, orbits)
+        self._solve_grouped(r, orbits)
         return out
 
 
@@ -308,25 +304,22 @@ class _Orbits:
 
     Row s holds channel `channels[s]`, the smaller one of its orbit, and
     channel m's values are row `slot[m]`: reversed in x for the `unstored`
-    channels, whose stored images are `images`.  `weights[s]` is the size
-    of row s's orbit, 2 for a pair and 1 for a palindrome, so a sum over
-    all channels is a weighted sum over the rows.  With one-channel orbits
-    (`images[m] == m`) the rows are every channel in natural order,
-    `weights` is None and `slices` is None; otherwise the rows are sorted
-    by the solver's group, and group g holds rows `slices[g]`.
+    channels, whose stored images are `images`.  The rows are sorted by
+    the solver's group (stably, so by channel within a group), and group g
+    holds rows `slices[g]`.  `weights[s]` is the size of row s's orbit, 2
+    for a pair and 1 for a palindrome, so a sum over all channels is a
+    weighted sum over the rows.  With one-channel orbits (`images[m] == m`)
+    every channel is stored, with weight 1, and none is unstored.
     """
 
     def __init__(self, images, group_of):
         m = len(images)
         smaller = np.minimum(np.arange(m), images)
         stored = np.flatnonzero(smaller == np.arange(m))
-        if len(stored) == m:
-            self.channels, self.weights, self.slices = stored, None, None
-        else:
-            self.channels = stored[np.argsort(group_of[stored], kind="stable")]
-            self.weights = np.where(images[self.channels] == self.channels, 1.0, 2.0)
-            bounds = np.searchsorted(group_of[self.channels], np.arange(group_of.max() + 2))
-            self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.channels = stored[np.argsort(group_of[stored], kind="stable")]
+        self.weights = np.where(images[self.channels] == self.channels, 1.0, 2.0)
+        bounds = np.searchsorted(group_of[self.channels], np.arange(group_of.max() + 2))
+        self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         row = np.empty(m, dtype=np.int64)
         row[self.channels] = np.arange(len(self.channels))
         self.slot = row[smaller]
@@ -339,9 +332,7 @@ class _Orbits:
         values[self.unstored] = values[self.images, ::-1]
 
     def expand(self, rows):
-        """The natural-order (M, Nx) state of the stored (S, Nx) `rows`; `rows` itself when S = M."""
-        if self.slices is None:
-            return rows
+        """The natural-order (M, Nx) state of the stored (S, Nx) `rows`, as a new array."""
         values = np.empty((len(self.slot), rows.shape[1]), dtype=rows.dtype)
         values[self.channels] = rows
         self.fill(values)
@@ -379,50 +370,61 @@ def _mirror_images(h, values):
     return images if symmetric else np.arange(m)
 
 
-def _fold(b, orbits, nx):
-    """B over the stored rows of `orbits`; B itself with one-channel orbits.
+def _fold(system, orbits):
+    """B over the stored rows of `orbits`, from a B built for it and dropped.
 
-    Row s is B's row at channel channels[s], and a column (p, i) of an
-    unstored channel p moves to its image's row, at the point Nx - 1 - i
-    (`_Orbits.fold_columns`).  No two columns of a row fold together,
-    because a channel and its mirror never differ in exactly one bit, and
-    each row keeps B's order of its entries, so it sums them as B does.
+    Row s is B's row at channel channels[s], and a column (p, i) of a
+    channel p moves to row slot[p], at the point Nx - 1 - i when p is
+    unstored (`_Orbits.fold_columns`).  No two columns of a row fold
+    together, because a channel and its mirror never differ in exactly one
+    bit, and each row keeps B's order of its entries, so it sums them as B
+    does.  Every channel's rows hold the same `width` entries, so a
+    channel's row block is one row of B's arrays reshaped to (M, width).
     """
-    if orbits.slices is None:
-        return b
+    b = system.build_b()
+    nx = system.h.num_points
+    width = int(b.indptr[nx])
     size = len(orbits.channels) * nx
-    rows = b[(orbits.channels[:, None] * nx + np.arange(nx)).ravel()]  # a copy
-    orbits.fold_columns(rows.indices, nx)
-    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=(size, size))
+    data = np.take(b.data.reshape(-1, width), orbits.channels, axis=0).ravel()
+    columns = np.take(b.indices.reshape(-1, width), orbits.channels, axis=0).ravel()
+    # B's row pointers advance by `width` per channel, so its first S Nx + 1 are the fold's
+    pointers = b.indptr[:size + 1].copy()
+    del b  # the natural-order B goes before the columns are remapped
+    orbits.fold_columns(columns, nx)
+    return sparse.csr_matrix((data, columns, pointers), shape=(size, size))
 
 
-def _dot(a, b, weights=None):
-    """sum_s weights[s] <a_s, b_s> over the rows a_s of a and b; <a, b> when weights is None."""
-    if weights is None:
-        # BLAS dot: elementwise products are several times slower on
-        # wavefunction tails whose squares underflow to subnormals
-        return np.vdot(a, b)
+def _dot(a, b, weights):
+    """sum_s weights[s] <a_s, b_s> over the rows a_s of a and b."""
     rows = (len(weights), -1)
-    return weights @ np.vecdot(a.reshape(rows), b.reshape(rows))
+    # an inf entry gives inf * 0 terms: the sum turns NaN quietly, and the
+    # step's finiteness checks reject the state
+    with np.errstate(invalid="ignore"):
+        return weights @ np.vecdot(a.reshape(rows), b.reshape(rows))
 
 
-def _norm(v, weights=None):
-    if weights is None:
-        return np.sqrt(_dot(v, v).real)
+def _norm(v):
+    # BLAS dot: elementwise products are several times slower on values
+    # whose squares underflow to subnormals
+    return np.sqrt(np.vdot(v, v).real)
+
+
+def _weighted_norm(v, weights):
+    """sqrt(sum_s weights[s] ||v_s||^2) over the rows v_s of v."""
     re_im = v.reshape(len(weights), -1).view(v.real.dtype)
     return np.sqrt(weights @ np.vecdot(re_im, re_im))
 
 
-def _check_residual(r, rhs_norm, rtol, weights=None):
+def _check_residual(r, rhs_norm, rtol, weights):
     """Relative residual ||r|| / ||rhs|| of r = +-(A x - rhs), raising SolverError above rtol.
 
-    With `weights`, r holds stored rows and its norm is their weighted
-    sum, which covers every channel, as `rhs_norm` must.  A non-finite
-    entry in x or rhs makes the residual NaN or inf, which the negated
-    comparison rejects, so this is also the finiteness check.  A zero
-    right-hand side falls back to the absolute residual.
+    r holds stored rows and its norm is their weighted sum, which covers
+    every channel, as `rhs_norm` must.  A non-finite entry in x or rhs
+    makes the residual NaN or inf, which the negated comparison rejects,
+    so this is also the finiteness check.  A zero right-hand side falls
+    back to the absolute residual.
     """
-    residual = float(_norm(r, weights) / (rhs_norm if rhs_norm != 0.0 else 1.0))
+    residual = float(_weighted_norm(r, weights) / (rhs_norm if rhs_norm != 0.0 else 1.0))
     if not residual <= rtol:
         raise SolverError(
             f"solve residual {residual:.3e} exceeds tolerance {rtol:.3e}",
@@ -466,11 +468,13 @@ def run(system, initial, num_steps, config=None, sides=None):
     (A x = 2x - B x) and the energy (B = I - i f H with f = dt / 2 hbar, so
     Re <x, H x> = -Im <x, B x> / f).
 
-    When H and `initial` are mirror-symmetric (`_mirror_images`), the run
-    stores one channel per mirror orbit, in the solver's group order, and
-    steps with B folded onto those rows; the norm, the energy and the
-    residual are sums over the rows weighted by their orbits' sizes, so
-    they cover every channel.  Any other input stores every channel.
+    The run stores one channel per orbit, in the solver's group order, and
+    steps with a B it builds over those rows only (`_fold`); it holds no
+    natural-order B while it steps, and leaves `system.b` unread.  When H
+    and `initial` are mirror-symmetric (`_mirror_images`) the orbits are
+    the mirror pairs; any other input has one-channel orbits and stores
+    every channel.  The norm, the energy and the residual are sums over
+    the rows weighted by their orbits' sizes, so they cover every channel.
 
     Parameters
     ----------
@@ -501,7 +505,7 @@ def run(system, initial, num_steps, config=None, sides=None):
     solver = make_linear_solver(system, config)
     orbits = solver.orbits(_mirror_images(system.h, initial.values))
     weights = orbits.weights
-    b = _fold(system.b, orbits, shape[1])
+    b = _fold(system, orbits)
     rows = initial.values[orbits.channels]  # the stored state, advanced in place
     x = rows.ravel()
     state = StateVector(rows, dx)
@@ -533,7 +537,7 @@ def run(system, initial, num_steps, config=None, sides=None):
             # A x = 2x - B x because A + B = 2I exactly, so the residual check
             # reuses the B x that is the next step's right-hand side; the
             # residual's negative overwrites rhs, which the step is done with
-            rhs_norm = _norm(rhs, weights)
+            rhs_norm = _weighted_norm(rhs, weights)
             rhs += bx
             rhs -= x
             rhs -= x

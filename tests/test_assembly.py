@@ -14,6 +14,7 @@ from spintrack import (
     assemble_cn,
     assemble_hamiltonian,
     build_grid,
+    initial_state,
     place_detectors,
     preset_from_epsilon,
     run,
@@ -161,10 +162,14 @@ def test_detector_on_boundary_rejected():
 
 
 def test_assemble_cn_sum_identity():
+    # run() steps with its own B over the rows it stores and caches none;
+    # B is built when first read, after the run as before it
     params = scaled_params()
     grid, layout = small_instance(2, 100)
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, 0.065 / 350, params.hbar)
+    run(system, initial_state(params, grid, h.num_channels), 3, sides=layout.sides)
+    assert "b" not in vars(system)
     dev = system.a + system.b - 2.0 * sparse.identity(system.dim, dtype=complex, format="csc")
     assert dev.nnz == 0 or np.max(np.abs(dev.data)) == 0.0
 
@@ -192,16 +197,18 @@ def test_assemble_cn_diagonal_deviation():
 
 def test_assemble_cn_peak_allocation():
     # B is written straight into its CSR arrays, without COO triplets or a
-    # sparse sum; the build's transient memory stays below one more copy of B
+    # sparse sum; the build's transient memory stays below one more copy of
+    # B.  assemble_cn builds nothing: B is built when first read
     params, geom, grid, tgrid = preset_from_epsilon(0.1, 6)
     h = assemble_hamiltonian(params, grid, place_detectors(geom, grid))
     tracemalloc.start()
     try:
         system = assemble_cn(h, tgrid.dt, params.hbar)
+        assert tracemalloc.get_traced_memory()[1] < h.dim  # bytes: less than 1/16 of a state
+        b = system.b
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    b = system.b
     assert peak <= 2 * (b.data.nbytes + b.indices.nbytes + b.indptr.nbytes)
 
 

@@ -4,6 +4,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -534,6 +536,46 @@ def test_refused_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, n
     assert cli.main(["run", "-c", _write(tmp_path / "cfg.json", config)]) == cli.EXIT_CONFIG
     assert "config error: the run needs about" in capsys.readouterr().err
     assert not (tmp_path / "nested").exists()
+
+
+# Peak RSS of the N=6 preset above the interpreter after its imports, in
+# state vectors; "full" forces the one-channel orbits of an input without
+# mirror symmetry.  It reads VmHWM, the peak of this process image alone:
+# ru_maxrss also keeps the peak of the image that exec replaced, which here
+# is the test runner's.
+_FOOTPRINT_SCRIPT = """
+import sys
+import numpy as np
+from spintrack import cli, solver
+
+def peak_bytes():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+if sys.argv[1] == "full":
+    solver._mirror_images = lambda h, values: np.arange(len(values))
+setup = cli.resolve_run_config({"preset": {"epsilon": 0.1, "num_spins": 6}})
+base = peak_bytes()
+record = cli.simulate(setup).record
+assert record.stored_channels == (36 if sys.argv[1] == "stored" else 64)
+print((peak_bytes() - base) / cli._state_vector_bytes(setup))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("path", ["stored", "full"])
+def test_working_set_constant_covers_the_measured_peak(path):
+    # the footprint check's constant is a measurement: a fresh process
+    # running the preset on either stepping path stays within it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, path],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    vectors = float(done.stdout)
+    assert 0.0 < vectors <= cli.WORKING_SET_VECTORS
 
 
 def test_memory_bytes_takes_the_lower_address_space_limit(monkeypatch):

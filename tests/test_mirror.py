@@ -118,24 +118,30 @@ def test_control_expand_without_reversing_detectors(monkeypatch):
 
 def test_folded_b_is_b_on_the_stored_rows(rng):
     # each folded row sums its entries in B's order, so the product of a
-    # mirror-even state equals B's, bit for bit
+    # mirror-even state equals B's, bit for bit: on the mirror orbits, and
+    # on the one-channel orbits an input without the symmetry gets
     system, _, _ = _compact(6, num_points=81, half_length=0.6)
     h = system.h
     m, nx = h.num_channels, h.num_points
     values = rng.standard_normal((m, nx)) + 1j * rng.standard_normal((m, nx))
     images = mirrors(6)
     values = values + values[images, ::-1]  # mirror-even
-    orbits = make_linear_solver(system, SolveConfig()).orbits(images)
-    assert len(orbits.channels) == ORBITS[6]
-    folded = _fold(system.b, orbits, nx)
-    stored = values[orbits.channels]
     full = (system.b @ values.ravel()).reshape(m, nx)
-    np.testing.assert_array_equal((folded @ stored.ravel()).reshape(stored.shape), full[orbits.channels])
-    np.testing.assert_array_equal(orbits.expand(stored), values)
-    # the weighted row sums are the full-space sums
-    assert orbits.weights.sum() == m
     full_norm2 = np.vdot(values, values).real
-    assert solver_module._norm(stored, orbits.weights) ** 2 == pytest.approx(full_norm2, rel=1e-14)
+    solver = make_linear_solver(system, SolveConfig())
+    for orbit_images, num_stored in ((images, ORBITS[6]), (np.arange(m), m)):
+        orbits = solver.orbits(orbit_images)
+        assert len(orbits.channels) == num_stored
+        assert np.all(np.diff(h.channel_shift[orbits.channels]) >= 0)  # group order
+        folded = _fold(system, orbits)
+        stored = values[orbits.channels]
+        product = (folded @ stored.ravel()).reshape(stored.shape)
+        np.testing.assert_array_equal(product, full[orbits.channels])
+        np.testing.assert_array_equal(orbits.expand(stored), values)
+        # the weighted row sums are the full-space sums
+        assert orbits.weights.sum() == m
+        norm = solver_module._weighted_norm(stored, orbits.weights)
+        assert norm**2 == pytest.approx(full_norm2, rel=1e-14)
 
 
 def test_dense_oracle_on_the_stored_path():

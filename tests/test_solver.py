@@ -43,17 +43,22 @@ def test_solve_config_validation():
         SolveConfig(max_iter=0)
 
 
-def _with_entry(state, value):
+def _with_entries(state, value, points):
     values = state.values.copy()
-    values[0, 50] = value
+    values[0, points] = value
     return StateVector(values, state.dx)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_run_rejects_nonfinite_state(value):
+    # channel 0 is its own mirror image: at mirrored points an inf keeps
+    # the state mirror-even (a NaN never is), so the run stores one
+    # channel per mirror orbit
     system, psi0, layout = _system()
-    with pytest.raises(SolverError, match="step 1"):
-        run(system, _with_entry(psi0, value), 5, sides=layout.sides)
+    last = system.h.num_points - 1
+    for points in ([50], [40, last - 40]):
+        with pytest.raises(SolverError, match="step 1"):
+            run(system, _with_entries(psi0, value, points), 5, sides=layout.sides)
 
 
 def test_nonfinite_rhs_leaves_the_solver_usable():
