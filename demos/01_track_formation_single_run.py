@@ -8,8 +8,8 @@ essentially an incoherent mixture of "nothing happened", "one flip", and
 "a track formed on one side".
 
 Runs the standard epsilon = 0.1 configuration with N = 4 detectors
-(16 channels) and prints the final class probabilities.  Takes a few
-seconds on one core.
+(16 channels) and prints the final class probabilities.  Takes under a
+second on one core.
 """
 
 import numpy as np

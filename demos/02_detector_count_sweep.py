@@ -5,7 +5,7 @@ seeing a track on one side grow while the no-flip probability collapses:
 the environment gets better at "measuring" the particle's direction as the
 number of its constituents grows.
 
-Runs N = 4 and 6 here to stay fast (about ten seconds); N = 8 takes a few
+Runs N = 4 and 6 here to stay fast (about a second); N = 8 takes a few
 more and follows the same trend.  The CLI does full tables in parallel:
 
     spintrack sweep -c sweep.json

@@ -71,9 +71,9 @@ _SOLVER_KEYS = {"method", *_keys(SolveConfig)}  # "method" is obsolete, kept for
 _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
 
 
-# A preset run's peak RSS above the interpreter, reached while `run` builds
-# its B, is 6.9-10.4 state vectors at N = 6 and 8 on either stepping path
-# (README, "Performance notes"), so a run must have room for this many.
+# A preset run's peak RSS above the interpreter, reached while `run` steps,
+# is 4.6-10.1 state vectors at N = 6 and 8 on either stepping path (README,
+# "Performance notes"), so a run must have room for this many.
 WORKING_SET_VECTORS = 12
 
 
@@ -253,9 +253,17 @@ def _memory_bytes():
 
 
 def _peak_rss_mb():
-    """This process's peak resident set size in MB (1e6 bytes)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6  # bytes there, KiB elsewhere
+    """This process image's peak resident set size in MB (1e6 bytes).
+
+    VmHWM where /proc has it: on Linux `ru_maxrss` also keeps the peak of
+    the image that exec replaced, such as the parent of a spawned sweep worker.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) * 1024 / 1e6 for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6  # bytes there, KiB elsewhere
 
 
 def resolved_dict(setup):

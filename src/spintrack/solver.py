@@ -4,11 +4,11 @@ The implicit operator A is constant in time.  `CapacitanceSolver` factors
 its tridiagonal channel blocks once and solves the small detector system
 on every step by one preconditioned minimal-residual iteration.  It
 forms no sparse factor and does not read the sparse A, so no run builds
-it.  `run` steps in work buffers that it and the solver keep, so a step
-allocates one array the size of the stored state, B x.
+it.  `run` steps in work buffers that it keeps, so a step allocates one array
+the size of the stored state, B x.
 
 `run` stores one channel per orbit {m, images[m]} (`_Orbits`), in the
-solver's group order, and builds B over those rows only.  When H and the
+solver's group order, and writes B over those rows only.  When H and the
 initial state are both even under the mirror map
 P = (x -> -x) x (detector j <-> N-1-j), every state of the run is too:
 psi(mirror m, x) = psi(m, -x).  The orbits are then the mirror pairs,
@@ -21,10 +21,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg import lapack
 
 from . import observables
+from .assembly import _identity_plus
 from .spinspace import mirrors
 from .state import StateVector
 
@@ -106,7 +106,6 @@ class CapacitanceSolver:
         self._factors = [
             _tridiagonal_factor(lower, 1.0 + f * (h.kin_diag + shift), upper) for shift in shifts
         ]
-        self._r = np.empty((h.num_channels, h.num_points), dtype=np.complex128)  # group order
         self._coupled = bool(h.flip_strength)
         self._max_iter = config.max_iter
         self.iterations = 0
@@ -206,9 +205,8 @@ class CapacitanceSolver:
 
     def solve(self, rhs, x0=None, out=None):
         """A^-1 rhs into `out` (a new array when None), both in natural order; `x0` is not used."""
-        channels, r = self._every.channels, self._r
-        # mode="clip" skips the bounds check that makes "raise" buffer the gather
-        np.take(rhs.reshape(r.shape), channels, axis=0, out=r, mode="clip")
+        channels = self._every.channels
+        r = rhs.reshape(len(channels), -1)[channels]  # a new array, in group order
         self._solve_grouped(r, self._every)
         out = np.empty(rhs.shape, dtype=np.complex128) if out is None else out
         out.reshape(r.shape)[channels] = r
@@ -304,9 +302,9 @@ class _Orbits:
 
     Row s holds channel `channels[s]`, the smaller one of its orbit, and
     channel m's values are row `slot[m]`: reversed in x for the `unstored`
-    channels, whose stored images are `images`.  The rows are sorted by
-    the solver's group (stably, so by channel within a group), and group g
-    holds rows `slices[g]`.  `weights[s]` is the size of row s's orbit, 2
+    channels (`reflected[m]`), whose stored images are `images`.  The rows
+    are sorted by the solver's group (stably, so by channel within a
+    group), and group g holds rows `slices[g]`.  `weights[s]` is the size of row s's orbit, 2
     for a pair and 1 for a palindrome, so a sum over all channels is a
     weighted sum over the rows.  With one-channel orbits (`images[m] == m`)
     every channel is stored, with weight 1, and none is unstored.
@@ -338,13 +336,6 @@ class _Orbits:
         self.fill(values)
         return values
 
-    def fold_columns(self, columns, nx):
-        """Map each flat column p Nx + i, in place, to row slot[p], at Nx - 1 - i when p is unstored."""
-        channel = columns // nx
-        columns -= channel * nx
-        np.subtract(nx - 1, columns, out=columns, where=self.reflected[channel])
-        columns += (self.slot * nx).astype(columns.dtype)[channel]
-
 
 def _mirror_images(h, values):
     """Each channel's image under the mirror map when it leaves the run unchanged, else each channel.
@@ -368,30 +359,6 @@ def _mirror_images(h, values):
         and all(np.array_equal(values[images[k]], values[k, ::-1]) for k in range(m) if images[k] >= k)
     )
     return images if symmetric else np.arange(m)
-
-
-def _fold(system, orbits):
-    """B over the stored rows of `orbits`, from a B built for it and dropped.
-
-    Row s is B's row at channel channels[s], and a column (p, i) of a
-    channel p moves to row slot[p], at the point Nx - 1 - i when p is
-    unstored (`_Orbits.fold_columns`).  No two columns of a row fold
-    together, because a channel and its mirror never differ in exactly one
-    bit, and each row keeps B's order of its entries, so it sums them as B
-    does.  Every channel's rows hold the same `width` entries, so a
-    channel's row block is one row of B's arrays reshaped to (M, width).
-    """
-    b = system.build_b()
-    nx = system.h.num_points
-    width = int(b.indptr[nx])
-    size = len(orbits.channels) * nx
-    data = np.take(b.data.reshape(-1, width), orbits.channels, axis=0).ravel()
-    columns = np.take(b.indices.reshape(-1, width), orbits.channels, axis=0).ravel()
-    # B's row pointers advance by `width` per channel, so its first S Nx + 1 are the fold's
-    pointers = b.indptr[:size + 1].copy()
-    del b  # the natural-order B goes before the columns are remapped
-    orbits.fold_columns(columns, nx)
-    return sparse.csr_matrix((data, columns, pointers), shape=(size, size))
 
 
 def _dot(a, b, weights):
@@ -469,8 +436,9 @@ def run(system, initial, num_steps, config=None, sides=None):
     Re <x, H x> = -Im <x, B x> / f).
 
     The run stores one channel per orbit, in the solver's group order, and
-    steps with a B it builds over those rows only (`_fold`); it holds no
-    natural-order B while it steps, and leaves `system.b` unread.  When H
+    steps with a B written over those rows only (`_identity_plus` on the
+    orbits): each row keeps B's entries in B's order, so it sums them as B
+    does, and no natural-order B is built; `system.b` stays unread.  When H
     and `initial` are mirror-symmetric (`_mirror_images`) the orbits are
     the mirror pairs; any other input has one-channel orbits and stores
     every channel.  The norm, the energy and the residual are sums over
@@ -505,7 +473,7 @@ def run(system, initial, num_steps, config=None, sides=None):
     solver = make_linear_solver(system, config)
     orbits = solver.orbits(_mirror_images(system.h, initial.values))
     weights = orbits.weights
-    b = _fold(system, orbits)
+    b = _identity_plus(system.h, -1j * system.dt / (2.0 * system.hbar), layout=orbits)
     rows = initial.values[orbits.channels]  # the stored state, advanced in place
     x = rows.ravel()
     state = StateVector(rows, dx)

@@ -562,20 +562,53 @@ print((peak_bytes() - base) / cli._state_vector_bytes(setup))
 """
 
 
+def _python(*args, check=True):
+    """Run this interpreter on `args` with this package importable; returns the CompletedProcess."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300, check=check
+    )
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("path", ["stored", "full"])
 def test_working_set_constant_covers_the_measured_peak(path):
     # the footprint check's constant is a measurement: a fresh process
     # running the preset on either stepping path stays within it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
-    done = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_SCRIPT, path],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    vectors = float(done.stdout)
+    vectors = float(_python("-c", _FOOTPRINT_SCRIPT, path).stdout)
     assert 0.0 < vectors <= cli.WORKING_SET_VECTORS
+
+
+# Touches ~200 MB, then replaces itself with a preset run by exec.
+_EXEC_SCRIPT = """
+import os, sys
+import numpy as np
+ballast = np.ones(200 * 10**6 // 8)
+os.execv(sys.executable, [sys.executable, "-m", "spintrack.cli", "run", "-c", sys.argv[1]])
+"""
+
+
+def test_peak_rss_is_the_runs_own_after_exec(tmp_path):
+    # ru_maxrss keeps the 200 MB of the image that exec replaced; the
+    # summary must report the run's own peak
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 2}, "out_dir": str(out)})
+    _python("-c", _EXEC_SCRIPT, cfg)
+    peak = json.loads((out / "summary.json").read_text())["results"]["peak_rss_mb"]
+    assert 0.0 < peak < 150.0
+
+
+def test_module_entry_exit_codes(tmp_path):
+    # `python -m spintrack.cli` exits through `entry` with `main`'s code
+    cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 4}})
+    done = _python("-m", "spintrack.cli", "info", "-c", cfg)
+    assert json.loads(done.stdout)["num_channels"] == 16
+    bad = _write(tmp_path / "bad.json", {"preset": {"epsilon": 0.1, "num_spins": 4}, "colour": 1})
+    done = _python("-m", "spintrack.cli", "info", "-c", bad, check=False)
+    assert done.returncode == cli.EXIT_CONFIG
+    assert "config error:" in done.stderr
 
 
 def test_memory_bytes_takes_the_lower_address_space_limit(monkeypatch):

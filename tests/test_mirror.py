@@ -6,6 +6,7 @@ stores all 2^N.  Each check compares the stored path with the full path
 of the same input, which monkeypatching the orbit function forces.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,8 @@ from spintrack import (
 )
 from spintrack import solver as solver_module
 from spintrack.oracle import dense_run, differences, scaled_params
-from spintrack.solver import SolveConfig, _fold, _Orbits
+from spintrack.assembly import _identity_plus
+from spintrack.solver import SolveConfig, _Orbits
 from spintrack.spinspace import mirrors
 
 # stored rows, one per mirror orbit: (2^N + 2^(N/2)) / 2
@@ -102,11 +104,15 @@ def _control(monkeypatch, name, broken):
         run(system, psi0, STEPS, sides=layout.sides)
 
 
-def test_control_fold_without_reversing_x(monkeypatch):
-    def fold_columns(self, columns, nx):
-        columns[:] = self.slot[columns // nx] * nx + columns % nx
+def test_control_b_without_reversing_x(monkeypatch):
+    # B's rows then read an unstored partner at i_j, not at Nx - 1 - i_j
+    init = _Orbits.__init__
 
-    _control(monkeypatch, "fold_columns", fold_columns)
+    def unreflected(self, images, group_of):
+        init(self, images, group_of)
+        self.reflected = np.zeros_like(self.reflected)
+
+    _control(monkeypatch, "__init__", unreflected)
 
 
 def test_control_expand_without_reversing_detectors(monkeypatch):
@@ -117,7 +123,7 @@ def test_control_expand_without_reversing_detectors(monkeypatch):
 
 
 def test_folded_b_is_b_on_the_stored_rows(rng):
-    # each folded row sums its entries in B's order, so the product of a
+    # each stored row sums its entries in B's order, so the product of a
     # mirror-even state equals B's, bit for bit: on the mirror orbits, and
     # on the one-channel orbits an input without the symmetry gets
     system, _, _ = _compact(6, num_points=81, half_length=0.6)
@@ -133,15 +139,39 @@ def test_folded_b_is_b_on_the_stored_rows(rng):
         orbits = solver.orbits(orbit_images)
         assert len(orbits.channels) == num_stored
         assert np.all(np.diff(h.channel_shift[orbits.channels]) >= 0)  # group order
-        folded = _fold(system, orbits)
+        stored_b = _identity_plus(h, -1j * system.dt / (2.0 * system.hbar), layout=orbits)
+        # row s is B's row at channels[s], its entries in B's order
+        rows = system.b[(orbits.channels[:, None] * nx + np.arange(nx)).ravel()]
+        np.testing.assert_array_equal(stored_b.data, rows.data)
+        np.testing.assert_array_equal(stored_b.indptr, rows.indptr)
         stored = values[orbits.channels]
-        product = (folded @ stored.ravel()).reshape(stored.shape)
+        product = (stored_b @ stored.ravel()).reshape(stored.shape)
         np.testing.assert_array_equal(product, full[orbits.channels])
         np.testing.assert_array_equal(orbits.expand(stored), values)
         # the weighted row sums are the full-space sums
         assert orbits.weights.sum() == m
         norm = solver_module._weighted_norm(stored, orbits.weights)
         assert norm**2 == pytest.approx(full_norm2, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["mirror", "one-channel"])
+@pytest.mark.parametrize("num_spins", [6, 8])
+def test_stored_b_build_allocates_little_beyond_b(num_spins, kind):
+    # run's B is written straight onto the stored rows, with no natural-order
+    # B to copy from, so the build traces little beyond B's own arrays
+    params, geom, grid, tgrid = model.preset_from_epsilon(0.1, num_spins)
+    h = assemble_hamiltonian(params, grid, model.place_detectors(geom, grid))
+    system = assemble_cn(h, tgrid.dt, params.hbar)
+    images = mirrors(num_spins) if kind == "mirror" else np.arange(h.num_channels)
+    orbits = make_linear_solver(system, SolveConfig()).orbits(images)
+    assert len(orbits.channels) == (ORBITS[num_spins] if kind == "mirror" else h.num_channels)
+    tracemalloc.start()
+    try:
+        b = _identity_plus(h, -1j * system.dt / (2.0 * system.hbar), layout=orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (b.data.nbytes + b.indices.nbytes + b.indptr.nbytes)
 
 
 def test_dense_oracle_on_the_stored_path():

@@ -19,6 +19,7 @@ from spintrack.oracle import (
 )
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+README = DEMOS.parent / "README.md"
 
 
 def test_size_cap():
@@ -69,7 +70,18 @@ def test_free_single_spin_channels_evolve_independently():
     assert np.all(final.values[1] == 0.0)
 
 
-def test_dense_oracle_demo_runs(tmp_path, monkeypatch):
-    # the demo asserts on the shared comparison, so running it keeps it honest
+def _readme_quickstart():
+    """The Python block under README's "Library quickstart" heading."""
+    text = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("example", [p.stem for p in sorted(DEMOS.glob("*.py"))] + ["readme_quickstart"])
+def test_doc_example_runs(example, tmp_path, monkeypatch):
+    # every runnable example in the docs runs as written; the dense-oracle
+    # demo also asserts on the shared comparison, which keeps it honest
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(DEMOS / "03_dense_oracle_crosscheck.py"), run_name="__main__")
+    if example == "readme_quickstart":
+        exec(compile(_readme_quickstart(), "README.md", "exec"), {"__name__": "__main__"})
+    else:
+        runpy.run_path(str(DEMOS / f"{example}.py"), run_name="__main__")

@@ -15,6 +15,8 @@ from spintrack import (
     build_grid,
     initial_state,
     make_linear_solver,
+    place_detectors,
+    preset_from_epsilon,
     run,
 )
 from spintrack import cli, observables
@@ -423,6 +425,29 @@ def test_direct_solver_reuses_factorization():
     buffers = [v for v in vars(solver).values() if isinstance(v, np.ndarray)]
     assert buffers
     assert not any(np.shares_memory(x, buf) for x in (x1, x2) for buf in buffers)
+
+
+def _arrays(value):
+    """The arrays `value` holds, through its attributes, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+def test_solver_holds_no_state_sized_array():
+    # `solve` gathers into a new array on each call, so a solver, run's
+    # included, keeps only factors and detector blocks
+    params, geom, grid, tgrid = preset_from_epsilon(0.1, 6)
+    h = assemble_hamiltonian(params, grid, place_detectors(geom, grid))
+    solver = make_linear_solver(assemble_cn(h, tgrid.dt, params.hbar), SolveConfig())
+    sizes = [a.nbytes for a in _arrays(solver)]
+    assert sizes
+    assert max(sizes) < h.dim * 16  # one state vector of complex128
 
 
 @pytest.mark.parametrize("dt", [0.065 / 350, -0.065 / 350], ids=["forward", "backward"])
