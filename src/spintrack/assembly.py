@@ -111,7 +111,8 @@ class CNSystem:
     A = I + (i dt / 2 hbar) H and B = I - (i dt / 2 hbar) H, so A + B = 2I
     holds entrywise and exactly.  Both are built in natural order on first
     access, for the checks and the benchmark's traced loop.  No solve reads
-    A, and `run` writes B over its own rows only, so a run caches neither.
+    A, and `run` applies B from one band set per solver group
+    (`solver._StoredB`), so a run builds neither.
     """
 
     h: DiscreteHamiltonian
@@ -176,30 +177,19 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
     )
 
 
-def _identity_plus(h, scale, eye=1.0, layout=None):
-    """eye * I + scale * H as a CSR matrix, written straight from h.
+def _identity_plus(h, scale, eye=1.0):
+    """eye * I + scale * H as a CSR matrix in natural mask order, written straight from h.
 
-    `layout` (None: natural mask order) places the rows: block s holds
-    channel layout.channels[s] (whose slot is s), and a column (p, i) is
-    written in block layout.slot[p], at the point Nx - 1 - i when
-    layout.reflected[p].  Row (mask, i) holds (mask, i-1), (mask, i),
-    (mask, i+1) and, at detector row i_j, the flip partner (mask ^ 2^j,
-    i_j): first when bit j of mask is set, last when it is clear, so the
-    natural order is canonical and any other keeps its entry order.  No two
-    entries of a row share a column: the flip partner differs from the
-    row's channel in one bit, and a mirror image never does.  All channels
-    share one pattern, written as if every bit were clear: one row per
-    diagonal shift, copied to its channels; the detector rows of the
-    channels with the bit set are then rotated by one.  Off-diagonal values
-    are 0.0 + scale * v, which turns -0.0 into +0.0 as a sum with I does.
+    Row (mask, i) holds (mask, i-1), (mask, i), (mask, i+1) and, at
+    detector row i_j, the flip partner (mask ^ 2^j, i_j): first when bit j
+    of mask is set, last when it is clear, so the columns of every row are
+    sorted.  All channels share one pattern, written as if every bit were
+    clear: one row per diagonal shift, copied to its channels; the detector
+    rows of the channels with the bit set are then rotated by one.
+    Off-diagonal values are 0.0 + scale * v, which turns -0.0 into +0.0 as
+    a sum with I does.
     """
     m, nx = h.num_channels, h.num_points
-    if layout is None:
-        channels = slot = np.arange(m)
-        reflected = np.zeros(m, dtype=bool)
-    else:
-        channels, slot, reflected = layout.channels, layout.slot, layout.reflected
-    s = len(channels)
     det = h.detector_indices if h.flip_strength else np.empty(0, dtype=np.int64)
     counts = np.r_[2, np.full(nx - 2, 3), 2]
     counts[det] += 1
@@ -207,13 +197,13 @@ def _identity_plus(h, scale, eye=1.0, layout=None):
     width = int(ptr[-1])
     diag = ptr[:-1] + (np.arange(nx) > 0)  # position of entry (i, i)
     partner = ptr[det] + 3
-    idx_dtype = np.int32 if s * width <= np.iinfo(np.int32).max else np.int64
+    idx_dtype = np.int32 if m * width <= np.iinfo(np.int32).max else np.int64
     cols = np.empty(width, dtype=idx_dtype)
     cols[diag] = np.arange(nx)
     cols[diag[1:] - 1] = np.arange(nx - 1)
     cols[diag[:-1] + 1] = np.arange(1, nx)
-    indices = np.empty((s, width), dtype=idx_dtype)
-    np.add(np.arange(0, s * nx, nx, dtype=idx_dtype)[:, None], cols, out=indices)
+    indices = np.empty((m, width), dtype=idx_dtype)
+    np.add(np.arange(0, m * nx, nx, dtype=idx_dtype)[:, None], cols, out=indices)
     row = np.empty(width, dtype=np.complex128)
     row[diag[1:] - 1] = 0.0 + scale * h.lower
     row[diag[:-1] + 1] = 0.0 + scale * h.upper
@@ -222,20 +212,20 @@ def _identity_plus(h, scale, eye=1.0, layout=None):
     on_diag = scale * np.add.outer(shifts, h.kin_diag)
     on_diag += eye
     rows[:, diag] = on_diag
-    data = np.take(rows, group[channels], axis=0)
+    data = np.take(rows, group, axis=0)
     if len(det):
         partner_mask, value = h.flips()
-        partner_mask = partner_mask[channels]
-        indices[:, partner] = slot[partner_mask] * nx + np.where(reflected[partner_mask], nx - 1 - det, det)
-        data[:, partner] = 0.0 + scale * value[channels]
+        indices[:, partner] = partner_mask * nx + det
+        data[:, partner] = 0.0 + scale * value
+        masks = np.arange(m)
         for j, start in enumerate(ptr[det]):
-            flipped = np.flatnonzero(channels & (1 << j))  # the rows with bit j set
+            flipped = np.flatnonzero(masks & (1 << j))  # the rows with bit j set
             for arr in (indices, data):
                 arr[flipped, start:start + 4] = arr[flipped[:, None], start + np.array([3, 0, 1, 2])]
-    indptr = np.empty(s * nx + 1, dtype=idx_dtype)
-    np.add.outer(np.arange(s, dtype=idx_dtype) * width, ptr[:-1], out=indptr[:-1].reshape(s, nx))
-    indptr[-1] = s * width
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(s * nx, s * nx))
+    indptr = np.empty(m * nx + 1, dtype=idx_dtype)
+    np.add.outer(np.arange(m, dtype=idx_dtype) * width, ptr[:-1], out=indptr[:-1].reshape(m, nx))
+    indptr[-1] = m * width
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m * nx, m * nx))
 
 
 def assemble_cn(h, dt, hbar):

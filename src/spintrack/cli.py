@@ -72,9 +72,9 @@ _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"
 
 
 # A preset run's peak RSS above the interpreter, reached while `run` steps,
-# is 4.6-10.1 state vectors at N = 6 and 8 on either stepping path (README,
+# is 2.9-6.8 state vectors at N = 6 and 8 on either stepping path (README,
 # "Performance notes"), so a run must have room for this many.
-WORKING_SET_VECTORS = 12
+WORKING_SET_VECTORS = 8
 
 
 def _fmt(x):
@@ -245,6 +245,11 @@ def _state_vector_bytes(setup):
     return (1 << setup.geom.num_spins) * setup.grid.num_points * 16
 
 
+def _working_set_bytes(setup):
+    """The memory a run must have room for: WORKING_SET_VECTORS state vectors."""
+    return WORKING_SET_VECTORS * _state_vector_bytes(setup)
+
+
 def _memory_bytes():
     """The memory this process can get: physical memory, or RLIMIT_AS when that is lower."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -286,14 +291,15 @@ def resolved_dict(setup):
         "sides": list(setup.layout.sides.signs),
         "predicted_arrival": geom.cluster_distance / params.p0,
         "state_vector_bytes": _state_vector_bytes(setup),
+        "working_set_bytes": _working_set_bytes(setup),
         "solver": asdict(setup.solve_config),
         "arrival_drop": setup.arrival_drop,
     }
 
 
 def _check_footprint(setup):
-    """Raise ConfigurationError unless WORKING_SET_VECTORS state vectors fit in memory."""
-    needed = WORKING_SET_VECTORS * _state_vector_bytes(setup)
+    """Raise ConfigurationError unless the run's working set (`_working_set_bytes`) fits in memory."""
+    needed = _working_set_bytes(setup)
     available = _memory_bytes()
     if needed > available:
         raise ConfigurationError(
@@ -314,14 +320,16 @@ def simulate(setup):
         setup.params, setup.grid, setup.layout, boundary_mode=setup.boundary_mode
     )
     system = assemble_cn(h, setup.tgrid.dt, setup.params.hbar)
-    psi0 = model.initial_state(setup.params, setup.grid, h.num_channels)
     start = time.perf_counter()
+    # psi0 is passed by position and not kept: CPython 3.11 then lets `run`
+    # free it once it has gathered its stored rows, where a keyword argument
+    # stays alive until the call returns
     record = solver.run(
         system,
-        psi0,
+        model.initial_state(setup.params, setup.grid, h.num_channels),
         setup.tgrid.num_steps,
-        config=setup.solve_config,
-        sides=setup.layout.sides,
+        setup.solve_config,
+        setup.layout.sides,
     )
     wall = time.perf_counter() - start
     final_channels = observables.channel_probs(record.final_state, t=setup.tgrid.t_final)
@@ -388,6 +396,7 @@ def write_run_artifacts(result, out_dir):
             "capacitance_iterations_max": int(iters.max()) if iters is not None else None,
             "capacitance_iterations_mean": float(iters.mean()) if iters is not None else None,
             "stored_channels": rec.stored_channels,
+            "refined_steps": rec.refined_steps,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
             "peak_rss_mb": _peak_rss_mb(),

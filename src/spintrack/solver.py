@@ -4,11 +4,12 @@ The implicit operator A is constant in time.  `CapacitanceSolver` factors
 its tridiagonal channel blocks once and solves the small detector system
 on every step by one preconditioned minimal-residual iteration.  It
 forms no sparse factor and does not read the sparse A, so no run builds
-it.  `run` steps in work buffers that it keeps, so a step allocates one array
-the size of the stored state, B x.
+it.  `run` steps in work buffers that it keeps, and applies B from one
+tridiagonal band set per solver group (`_StoredB`), so a step allocates no
+array the size of the stored state.
 
 `run` stores one channel per orbit {m, images[m]} (`_Orbits`), in the
-solver's group order, and writes B over those rows only.  When H and the
+solver's group order, and applies B to those rows only.  When H and the
 initial state are both even under the mirror map
 P = (x -> -x) x (detector j <-> N-1-j), every state of the run is too:
 psi(mirror m, x) = psi(m, -x).  The orbits are then the mirror pairs,
@@ -18,10 +19,11 @@ path with one-channel orbits.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.sparse as sparse
+from scipy.linalg import blas, lapack
 
 from . import observables
 from .assembly import _identity_plus
@@ -35,6 +37,8 @@ CAPACITANCE_RESTART = 30
 # Bits of the channel index that one matrix product of its eigenbasis
 # transform covers.
 TRANSFORM_CHUNK_BITS = 6
+# Rounds of iterative refinement a step may spend on a residual above rtol.
+REFINEMENT_ROUNDS = 2
 
 
 class SolverError(RuntimeError):
@@ -337,6 +341,62 @@ class _Orbits:
         return values
 
 
+class _StoredB:
+    """B = I - i f H on the stored rows of `_Orbits`, with f = dt / 2 hbar.
+
+    Each solver group shares one set of tridiagonal bands: its channels'
+    block of B without the flips, built by `_identity_plus` as an Nx x Nx
+    CSR matrix.  `apply` multiplies each group's contiguous row slice by
+    its bands through scipy's compiled CSR product, and then writes the
+    detector rows again from `_detector`, a CSR matrix with one row per
+    stored row and detector: B's four entries of that row, in B's order
+    (the flip entry first when bit j of the row's channel is set, last when
+    it is clear), the flip column at the partner's stored row, reversed in
+    x when the partner is unstored.  Every entry of B x is thus summed in
+    B's order by the same kernel, and equals `CNSystem.b`'s product bit
+    for bit.  The operator holds (N + 1) bands of 3 Nx numbers and
+    4 S N detector entries, against 3 S Nx for B's rows.
+    """
+
+    def __init__(self, h, scale, orbits):
+        shifts, group = np.unique(h.channel_shift, return_inverse=True)
+        self._slices = orbits.slices
+        self._bands = [
+            _identity_plus(replace(h, channel_shift=shift[None], flip_strength=0.0), scale)
+            for shift in shifts
+        ]
+        self._det = det = h.detector_indices
+        self._detector = None
+        if not h.flip_strength:
+            return
+        nx, channels = h.num_points, orbits.channels
+        s, n = len(channels), len(det)
+        # each detector row's band entries (i_j - 1, i_j, i_j + 1) and its
+        # flip entry, (S, N, 4), flip last
+        at = self._bands[0].indptr[det][:, None] + np.arange(3)
+        band = np.stack([b.data[at] for b in self._bands])[group[channels]]
+        partner, value = h.flips()
+        partner = partner[channels]
+        data = np.concatenate((band, (0.0 + scale * value[channels])[:, :, None]), axis=2)
+        cols = np.empty(data.shape, dtype=np.int64)
+        cols[:, :, :3] = (np.arange(s) * nx)[:, None, None] + det[:, None] + np.arange(-1, 2)
+        cols[:, :, 3] = orbits.slot[partner] * nx + np.where(orbits.reflected[partner], nx - 1 - det, det)
+        first = (channels[:, None] >> np.arange(n)) & 1 == 1  # the rows that sum the flip first
+        for arr in (data, cols):
+            arr[first] = np.roll(arr[first], 1, axis=1)
+        self._detector = sparse.csr_matrix(
+            (data.ravel(), cols.ravel(), np.arange(0, 4 * s * n + 1, 4)), shape=(s * n, s * nx)
+        )
+
+    def apply(self, x, out):
+        """B x into `out`; both are (S, Nx) arrays of stored rows."""
+        for sl, band in zip(self._slices, self._bands):
+            out[sl] = (band @ x[sl].T).T
+        if self._detector is not None:
+            out[:, self._det] = (self._detector @ x.ravel()).reshape(len(x), -1)
+        return out
+
+
 def _mirror_images(h, values):
     """Each channel's image under the mirror map when it leaves the run unchanged, else each channel.
 
@@ -382,22 +442,38 @@ def _weighted_norm(v, weights):
     return np.sqrt(weights @ np.vecdot(re_im, re_im))
 
 
-def _check_residual(r, rhs_norm, rtol, weights):
-    """Relative residual ||r|| / ||rhs|| of r = +-(A x - rhs), raising SolverError above rtol.
+def _relative_residual(r, rhs_norm, weights):
+    """Relative residual ||r|| / ||rhs|| of r = rhs - A x.
 
     r holds stored rows and its norm is their weighted sum, which covers
     every channel, as `rhs_norm` must.  A non-finite entry in x or rhs
-    makes the residual NaN or inf, which the negated comparison rejects,
-    so this is also the finiteness check.  A zero right-hand side falls
-    back to the absolute residual.
+    makes the residual NaN or inf.  A zero right-hand side falls back to
+    the absolute residual.
     """
-    residual = float(_weighted_norm(r, weights) / (rhs_norm if rhs_norm != 0.0 else 1.0))
-    if not residual <= rtol:
-        raise SolverError(
-            f"solve residual {residual:.3e} exceeds tolerance {rtol:.3e}",
-            residual=residual,
-        )
-    return residual
+    return float(_weighted_norm(r, weights) / (rhs_norm if rhs_norm != 0.0 else 1.0))
+
+
+def _axpy(x, y, a):
+    """y += a x, in place, in one BLAS pass; x and y are C-contiguous complex arrays."""
+    out = blas.zaxpy(x.ravel(), y.ravel(), a=a)
+    assert np.shares_memory(out, y), "zaxpy must write y in place"
+
+
+def _refine(solver, b, orbits, x, bx, r):
+    """One round of iterative refinement of the stored rows x, with bx = B x and r = rhs - A x.
+
+    Solves A c = r and sets x += c, bx += B c and r -= A c = 2c - B c, so
+    bx stays B x and r the residual of the new x.  c and B c are allocated
+    here, because only a step that refines needs them.  Returns the
+    detector iterations of the solve.
+    """
+    c = solver.solve_stored(r, orbits, out=np.empty_like(x))
+    bc = b.apply(c, np.empty_like(c))
+    x += c
+    bx += bc
+    r += bc
+    _axpy(c, r, -2.0)
+    return solver.iterations
 
 
 @dataclass(eq=False)
@@ -406,11 +482,13 @@ class RunRecord:
 
     All series have length num_steps + 1 and include t = 0.  The class
     probability series are None when the run was not given side labels.
-    `max_step_residual` is the largest relative residual of any step,
-    `capacitance_iterations` (length num_steps) holds each step's detector
-    solve iterations (`CapacitanceSolver.iterations`), and `stored_channels`
-    counts the channels the run evolved (one per mirror orbit, or all 2^N);
-    all three are None when the record was not produced by `run`.
+    `max_step_residual` is the largest relative residual of any step, after
+    refinement, `capacitance_iterations` (length num_steps) holds each
+    step's detector solve iterations (`CapacitanceSolver.iterations`,
+    summed over the step's refinement solves), `stored_channels` counts the
+    channels the run evolved (one per mirror orbit, or all 2^N), and
+    `refined_steps` counts the steps that took iterative refinement; all
+    four are None when the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -425,6 +503,7 @@ class RunRecord:
     max_step_residual: float | None = None
     capacitance_iterations: np.ndarray | None = None
     stored_channels: int | None = None
+    refined_steps: int | None = None
 
 
 def run(system, initial, num_steps, config=None, sides=None):
@@ -433,16 +512,22 @@ def run(system, initial, num_steps, config=None, sides=None):
     Each step costs one linear solve and one B-matvec: the product B x is
     the next right-hand side, and it also yields the residual check
     (A x = 2x - B x) and the energy (B = I - i f H with f = dt / 2 hbar, so
-    Re <x, H x> = -Im <x, B x> / f).
+    Re <x, H x> = -Im <x, B x> / f).  A step whose residual exceeds
+    `config.rtol` takes up to REFINEMENT_ROUNDS rounds of iterative
+    refinement (`_refine`) before it fails.
 
     The run stores one channel per orbit, in the solver's group order, and
-    steps with a B written over those rows only (`_identity_plus` on the
-    orbits): each row keeps B's entries in B's order, so it sums them as B
-    does, and no natural-order B is built; `system.b` stays unread.  When H
-    and `initial` are mirror-symmetric (`_mirror_images`) the orbits are
-    the mirror pairs; any other input has one-channel orbits and stores
-    every channel.  The norm, the energy and the residual are sums over
-    the rows weighted by their orbits' sizes, so they cover every channel.
+    steps with B applied to those rows only (`_StoredB`): per group, one
+    set of tridiagonal bands that all its rows share, plus the detector
+    rows, each summed in B's order, so B x equals `system.b`'s product bit
+    for bit; `system.b` stays unread.  B x is written into one of two
+    buffers that swap roles each step.  When H and `initial` are
+    mirror-symmetric (`_mirror_images`) the orbits are the mirror pairs;
+    any other input has one-channel orbits and stores every channel.  The
+    norm, the energy and the residual are sums over the rows weighted by
+    their orbits' sizes, so they cover every channel.  The run drops its
+    reference to `initial` once it has gathered the stored rows, so a
+    caller that keeps none frees it before stepping.
 
     Parameters
     ----------
@@ -473,10 +558,10 @@ def run(system, initial, num_steps, config=None, sides=None):
     solver = make_linear_solver(system, config)
     orbits = solver.orbits(_mirror_images(system.h, initial.values))
     weights = orbits.weights
-    b = _identity_plus(system.h, -1j * system.dt / (2.0 * system.hbar), layout=orbits)
-    rows = initial.values[orbits.channels]  # the stored state, advanced in place
-    x = rows.ravel()
-    state = StateVector(rows, dx)
+    x = initial.values[orbits.channels]  # the stored rows, advanced in place
+    del initial
+    b = _StoredB(system.h, -1j * system.dt / (2.0 * system.hbar), orbits)
+    state = StateVector(x, dx)
 
     def record(k, bx):
         probs = observables.channel_probs(state, t=times[k]).probs[orbits.slot]
@@ -485,7 +570,8 @@ def run(system, initial, num_steps, config=None, sides=None):
         if classes is not None:
             classes[k] = observables.class_sums(probs, tags)
 
-    bx = b @ x
+    bx = b.apply(x, np.empty_like(x))
+    spare = np.empty_like(x)
     record(0, bx)
     # Accuracy (not stability) guard: compare dt against the phase period of
     # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
@@ -496,25 +582,39 @@ def run(system, initial, num_steps, config=None, sides=None):
             "the scheme stays stable but phases will be inaccurate"
         )
     worst = 0.0
+    refined = 0
     iterations = np.empty(num_steps, dtype=np.int64)
     for k in range(1, num_steps + 1):
-        rhs = bx
+        rhs, bx = bx, spare  # the last B x is this step's right-hand side
         try:
             solver.solve_stored(rhs, orbits, out=x)
-            bx = b @ x
-            # A x = 2x - B x because A + B = 2I exactly, so the residual check
-            # reuses the B x that is the next step's right-hand side; the
-            # residual's negative overwrites rhs, which the step is done with
+            iterations[k - 1] = solver.iterations
+            b.apply(x, bx)
+            # A x = 2x - B x because A + B = 2I exactly, so the residual
+            # rhs - A x reuses the B x that is the next step's right-hand
+            # side; it overwrites rhs, which the step is done with
             rhs_norm = _weighted_norm(rhs, weights)
             rhs += bx
-            rhs -= x
-            rhs -= x
-            worst = max(worst, _check_residual(rhs, rhs_norm, config.rtol, weights))
+            _axpy(x, rhs, -2.0)
+            residual = _relative_residual(rhs, rhs_norm, weights)
+            rounds = 0
+            # a NaN or inf residual is not refined, and it raises
+            while config.rtol < residual < np.inf and rounds < REFINEMENT_ROUNDS:
+                iterations[k - 1] += _refine(solver, b, orbits, x, bx, rhs)
+                residual = _relative_residual(rhs, rhs_norm, weights)
+                rounds += 1
+            if not residual <= config.rtol:
+                raise SolverError(
+                    f"solve residual {residual:.3e} exceeds tolerance {config.rtol:.3e}",
+                    residual=residual,
+                )
         except SolverError as err:
             raise SolverError(f"step {k}: {err}", residual=err.residual) from err
-        iterations[k - 1] = solver.iterations
+        worst = max(worst, residual)
+        refined += rounds > 0
+        spare = rhs
         record(k, bx)
-    del b, rhs, bx  # the stepping buffers go before the full final state is built
+    del solver, b, bx, spare, rhs  # the stepping arrays go before the full final state is built
     return RunRecord(
         times=times,
         norm2=norm2,
@@ -524,8 +624,9 @@ def run(system, initial, num_steps, config=None, sides=None):
         left_track=classes[:, 2] if classes is not None else None,
         right_track=classes[:, 3] if classes is not None else None,
         multi_track=classes[:, 4] if classes is not None else None,
-        final_state=StateVector(orbits.expand(rows), dx),
+        final_state=StateVector(orbits.expand(x), dx),
         max_step_residual=worst,
         capacitance_iterations=iterations,
         stored_channels=len(orbits.channels),
+        refined_steps=refined,
     )

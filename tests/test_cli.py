@@ -50,6 +50,7 @@ def test_info_reference_preset(tmp_path, capsys):
     assert info["predicted_arrival"] == pytest.approx(0.0375)
     assert info["num_spins"] == 8
     assert info["state_vector_bytes"] == 256 * 1000 * 16
+    assert info["working_set_bytes"] == cli.WORKING_SET_VECTORS * info["state_vector_bytes"]
 
 
 def test_info_memory_estimate_n12(tmp_path, capsys):
@@ -221,6 +222,7 @@ def test_run_writes_artifacts(tmp_path):
     assert res["capacitance_iterations_max"] >= res["capacitance_iterations_mean"] >= 0.0
     assert res["peak_rss_mb"] >= summary["resolved"]["state_vector_bytes"] / 1e6 > 0.0
     assert res["stored_channels"] == 3  # one per mirror orbit of the 4 channels
+    assert res["refined_steps"] == 0
 
 
 def test_run_rho_zero_override(tmp_path):
@@ -244,6 +246,7 @@ def test_run_reference_preset_summary(tmp_path):
     res = json.loads((out / "summary.json").read_text())["results"]
     assert res["UC"] == pytest.approx(0.6596, abs=0.02)
     assert res["OS"] == pytest.approx(0.2753, abs=0.02)
+    assert res["refined_steps"] == 0
 
 
 def test_run_deterministic_csv_bytes(tmp_path):
@@ -502,8 +505,9 @@ def test_sweep_exits_4_when_out_dir_is_a_file(tmp_path, monkeypatch, capsys):
 
 
 def test_run_refuses_a_working_set_that_does_not_fit(tmp_path, monkeypatch, capsys):
-    # 12 state vectors of 4 channels x 120 points: the run fits in exactly
-    # that much memory, and with one byte less it exits 2 before assembling
+    # WORKING_SET_VECTORS state vectors of 4 channels x 120 points: the run
+    # fits in exactly that much memory, and with one byte less it exits 2
+    # before assembling
     needed = cli.WORKING_SET_VECTORS * 4 * 120 * 16
     cfg = _write(tmp_path / "cfg.json", small_explicit_config(tmp_path / "out"))
     monkeypatch.setattr(cli, "_memory_bytes", lambda: needed)
@@ -520,6 +524,7 @@ def test_run_refuses_a_working_set_that_does_not_fit(tmp_path, monkeypatch, caps
     assert f"config error: the run needs about {needed} bytes" in err
     assert f"can get {needed - 1} bytes" in err
     assert cli.main(["info", "-c", cfg]) == cli.EXIT_OK  # info allocates nothing
+    assert json.loads(capsys.readouterr().out)["working_set_bytes"] == needed
     out = tmp_path / "sweep"
     sweep = {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "num_points": 120,
              "num_steps": 5, "t_final": 0.005, "parallelism": 1, "out_dir": str(out)}

@@ -6,6 +6,7 @@ stores all 2^N.  Each check compares the stored path with the full path
 of the same input, which monkeypatching the orbit function forces.
 """
 
+import sys
 import tracemalloc
 import warnings
 
@@ -25,7 +26,6 @@ from spintrack import (
 )
 from spintrack import solver as solver_module
 from spintrack.oracle import dense_run, differences, scaled_params
-from spintrack.assembly import _identity_plus
 from spintrack.solver import SolveConfig, _Orbits
 from spintrack.spinspace import mirrors
 
@@ -122,11 +122,27 @@ def test_control_expand_without_reversing_detectors(monkeypatch):
     _control(monkeypatch, "fill", fill)
 
 
-def test_folded_b_is_b_on_the_stored_rows(rng):
-    # each stored row sums its entries in B's order, so the product of a
-    # mirror-even state equals B's, bit for bit: on the mirror orbits, and
-    # on the one-channel orbits an input without the symmetry gets
-    system, _, _ = _compact(6, num_points=81, half_length=0.6)
+def _stored_b(system, orbits):
+    return solver_module._StoredB(system.h, -1j * system.dt / (2.0 * system.hbar), orbits)
+
+
+def _flip_last(b, channels):
+    """Rewrite `b`'s detector rows with the flip entry last for every channel, as if B's order were ignored."""
+    num_spins = b._det.size
+    first = ((channels[:, None] >> np.arange(num_spins)) & 1).astype(bool).ravel()
+    for arr in (b._detector.data, b._detector.indices):
+        rows = arr.reshape(-1, 4)
+        rows[first] = np.roll(rows[first], -1, axis=1)
+
+
+@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
+@pytest.mark.parametrize("rho", [0.0, 100.0])
+def test_stored_b_is_b_on_the_stored_rows(rng, rho, boundary_mode):
+    # every entry of B x is summed in B's order by the same compiled kernel,
+    # so the product of a mirror-even state equals B's, bit for bit: on the
+    # mirror orbits, and on the one-channel orbits an input without the
+    # symmetry gets
+    system, _, _ = _compact(6, num_points=81, half_length=0.6, rho=rho, boundary_mode=boundary_mode)
     h = system.h
     m, nx = h.num_channels, h.num_points
     values = rng.standard_normal((m, nx)) + 1j * rng.standard_normal((m, nx))
@@ -139,39 +155,96 @@ def test_folded_b_is_b_on_the_stored_rows(rng):
         orbits = solver.orbits(orbit_images)
         assert len(orbits.channels) == num_stored
         assert np.all(np.diff(h.channel_shift[orbits.channels]) >= 0)  # group order
-        stored_b = _identity_plus(h, -1j * system.dt / (2.0 * system.hbar), layout=orbits)
-        # row s is B's row at channels[s], its entries in B's order
-        rows = system.b[(orbits.channels[:, None] * nx + np.arange(nx)).ravel()]
-        np.testing.assert_array_equal(stored_b.data, rows.data)
-        np.testing.assert_array_equal(stored_b.indptr, rows.indptr)
         stored = values[orbits.channels]
-        product = (stored_b @ stored.ravel()).reshape(stored.shape)
-        np.testing.assert_array_equal(product, full[orbits.channels])
+        b = _stored_b(system, orbits)
+        np.testing.assert_array_equal(b.apply(stored, np.empty_like(stored)), full[orbits.channels])
         np.testing.assert_array_equal(orbits.expand(stored), values)
         # the weighted row sums are the full-space sums
         assert orbits.weights.sum() == m
         norm = solver_module._weighted_norm(stored, orbits.weights)
         assert norm**2 == pytest.approx(full_norm2, rel=1e-14)
+        if rho:
+            # control: the flip entry summed last in every detector row
+            _flip_last(b, orbits.channels)
+            assert not np.array_equal(b.apply(stored, np.empty_like(stored)), full[orbits.channels])
 
 
 @pytest.mark.parametrize("kind", ["mirror", "one-channel"])
 @pytest.mark.parametrize("num_spins", [6, 8])
-def test_stored_b_build_allocates_little_beyond_b(num_spins, kind):
-    # run's B is written straight onto the stored rows, with no natural-order
-    # B to copy from, so the build traces little beyond B's own arrays
+def test_stored_b_holds_one_band_set_per_group(num_spins, kind):
+    # run's B shares one set of tridiagonal bands among the rows of each
+    # solver group, so its numbers grow with (N + 1) Nx plus four per stored
+    # row and detector, where B's stored rows hold 3 S Nx
     params, geom, grid, tgrid = model.preset_from_epsilon(0.1, num_spins)
     h = assemble_hamiltonian(params, grid, model.place_detectors(geom, grid))
     system = assemble_cn(h, tgrid.dt, params.hbar)
     images = mirrors(num_spins) if kind == "mirror" else np.arange(h.num_channels)
     orbits = make_linear_solver(system, SolveConfig()).orbits(images)
-    assert len(orbits.channels) == (ORBITS[num_spins] if kind == "mirror" else h.num_channels)
+    s, nx = len(orbits.channels), h.num_points
+    assert s == (ORBITS[num_spins] if kind == "mirror" else h.num_channels)
+    b = _stored_b(system, orbits)
+    matrices = [*b._bands, b._detector]
+    assert len(b._bands) == num_spins + 1
+    assert all(band.shape == (nx, nx) for band in b._bands)
+    numbers = sum(mat.nnz for mat in matrices)
+    assert numbers == (num_spins + 1) * (3 * nx - 2) + 4 * s * num_spins
+    # a complex value and an index per entry, and a pointer per row
+    pointers = (num_spins + 1) * (nx + 1) + s * num_spins + 1
+    held = sum(mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes for mat in matrices)
+    assert held <= 24 * numbers + 8 * pointers
+
+
+def _retained_bytes(build):
+    """The bytes `build()`'s result holds, as tracemalloc counts them."""
     tracemalloc.start()
     try:
-        b = _identity_plus(h, -1j * system.dt / (2.0 * system.hbar), layout=orbits)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept = build()  # counted while it is alive
+        return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (b.data.nbytes + b.indices.nbytes + b.indptr.nbytes)
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's arguments alive until it returns"
+)
+@pytest.mark.parametrize("num_spins", [6, 8])
+def test_run_traces_three_stored_vectors_beyond_its_operators(num_spins):
+    # called as `simulate` calls it, with psi0 passed by position and not
+    # kept, run frees psi0 once it has gathered the stored rows; it then
+    # holds three arrays the size of the stored state (the rows and two
+    # B x buffers), its solver and its B, and, while it applies B, one
+    # group's rows twice; a tenth of a stored vector covers the record's
+    # series and the small temporaries.  The control keeps psi0, as a
+    # caller holding a reference does, and must exceed that bound.
+    params, geom, grid, tgrid = model.preset_from_epsilon(0.1, num_spins, num_steps=10, t_final=0.065 / 35)
+    layout = model.place_detectors(geom, grid)
+    h = assemble_hamiltonian(params, grid, layout)
+    system = assemble_cn(h, tgrid.dt, params.hbar)
+    orbits = make_linear_solver(system, SolveConfig()).orbits(mirrors(num_spins))
+    row_bytes = h.num_points * 16
+    largest_group = max(sl.stop - sl.start for sl in orbits.slices)
+    operators = _retained_bytes(lambda: make_linear_solver(system, SolveConfig()))
+    operators += _retained_bytes(lambda: _stored_b(system, orbits))
+    stored = ORBITS[num_spins] * row_bytes
+    bound = 3 * stored + operators + 2 * largest_group * row_bytes + 0.1 * stored
+
+    def traced_peak(keep):
+        tracemalloc.start()
+        try:
+            if keep:
+                psi0 = initial_state(params, grid, h.num_channels)
+                record = run(system, psi0, tgrid.num_steps, SolveConfig(), layout.sides)
+            else:
+                record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps,
+                             SolveConfig(), layout.sides)
+            assert record.stored_channels == ORBITS[num_spins]
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    freed, kept = traced_peak(keep=False), traced_peak(keep=True)
+    assert freed <= bound
+    assert kept > bound
 
 
 def test_dense_oracle_on_the_stored_path():

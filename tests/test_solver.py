@@ -1,5 +1,6 @@
 """Stepping, factorization reuse, conservation, and run recording."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +20,10 @@ from spintrack import (
     preset_from_epsilon,
     run,
 )
-from spintrack import cli, observables
+from spintrack import cli, model, observables
+from spintrack import solver as solver_module
 from spintrack.assembly import DiscreteHamiltonian
-from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
+from spintrack.oracle import dense_hamiltonian, dense_run, differences, scaled_params, small_instance
 from spintrack.solver import CAPACITANCE_RTOL, CapacitanceSolver
 
 
@@ -520,3 +522,42 @@ def test_direct_detector_free_solve(rng):
     x = make_linear_solver(system, SolveConfig()).solve(rhs)
     reference = sparse_linalg.spsolve(system.a, rhs)
     assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+def test_strong_coupling_steps_refine_below_rtol(monkeypatch):
+    # The N=8 preset at rho = 1e6 with the packet started on the left
+    # cluster: the solve's own error grows with rho, and step 30's residual
+    # is 1.016e-12 against the default rtol of 1e-12.  Refinement brings
+    # every step within rtol; the control, without it, fails at step 30.
+    steps = 32
+    params, geom, grid, tgrid = preset_from_epsilon(
+        0.1, 8, rho=1e6, num_steps=steps, t_final=0.065 * steps / 350
+    )
+    params = dataclasses.replace(params, x0=-geom.cluster_distance)
+    layout = place_detectors(geom, grid)
+    h = assemble_hamiltonian(params, grid, layout)
+    system = assemble_cn(h, tgrid.dt, params.hbar)
+    psi0 = initial_state(params, grid, h.num_channels)
+    record = run(system, psi0, steps, sides=layout.sides)
+    assert record.refined_steps >= 1
+    assert record.max_step_residual <= SolveConfig().rtol
+    monkeypatch.setattr(solver_module, "REFINEMENT_ROUNDS", 0)
+    with pytest.raises(SolverError, match="step 30: solve residual"):
+        run(system, psi0, steps, sides=layout.sides)
+
+
+def test_refined_run_matches_the_dense_oracle():
+    # N=2, rho = 1e6, packet started on the left detector, coarse dt: many
+    # steps refine, and the run must still meet `validate`'s bounds
+    grid, layout = small_instance(2, 400)
+    params = scaled_params(rho=1e6, kappa=2, x0=float(layout.positions[0]))
+    tgrid = model.TimeGrid(t_final=0.065 * 30 / 100, num_steps=30)
+    h = assemble_hamiltonian(params, grid, layout)
+    system = assemble_cn(h, tgrid.dt, params.hbar)
+    record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps)
+    assert record.refined_steps >= 5
+    assert record.max_step_residual <= SolveConfig().rtol
+    max_abs, prob_diff = differences(record.final_state, dense_run(params, grid, layout, tgrid))
+    assert max_abs <= 1e-10
+    assert prob_diff <= 1e-12
+
