@@ -23,7 +23,7 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -72,9 +72,15 @@ _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"
 
 
 # A preset run's peak RSS above the interpreter, reached while `run` steps,
-# is 2.9-6.8 state vectors at N = 6 and 8 on either stepping path (README,
+# is 2.7-6.4 state vectors at N = 6 and 8 on either stepping path (README,
 # "Performance notes"), so a run must have room for this many.
 WORKING_SET_VECTORS = 8
+
+
+def _cpu_count():
+    """The CPUs this process may run on, not every CPU of the host."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _fmt(x):
@@ -95,6 +101,9 @@ class RunSetup:
     boundary_mode: str
     out_dir: str
     arrival_drop: float
+    # the most threads `solver.run` may step on; no config key sets it, and
+    # a sweep lowers it when its concurrent points fill the CPUs
+    threads: int = 2
 
 
 @dataclass
@@ -311,16 +320,20 @@ def _check_footprint(setup):
 def simulate(setup):
     """Assemble, integrate, and aggregate one configured run.
 
+    `wall_seconds` times `solver.run`, on at most `setup.threads` threads;
+    the record's `profile` gains the assembly's seconds before it.
+
     Raises ConfigurationError, before it allocates, when the run does not
     fit in memory (`_check_footprint`).
     """
     _check_footprint(setup)
+    start = time.perf_counter()
     regime_notes = model.validate_regime(setup.params, setup.geom)
     h = assemble_hamiltonian(
         setup.params, setup.grid, setup.layout, boundary_mode=setup.boundary_mode
     )
     system = assemble_cn(h, setup.tgrid.dt, setup.params.hbar)
-    start = time.perf_counter()
+    assembled = time.perf_counter()
     # psi0 is passed by position and not kept: CPython 3.11 then lets `run`
     # free it once it has gathered its stored rows, where a keyword argument
     # stays alive until the call returns
@@ -330,8 +343,10 @@ def simulate(setup):
         setup.tgrid.num_steps,
         setup.solve_config,
         setup.layout.sides,
+        setup.threads,
     )
-    wall = time.perf_counter() - start
+    wall = time.perf_counter() - assembled
+    record.profile = {"assembly": assembled - start, **record.profile}
     final_channels = observables.channel_probs(record.final_state, t=setup.tgrid.t_final)
     final_classes = observables.class_probs(final_channels, setup.layout.sides)
     arrival = observables.arrival_time(record, setup.arrival_drop)
@@ -399,6 +414,8 @@ def write_run_artifacts(result, out_dir):
             "refined_steps": rec.refined_steps,
             "arrival_time": result.arrival,
             "wall_seconds": result.wall_seconds,
+            "threads": rec.threads,
+            "profile": rec.profile,
             "peak_rss_mb": _peak_rss_mb(),
         },
         "warnings": result.regime_notes,
@@ -427,11 +444,14 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _sweep_point(cfg):
-    """Run one sweep point's run config; must stay a top-level function for process pools."""
+def _sweep_point(cfg, threads):
+    """Run one sweep point's run config on at most `threads` threads.
+
+    Must stay a top-level function for process pools.
+    """
     row = {"N": cfg["preset"]["num_spins"], "rho": cfg["preset"]["rho"]}
     try:
-        setup = resolve_run_config(cfg)
+        setup = replace(resolve_run_config(cfg), threads=threads)
         result = simulate(setup)
         write_run_artifacts(result, setup.out_dir)
         cls = result.final_classes
@@ -468,16 +488,18 @@ def _run_points(points, workers):
     `workers - 1` is a thread that hands its points to a spawned process, so
     this process works while the children import.  A lane that raises empties
     the queue, so the others start no new point, and the exception propagates
-    once the running ones end.
+    once the running ones end.  Each point may step on its share of this
+    process's CPUs, at least 1 and at most 2 threads.
     """
     rows = [None] * len(points)
     order = sorted(range(len(points)), key=lambda k: -points[k]["preset"]["num_spins"])
     todo = iter(order)  # next() on a list iterator is atomic
+    point_threads = max(1, min(2, _cpu_count() // workers))
 
     def lane(run):
         try:
             for k in todo:
-                rows[k] = run(points[k])
+                rows[k] = run(points[k], point_threads)
         except BaseException:
             for _ in todo:
                 pass
@@ -487,12 +509,12 @@ def _run_points(points, workers):
         lane(_sweep_point)
         return rows
 
-    def in_child(point):
-        return pool.submit(_sweep_point, point).result()
+    def in_child(point, threads):
+        return pool.submit(_sweep_point, point, threads).result()
 
     spawn = get_context("spawn")
-    with ProcessPoolExecutor(workers - 1, mp_context=spawn) as pool, ThreadPoolExecutor(workers - 1) as threads:
-        feeders = [threads.submit(lane, in_child) for _ in range(workers - 1)]
+    with ProcessPoolExecutor(workers - 1, mp_context=spawn) as pool, ThreadPoolExecutor(workers - 1) as feeding:
+        feeders = [feeding.submit(lane, in_child) for _ in range(workers - 1)]
         lane(_sweep_point)
         for feeder in feeders:
             feeder.result()  # a child lane's failure, e.g. a broken pool
@@ -538,10 +560,7 @@ def cmd_sweep(args):
     resolve_run_config(points[0])  # fail early on a bad shared key
     out_root.mkdir(parents=True, exist_ok=True)  # and on an unusable output directory
 
-    if not parallelism:  # every CPU this process may run on, not every CPU of the host
-        affinity = getattr(os, "sched_getaffinity", None)
-        parallelism = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(parallelism, len(points))
+    workers = min(parallelism or _cpu_count(), len(points))
     rows = _run_points(points, workers)
 
     with open(out_root / "sweep.csv", "w", encoding="ascii") as fh:

@@ -5,8 +5,12 @@ its tridiagonal channel blocks once and solves the small detector system
 on every step by one preconditioned minimal-residual iteration.  It
 forms no sparse factor and does not read the sparse A, so no run builds
 it.  `run` steps in work buffers that it keeps, and applies B from one
-tridiagonal band set per solver group (`_StoredB`), so a step allocates no
-array the size of the stored state.
+tridiagonal band set per solver group (`_StoredB`, through LAPACK's
+`zlagtm`), so a step allocates no array the size of the stored state.
+A step's tridiagonal solves and band products release the GIL; on a
+large enough state `run` splits them between the calling thread and one
+worker thread pinned to another CPU (`_Worker`), with bit-identical
+results.
 
 `run` stores one channel per orbit {m, images[m]} (`_Orbits`), in the
 solver's group order, and applies B to those rows only.  When H and the
@@ -18,12 +22,17 @@ from its stored image, reversed in x.  Any other input takes the same
 path with one-channel orbits.
 """
 
+import ctypes
+import os
+import queue
+import threading
+import time
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, cython_lapack, lapack
 
 from . import observables
 from .assembly import _identity_plus
@@ -37,8 +46,14 @@ CAPACITANCE_RESTART = 30
 # Bits of the channel index that one matrix product of its eigenbasis
 # transform covers.
 TRANSFORM_CHUNK_BITS = 6
-# Rounds of iterative refinement a step may spend on a residual above rtol.
+# Rounds of iterative refinement a step may spend on a residual above rtol,
+# and the fraction of its starting residual that a round must get below.
 REFINEMENT_ROUNDS = 2
+REFINEMENT_CONTRACTION = 1e-2
+# The smallest stored state, in rows times grid points, that `run` steps on
+# two threads: below it the hand-off to the second thread costs more than
+# the thread saves.
+TWO_THREAD_MIN_VALUES = 20_000
 
 
 class SolverError(RuntimeError):
@@ -182,8 +197,8 @@ class CapacitanceSolver:
             residual=residual,
         )
 
-    def _solve_grouped(self, r, orbits):
-        """Overwrite the stored rows `r` of `orbits` with A^-1 r.
+    def _correct(self, r, orbits):
+        """Overwrite the stored rows `r` of `orbits` with r - E K v, the detector part of A^-1 r.
 
         The detector values of an unstored channel are its image's,
         reversed: each block T_g is reversal-symmetric, so
@@ -204,14 +219,21 @@ class CapacitanceSolver:
                 raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
             v = self._minimal_residual(w, w_norm)
             r[:, self._det] -= self._apply_k(v)[channels]
-        for sl, lu in zip(orbits.slices, self._factors):
-            _tridiagonal_solve(lu, r[sl])
+
+    def solve_rows(self, r, segments):
+        """Overwrite the rows of `segments`, (group, row slice) pairs, of `r` with T^-1 r.
+
+        Releases the GIL in LAPACK, so two threads may solve disjoint segments at once.
+        """
+        for group, sl in segments:
+            _tridiagonal_solve(self._factors[group], r[sl])
 
     def solve(self, rhs, x0=None, out=None):
         """A^-1 rhs into `out` (a new array when None), both in natural order; `x0` is not used."""
         channels = self._every.channels
         r = rhs.reshape(len(channels), -1)[channels]  # a new array, in group order
-        self._solve_grouped(r, self._every)
+        self._correct(r, self._every)
+        self.solve_rows(r, self._every.segments(0, len(r)))
         out = np.empty(rhs.shape, dtype=np.complex128) if out is None else out
         out.reshape(r.shape)[channels] = r
         return out
@@ -220,15 +242,48 @@ class CapacitanceSolver:
         """The `_Orbits` of the mirror images `images` (each channel's), in this solver's groups."""
         return _Orbits(images, self._group_of)
 
+    def correct_stored(self, rhs, orbits, out):
+        """rhs - E K v into `out`, both holding the stored rows of `orbits` in their group order.
+
+        `solve_rows` over every row of `out` then completes A^-1 rhs.
+        """
+        r = out.reshape(len(orbits.channels), -1)
+        np.copyto(r, rhs.reshape(r.shape))
+        self._correct(r, orbits)
+        return out
+
     def solve_stored(self, rhs, orbits, out):
         """A^-1 rhs into `out`, both holding the stored rows of `orbits` in their group order.
 
         The rows are solved in place, with no gather or scatter.
         """
-        r = out.reshape(len(orbits.channels), -1)
-        np.copyto(r, rhs.reshape(r.shape))
-        self._solve_grouped(r, orbits)
+        self.correct_stored(rhs, orbits, out)
+        rows = len(orbits.channels)
+        self.solve_rows(out.reshape(rows, -1), orbits.segments(0, rows))
         return out
+
+
+def _cython_lapack(name, *argtypes):
+    """LAPACK routine `name` from scipy's public Cython LAPACK table, as a ctypes function.
+
+    ctypes releases the GIL for the length of each call.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_INT, _REAL, _ADDRESS = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+# zlagtm(trans, n, nrhs, alpha, dl, d, du, x, ldx, beta, b, ldb): b = alpha T x + beta b for
+# a tridiagonal T; alpha and beta are real and 0 or +-1.  f2py's scipy.linalg.lapack has no zlagtm.
+_zlagtm = _cython_lapack(
+    "zlagtm", ctypes.c_char_p, _INT, _INT, _REAL, _ADDRESS, _ADDRESS, _ADDRESS, _ADDRESS, _INT, _REAL, _ADDRESS, _INT
+)
+_ONE, _ZERO = ctypes.c_double(1.0), ctypes.c_double(0.0)
 
 
 def _tridiagonal_factor(lower, diag, upper):
@@ -320,7 +375,7 @@ class _Orbits:
         stored = np.flatnonzero(smaller == np.arange(m))
         self.channels = stored[np.argsort(group_of[stored], kind="stable")]
         self.weights = np.where(images[self.channels] == self.channels, 1.0, 2.0)
-        bounds = np.searchsorted(group_of[self.channels], np.arange(group_of.max() + 2))
+        bounds = np.searchsorted(group_of[self.channels], np.arange(group_of.max() + 2)).tolist()
         self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         row = np.empty(m, dtype=np.int64)
         row[self.channels] = np.arange(len(self.channels))
@@ -328,6 +383,11 @@ class _Orbits:
         self.reflected = smaller != np.arange(m)
         self.unstored = np.flatnonzero(self.reflected)
         self.images = smaller[self.unstored]
+
+    def segments(self, lo, hi):
+        """The rows [lo, hi) as (group, row slice) pairs, one per group they meet, in row order."""
+        pieces = ((g, slice(max(sl.start, lo), min(sl.stop, hi))) for g, sl in enumerate(self.slices))
+        return [(g, sl) for g, sl in pieces if sl.start < sl.stop]
 
     def fill(self, values):
         """Set the unstored rows of the natural-order (M, k) `values` to their images', reversed."""
@@ -344,27 +404,34 @@ class _Orbits:
 class _StoredB:
     """B = I - i f H on the stored rows of `_Orbits`, with f = dt / 2 hbar.
 
-    Each solver group shares one set of tridiagonal bands: its channels'
-    block of B without the flips, built by `_identity_plus` as an Nx x Nx
-    CSR matrix.  `apply` multiplies each group's contiguous row slice by
-    its bands through scipy's compiled CSR product, and then writes the
-    detector rows again from `_detector`, a CSR matrix with one row per
-    stored row and detector: B's four entries of that row, in B's order
-    (the flip entry first when bit j of the row's channel is set, last when
-    it is clear), the flip column at the partner's stored row, reversed in
-    x when the partner is unstored.  Every entry of B x is thus summed in
-    B's order by the same kernel, and equals `CNSystem.b`'s product bit
-    for bit.  The operator holds (N + 1) bands of 3 Nx numbers and
-    4 S N detector entries, against 3 S Nx for B's rows.
+    Each solver group shares one set of tridiagonal bands: the three
+    diagonals of its channels' block of B without the flips, read from the
+    Nx x Nx CSR matrix that `_identity_plus` writes.  `apply_bands`
+    multiplies row segments by their group's bands with LAPACK's `zlagtm`,
+    which writes into `out` with no transposed copy and releases the GIL.
+    `apply_detector` then writes the detector rows again from `_detector`,
+    a CSR matrix with one row per stored row and detector: B's four
+    entries of that row, in B's order (the flip entry first when bit j of
+    the row's channel is set, last when it is clear), the flip column at
+    the partner's stored row, reversed in x when the partner is unstored.
+    zlagtm sums each band row lower, diagonal, upper, in the order in which
+    the CSR kernel sums B's row, so every entry of B x equals
+    `CNSystem.b`'s product bit for bit.  The operator holds (N + 1) band
+    sets of 3 Nx - 2 numbers and 4 S N detector entries, against 3 S Nx
+    for B's rows.
     """
 
     def __init__(self, h, scale, orbits):
         shifts, group = np.unique(h.channel_shift, return_inverse=True)
-        self._slices = orbits.slices
-        self._bands = [
+        self._all = orbits.segments(0, len(orbits.channels))
+        bands = [
             _identity_plus(replace(h, channel_shift=shift[None], flip_strength=0.0), scale)
             for shift in shifts
         ]
+        self._bands = [tuple(band.diagonal(k) for k in (-1, 0, 1)) for band in bands]
+        self._band_at = [tuple(diag.ctypes.data for diag in band) for band in self._bands]
+        self._shape = (len(orbits.channels), h.num_points)
+        self._nx = ctypes.c_int(h.num_points)
         self._det = det = h.detector_indices
         self._detector = None
         if not h.flip_strength:
@@ -373,8 +440,8 @@ class _StoredB:
         s, n = len(channels), len(det)
         # each detector row's band entries (i_j - 1, i_j, i_j + 1) and its
         # flip entry, (S, N, 4), flip last
-        at = self._bands[0].indptr[det][:, None] + np.arange(3)
-        band = np.stack([b.data[at] for b in self._bands])[group[channels]]
+        band = np.stack([np.stack((dl[det - 1], d[det], du[det]), axis=1) for dl, d, du in self._bands])
+        band = band[group[channels]]
         partner, value = h.flips()
         partner = partner[channels]
         data = np.concatenate((band, (0.0 + scale * value[channels])[:, :, None]), axis=2)
@@ -388,12 +455,34 @@ class _StoredB:
             (data.ravel(), cols.ravel(), np.arange(0, 4 * s * n + 1, 4)), shape=(s * n, s * nx)
         )
 
-    def apply(self, x, out):
-        """B x into `out`; both are (S, Nx) arrays of stored rows."""
-        for sl, band in zip(self._slices, self._bands):
-            out[sl] = (band @ x[sl].T).T
+    def apply_bands(self, x, out, segments):
+        """The band part of B x into the rows of `segments`, (group, row slice) pairs, of `out`.
+
+        x and out are C-ordered (S, Nx) complex arrays, so a segment's k
+        rows are one Fortran-ordered (Nx, k) block, which zlagtm
+        (alpha = 1, beta = 0) overwrites with the group's product.
+        """
+        for a in (x, out):  # LAPACK reads and writes through raw pointers
+            if a.shape != self._shape or a.dtype != np.complex128 or not a.flags.c_contiguous:
+                raise ValueError(f"B applies to C-ordered complex arrays of shape {self._shape}")
+        x_at, out_at = x.ctypes.data, out.ctypes.data
+        row = x.strides[0]
+        nx = self._nx
+        for group, sl in segments:
+            dl, d, du = self._band_at[group]
+            rows = ctypes.c_int(sl.stop - sl.start)
+            at = sl.start * row
+            _zlagtm(b"N", nx, rows, _ONE, dl, d, du, x_at + at, nx, _ZERO, out_at + at, nx)
+
+    def apply_detector(self, x, out):
+        """Write the detector rows of B x into `out`; x and out are (S, Nx) arrays of stored rows."""
         if self._detector is not None:
             out[:, self._det] = (self._detector @ x.ravel()).reshape(len(x), -1)
+
+    def apply(self, x, out):
+        """B x into `out`; both are C-ordered (S, Nx) arrays of stored rows."""
+        self.apply_bands(x, out, self._all)
+        self.apply_detector(x, out)
         return out
 
 
@@ -476,6 +565,77 @@ def _refine(solver, b, orbits, x, bx, r):
     return solver.iterations
 
 
+class _Worker:
+    """A thread pinned to one CPU that runs the second lane of `run`'s steps.
+
+    It pins itself with `os.sched_setaffinity(0, ...)`, which sets the
+    calling thread's affinity alone.  A thread that is not pinned tends to
+    be woken on its waker's CPU, and the two lanes then take turns on it.
+    """
+
+    def __init__(self, cpu):
+        self._tasks = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, args=(cpu,), name="spintrack-lane", daemon=True)
+        self._thread.start()
+
+    def _serve(self, cpu):
+        try:
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass  # an unpinned lane is slower, not wrong
+        for task, args in iter(self._tasks.get, None):
+            try:
+                task(*args)
+            except BaseException as err:  # handed to the thread that waits for it
+                self._done.put(err)
+            else:
+                self._done.put(None)
+
+    def fork_join(self, task, theirs, ours):
+        """task(*theirs) on the worker while this thread runs task(*ours).
+
+        Returns once both have ended; an exception of either is raised then.
+        """
+        self._tasks.put((task, theirs))
+        try:
+            task(*ours)
+        finally:
+            err = self._done.get()
+        if err is not None:
+            raise err
+
+    def close(self):
+        self._tasks.put(None)
+        self._thread.join()
+
+
+def _other_cpu():
+    """A CPU of this process's affinity set other than the one this thread last ran on.
+
+    The CPU is read from /proc/thread-self/stat; where it cannot be read,
+    the highest CPU of the set is taken.
+    """
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as stat:
+            here = int(stat.read().rsplit(")", 1)[1].split()[36])  # field 39, `processor`
+    except (OSError, ValueError, IndexError):
+        here = None
+    return max(cpu for cpu in os.sched_getaffinity(0) if cpu != here)
+
+
+def _step_threads(threads, values):
+    """The threads `run` steps on, 1 or 2, for a stored state of `values` numbers.
+
+    Two when `threads` allows it, the state is at least
+    TWO_THREAD_MIN_VALUES and this process may run on two CPUs, one of
+    which a thread can be pinned to.
+    """
+    if threads < 2 or values < TWO_THREAD_MIN_VALUES or not hasattr(os, "sched_setaffinity"):
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
 @dataclass(eq=False)
 class RunRecord:
     """Per-step diagnostic series plus the final state.
@@ -486,9 +646,15 @@ class RunRecord:
     refinement, `capacitance_iterations` (length num_steps) holds each
     step's detector solve iterations (`CapacitanceSolver.iterations`,
     summed over the step's refinement solves), `stored_channels` counts the
-    channels the run evolved (one per mirror orbit, or all 2^N), and
-    `refined_steps` counts the steps that took iterative refinement; all
-    four are None when the record was not produced by `run`.
+    channels the run evolved (one per mirror orbit, or all 2^N),
+    `refined_steps` counts the steps that took iterative refinement,
+    `threads` is the number of threads the steps ran on, and `profile`
+    maps each phase of the run to its seconds: `setup` (from the call to
+    the first step), then, summed over the steps, `detector_solve` (the
+    detector values' gather, iteration and correction), `lanes` (the
+    tridiagonal solves and B's bands, one lane per thread), `residual`
+    (B's detector rows, the residual and any refinement) and `record`.
+    All six are None when the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -504,9 +670,11 @@ class RunRecord:
     capacitance_iterations: np.ndarray | None = None
     stored_channels: int | None = None
     refined_steps: int | None = None
+    threads: int | None = None
+    profile: dict | None = None
 
 
-def run(system, initial, num_steps, config=None, sides=None):
+def run(system, initial, num_steps, config=None, sides=None, threads=2):
     """Advance `num_steps` Crank-Nicolson steps, recording diagnostics.
 
     Each step costs one linear solve and one B-matvec: the product B x is
@@ -514,7 +682,10 @@ def run(system, initial, num_steps, config=None, sides=None):
     (A x = 2x - B x) and the energy (B = I - i f H with f = dt / 2 hbar, so
     Re <x, H x> = -Im <x, B x> / f).  A step whose residual exceeds
     `config.rtol` takes up to REFINEMENT_ROUNDS rounds of iterative
-    refinement (`_refine`) before it fails.
+    refinement (`_refine`) before it fails, and it fails at once when a
+    round leaves more than REFINEMENT_CONTRACTION of the residual it
+    started from: a round that removes rounding error leaves far less,
+    while a wrong operator contracts the residual slowly.
 
     The run stores one channel per orbit, in the solver's group order, and
     steps with B applied to those rows only (`_StoredB`): per group, one
@@ -529,6 +700,16 @@ def run(system, initial, num_steps, config=None, sides=None):
     reference to `initial` once it has gathered the stored rows, so a
     caller that keeps none frees it before stepping.
 
+    A step solves the detector system on the calling thread, and then the
+    rows' tridiagonal blocks and B's bands on them in one lane per thread
+    (`_step_threads`).  With two threads, the stored rows are cut into two
+    halves of equal row count (a solver group may straddle the cut), and a
+    `_Worker` pinned to another CPU of this process runs the second half
+    while the calling thread runs the first.  B's detector rows, the
+    residual and the record follow on the calling thread.  Every row is
+    computed by the same operations on either count, so the results are
+    bit-identical.  The worker lives for this call alone.
+
     Parameters
     ----------
     system : CNSystem
@@ -537,11 +718,15 @@ def run(system, initial, num_steps, config=None, sides=None):
     config : SolveConfig, optional
     sides : SideAssignment, optional
         When given, the configuration-class probability series are recorded.
+    threads : int, optional
+        The most threads the steps may run on; a caller that runs other
+        work at the same time passes 1.
 
     Returns
     -------
     RunRecord, whose final state holds every channel in natural order.
     """
+    started = time.perf_counter()
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     config = config or SolveConfig()
@@ -570,6 +755,10 @@ def run(system, initial, num_steps, config=None, sides=None):
         if classes is not None:
             classes[k] = observables.class_sums(probs, tags)
 
+    def lane(segments, bx):
+        solver.solve_rows(x, segments)
+        b.apply_bands(x, bx, segments)
+
     bx = b.apply(x, np.empty_like(x))
     spare = np.empty_like(x)
     record(0, bx)
@@ -584,36 +773,67 @@ def run(system, initial, num_steps, config=None, sides=None):
     worst = 0.0
     refined = 0
     iterations = np.empty(num_steps, dtype=np.int64)
-    for k in range(1, num_steps + 1):
-        rhs, bx = bx, spare  # the last B x is this step's right-hand side
-        try:
-            solver.solve_stored(rhs, orbits, out=x)
-            iterations[k - 1] = solver.iterations
-            b.apply(x, bx)
-            # A x = 2x - B x because A + B = 2I exactly, so the residual
-            # rhs - A x reuses the B x that is the next step's right-hand
-            # side; it overwrites rhs, which the step is done with
-            rhs_norm = _weighted_norm(rhs, weights)
-            rhs += bx
-            _axpy(x, rhs, -2.0)
-            residual = _relative_residual(rhs, rhs_norm, weights)
-            rounds = 0
-            # a NaN or inf residual is not refined, and it raises
-            while config.rtol < residual < np.inf and rounds < REFINEMENT_ROUNDS:
-                iterations[k - 1] += _refine(solver, b, orbits, x, bx, rhs)
+    threads = _step_threads(threads, x.size)
+    cut = len(x) // 2 if threads == 2 else len(x)
+    first, second = orbits.segments(0, cut), orbits.segments(cut, len(x))
+    worker = _Worker(_other_cpu()) if threads == 2 else None
+    detector_s = lanes_s = residual_s = record_s = 0.0
+    try:
+        clock = time.perf_counter()
+        setup_s = clock - started
+        for k in range(1, num_steps + 1):
+            rhs, bx = bx, spare  # the last B x is this step's right-hand side
+            try:
+                solver.correct_stored(rhs, orbits, out=x)
+                iterations[k - 1] = solver.iterations
+                solved = time.perf_counter()
+                if worker is None:
+                    lane(first, bx)
+                else:
+                    worker.fork_join(lane, (second, bx), (first, bx))
+                joined = time.perf_counter()
+                b.apply_detector(x, bx)
+                # A x = 2x - B x because A + B = 2I exactly, so the residual
+                # rhs - A x reuses the B x that is the next step's right-hand
+                # side; it overwrites rhs, which the step is done with
+                rhs_norm = _weighted_norm(rhs, weights)
+                rhs += bx
+                _axpy(x, rhs, -2.0)
                 residual = _relative_residual(rhs, rhs_norm, weights)
-                rounds += 1
-            if not residual <= config.rtol:
-                raise SolverError(
-                    f"solve residual {residual:.3e} exceeds tolerance {config.rtol:.3e}",
-                    residual=residual,
-                )
-        except SolverError as err:
-            raise SolverError(f"step {k}: {err}", residual=err.residual) from err
-        worst = max(worst, residual)
-        refined += rounds > 0
-        spare = rhs
-        record(k, bx)
+                rounds = 0
+                # a NaN or inf residual is not refined, and it raises
+                while config.rtol < residual < np.inf and rounds < REFINEMENT_ROUNDS:
+                    before = residual
+                    iterations[k - 1] += _refine(solver, b, orbits, x, bx, rhs)
+                    residual = _relative_residual(rhs, rhs_norm, weights)
+                    rounds += 1
+                    if not residual < REFINEMENT_CONTRACTION * before:
+                        raise SolverError(
+                            f"refinement stalled: solve residual {residual:.3e} after round {rounds} "
+                            f"is not below {REFINEMENT_CONTRACTION:g} of {before:.3e}, its residual before",
+                            residual=residual,
+                        )
+                if not residual <= config.rtol:
+                    raise SolverError(
+                        f"solve residual {residual:.3e} exceeds tolerance {config.rtol:.3e}",
+                        residual=residual,
+                    )
+            except SolverError as err:
+                raise SolverError(f"step {k}: {err}", residual=err.residual) from err
+            worst = max(worst, residual)
+            refined += rounds > 0
+            spare = rhs
+            checked = time.perf_counter()
+            record(k, bx)
+            recorded = time.perf_counter()
+            detector_s += solved - clock
+            lanes_s += joined - solved
+            residual_s += checked - joined
+            record_s += recorded - checked
+            clock = recorded
+    finally:
+        if worker is not None:
+            worker.close()
     del solver, b, bx, spare, rhs  # the stepping arrays go before the full final state is built
     return RunRecord(
         times=times,
@@ -629,4 +849,12 @@ def run(system, initial, num_steps, config=None, sides=None):
         capacitance_iterations=iterations,
         stored_channels=len(orbits.channels),
         refined_steps=refined,
+        threads=threads,
+        profile={
+            "setup": setup_s,
+            "detector_solve": detector_s,
+            "lanes": lanes_s,
+            "residual": residual_s,
+            "record": record_s,
+        },
     )

@@ -249,6 +249,65 @@ def test_run_reference_preset_summary(tmp_path):
     assert res["refined_steps"] == 0
 
 
+def test_run_profile_phases_are_positive_and_within_the_wall(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 4, "num_steps": 20,
+                                                    "t_final": 0.065 * 20 / 350}, "out_dir": str(out)})
+    assert cli.main(["run", "-c", cfg]) == 0
+    res = json.loads((out / "summary.json").read_text())["results"]
+    profile = res["profile"]
+    assert set(profile) == {"assembly", "setup", "detector_solve", "lanes", "residual", "record"}
+    assert all(seconds > 0.0 for seconds in profile.values()), profile
+    # wall_seconds times `run` alone; assembly precedes it
+    assert sum(profile.values()) - profile["assembly"] <= res["wall_seconds"]
+    assert res["threads"] in (1, 2)
+
+
+def _run_preset_n6(out, script=None):
+    """`spintrack run` of the N=6 preset into `out`, in this process or by `script` in a fresh one."""
+    cfg = _write(out.with_suffix(".json"), {"preset": {"epsilon": 0.1, "num_spins": 6}, "out_dir": str(out)})
+    if script is None:
+        assert cli.main(["run", "-c", cfg]) == 0
+    else:
+        _python("-c", script, cfg)
+    return json.loads((out / "summary.json").read_text())["results"]["threads"]
+
+
+# Limits this process, and so every thread it starts, to one CPU, then runs.
+_ONE_CPU_SCRIPT = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from spintrack import cli
+sys.exit(cli.main(["run", "-c", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets the CPU affinity")
+def test_one_cpu_run_steps_on_one_thread_with_the_same_artifacts(tmp_path):
+    # as under `taskset -c 0`; the artifacts do not depend on the thread count
+    one_cpu = _run_preset_n6(tmp_path / "one_cpu", _ONE_CPU_SCRIPT)
+    here = _run_preset_n6(tmp_path / "here")
+    assert one_cpu == 1
+    assert here == min(2, cli._cpu_count())
+    for name in ("timeseries.csv", "channels_final.csv"):
+        assert (tmp_path / "one_cpu" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_sweep_points_step_on_their_share_of_the_cpus(tmp_path):
+    # each point of N=6 is large enough for two threads, which a point takes
+    # only when the concurrent points leave it two CPUs
+    for parallelism in (1, 2):
+        out = tmp_path / f"p{parallelism}"
+        cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [6], "rho": [50.0, 100.0],
+                                               "num_steps": 4, "t_final": 0.065 * 4 / 350,
+                                               "parallelism": parallelism, "out_dir": str(out)})
+        assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_OK
+        expected = max(1, min(2, cli._cpu_count() // parallelism))
+        for rho in ("50", "100"):
+            summary = json.loads((out / f"N6_rho{rho}" / "summary.json").read_text())
+            assert summary["results"]["threads"] == expected, (parallelism, rho)
+
+
 def test_run_deterministic_csv_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = _write(tmp_path / "c1.json", small_explicit_config(out1))
@@ -446,7 +505,8 @@ def test_obsolete_solver_method_key(tmp_path, capsys):
         payload = {**small_explicit_config(out), "solver": {"method": method}}
         assert cli.main(["run", "-c", _write(tmp_path / f"{method}.json", payload)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        del summary["results"]["wall_seconds"], summary["results"]["peak_rss_mb"]
+        for timing in ("wall_seconds", "peak_rss_mb", "profile"):
+            del summary["results"][timing]
         artifacts.append(
             [(out / name).read_bytes() for name in ("timeseries.csv", "channels_final.csv")] + [summary]
         )
@@ -668,9 +728,11 @@ def _sweep_cells(out):
 def test_sweep_starts_largest_points_first(tmp_path, monkeypatch):
     started = []
 
-    def sweep_point(cfg):
+    def sweep_point(cfg, threads):
         n, rho = cfg["preset"]["num_spins"], cfg["preset"]["rho"]
         started.append((n, rho))
+        # the one lane may step on two of this process's CPUs
+        assert threads == min(2, cli._cpu_count())
         values = dict.fromkeys(("LRC_one_side", "two_LRC", "OS", "UC", "MT", "row_sum"), 0.25)
         return {"N": n, "rho": rho, **values, "arrival_time": None, "wall_seconds": 0.0}
 

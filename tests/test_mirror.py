@@ -6,7 +6,9 @@ stores all 2^N.  Each check compares the stored path with the full path
 of the same input, which monkeypatching the orbit function forces.
 """
 
+import os
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -92,15 +94,16 @@ def test_stored_path_matches_full_path(num_spins, boundary_mode, monkeypatch):
     assert stored.unchanged[-1] < 0.6
 
 
-def _control(monkeypatch, name, broken):
+def _control(monkeypatch, name, broken, step):
     """Run the N=4, rho=100 instance with `_Orbits.<name>` replaced by `broken`.
 
-    The residual check covers every channel, so it must stop the run once
-    the packet reaches the detectors.
+    The residual check covers every channel, so it must stop the run at
+    `step`, once the packet reaches the detectors: refinement cannot absorb
+    the operator error, because its first round stalls.
     """
     system, psi0, layout = _compact(4)
     monkeypatch.setattr(_Orbits, name, broken)
-    with pytest.raises(SolverError, match="solve residual"):
+    with pytest.raises(SolverError, match=f"^step {step}: refinement stalled: solve residual"):
         run(system, psi0, STEPS, sides=layout.sides)
 
 
@@ -112,14 +115,81 @@ def test_control_b_without_reversing_x(monkeypatch):
         init(self, images, group_of)
         self.reflected = np.zeros_like(self.reflected)
 
-    _control(monkeypatch, "__init__", unreflected)
+    _control(monkeypatch, "__init__", unreflected, step=4)
 
 
 def test_control_expand_without_reversing_detectors(monkeypatch):
     def fill(self, values):
         values[self.unstored] = values[self.images]
 
-    _control(monkeypatch, "fill", fill)
+    _control(monkeypatch, "fill", fill, step=5)
+
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a run steps on two threads only where it may run on two CPUs",
+)
+
+
+@two_cpus
+@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
+@pytest.mark.parametrize("x0", [0.0, 0.05], ids=["mirror-orbits", "one-channel-orbits"])
+def test_two_threads_match_one_bit_for_bit(x0, boundary_mode, monkeypatch):
+    # the floor lowered, so that these small instances step on two threads;
+    # each thread runs the same per-row operations on its half of the rows
+    monkeypatch.setattr(solver_module, "TWO_THREAD_MIN_VALUES", 0)
+    system, psi0, layout = _compact(4, x0=x0, boundary_mode=boundary_mode)
+    one = run(system, psi0, STEPS, sides=layout.sides, threads=1)
+    two = run(system, psi0, STEPS, sides=layout.sides)
+    assert (one.threads, two.threads) == (1, 2)
+    assert two.stored_channels == (ORBITS[4] if x0 == 0.0 else 16)
+    # the cut at half the rows falls inside a solver group
+    orbits = make_linear_solver(system, SolveConfig()).orbits(solver_module._mirror_images(system.h, psi0.values))
+    cut = two.stored_channels // 2
+    assert any(sl.start < cut < sl.stop for sl in orbits.slices)
+    np.testing.assert_array_equal(two.final_state.values, one.final_state.values)
+    for series in ("times", "norm2", "energy", "capacitance_iterations", *CLASSES):
+        np.testing.assert_array_equal(getattr(two, series), getattr(one, series), err_msg=series)
+    assert two.max_step_residual == one.max_step_residual
+    assert one.unchanged[-1] < 0.6  # the packet crossed the clusters
+
+
+@two_cpus
+def test_a_worker_error_fails_its_step_and_no_thread_outlives_run(monkeypatch):
+    monkeypatch.setattr(solver_module, "TWO_THREAD_MIN_VALUES", 0)
+    system, psi0, layout = _compact(4)
+    before = threading.active_count()
+    pinned = []
+    real_pin = os.sched_setaffinity
+
+    def pin(pid, cpus):
+        pinned.append((pid, set(cpus), threading.current_thread() is threading.main_thread()))
+        real_pin(pid, cpus)
+
+    monkeypatch.setattr(solver_module.os, "sched_setaffinity", pin)
+    assert run(system, psi0, 5, sides=layout.sides).threads == 2
+    assert threading.active_count() == before
+    # the worker pinned itself, and only itself, to one CPU of this process
+    [(pid, cpus, on_main)] = pinned
+    assert pid == 0 and len(cpus) == 1 and cpus <= os.sched_getaffinity(0) and not on_main
+
+    # the worker's segments, the groups that the second half of the rows meets
+    orbits = make_linear_solver(system, SolveConfig()).orbits(mirrors(4))
+    per_step = len(orbits.segments(ORBITS[4] // 2, ORBITS[4]))
+    real_solve = solver_module._tridiagonal_solve
+    solves = []
+
+    def solve(lu, rows, trans="N"):
+        if threading.current_thread() is not threading.main_thread():
+            solves.append(len(rows))
+            if len(solves) > per_step:  # the worker's first segment of step 2
+                raise SolverError("injected")
+        real_solve(lu, rows, trans)
+
+    monkeypatch.setattr(solver_module, "_tridiagonal_solve", solve)
+    with pytest.raises(SolverError, match="^step 2: injected$"):
+        run(system, psi0, 5, sides=layout.sides)
+    assert threading.active_count() == before
 
 
 def _stored_b(system, orbits):
@@ -172,9 +242,9 @@ def test_stored_b_is_b_on_the_stored_rows(rng, rho, boundary_mode):
 @pytest.mark.parametrize("kind", ["mirror", "one-channel"])
 @pytest.mark.parametrize("num_spins", [6, 8])
 def test_stored_b_holds_one_band_set_per_group(num_spins, kind):
-    # run's B shares one set of tridiagonal bands among the rows of each
-    # solver group, so its numbers grow with (N + 1) Nx plus four per stored
-    # row and detector, where B's stored rows hold 3 S Nx
+    # run's B shares one set of three tridiagonal diagonals among the rows of
+    # each solver group, so its numbers grow with (N + 1) Nx plus four per
+    # stored row and detector, where B's stored rows hold 3 S Nx
     params, geom, grid, tgrid = model.preset_from_epsilon(0.1, num_spins)
     h = assemble_hamiltonian(params, grid, model.place_detectors(geom, grid))
     system = assemble_cn(h, tgrid.dt, params.hbar)
@@ -183,15 +253,16 @@ def test_stored_b_holds_one_band_set_per_group(num_spins, kind):
     s, nx = len(orbits.channels), h.num_points
     assert s == (ORBITS[num_spins] if kind == "mirror" else h.num_channels)
     b = _stored_b(system, orbits)
-    matrices = [*b._bands, b._detector]
     assert len(b._bands) == num_spins + 1
-    assert all(band.shape == (nx, nx) for band in b._bands)
-    numbers = sum(mat.nnz for mat in matrices)
+    assert all([len(diag) for diag in band] == [nx - 1, nx, nx - 1] for band in b._bands)
+    diagonals = [diag for band in b._bands for diag in band]
+    numbers = sum(diag.size for diag in diagonals) + b._detector.nnz
     assert numbers == (num_spins + 1) * (3 * nx - 2) + 4 * s * num_spins
-    # a complex value and an index per entry, and a pointer per row
-    pointers = (num_spins + 1) * (nx + 1) + s * num_spins + 1
-    held = sum(mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes for mat in matrices)
-    assert held <= 24 * numbers + 8 * pointers
+    # a complex value per band entry; a value and an index per detector
+    # entry, and a pointer per detector row
+    held = sum(diag.nbytes for diag in diagonals)
+    held += b._detector.data.nbytes + b._detector.indices.nbytes + b._detector.indptr.nbytes
+    assert held <= 16 * numbers + 8 * (4 * s * num_spins) + 8 * (s * num_spins + 1)
 
 
 def _retained_bytes(build):
@@ -204,6 +275,16 @@ def _retained_bytes(build):
         tracemalloc.stop()
 
 
+def _peak_bytes(call):
+    """The peak bytes `call()` allocates, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.skipif(
     sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's arguments alive until it returns"
 )
@@ -212,21 +293,27 @@ def test_run_traces_three_stored_vectors_beyond_its_operators(num_spins):
     # called as `simulate` calls it, with psi0 passed by position and not
     # kept, run frees psi0 once it has gathered the stored rows; it then
     # holds three arrays the size of the stored state (the rows and two
-    # B x buffers), its solver and its B, and, while it applies B, one
-    # group's rows twice; a tenth of a stored vector covers the record's
-    # series and the small temporaries.  The control keeps psi0, as a
-    # caller holding a reference does, and must exceed that bound.
+    # B x buffers), its solver and its B, which writes B x in place, and,
+    # while it solves the detector system, that iteration's (2^N, N)
+    # vectors; a tenth of a stored vector covers the record's series and
+    # the small temporaries.  The control keeps psi0, as a caller holding a
+    # reference does, and must exceed that bound.
     params, geom, grid, tgrid = model.preset_from_epsilon(0.1, num_spins, num_steps=10, t_final=0.065 / 35)
     layout = model.place_detectors(geom, grid)
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, tgrid.dt, params.hbar)
-    orbits = make_linear_solver(system, SolveConfig()).orbits(mirrors(num_spins))
+    solver = make_linear_solver(system, SolveConfig())
+    orbits = solver.orbits(mirrors(num_spins))
     row_bytes = h.num_points * 16
-    largest_group = max(sl.stop - sl.start for sl in orbits.slices)
     operators = _retained_bytes(lambda: make_linear_solver(system, SolveConfig()))
     operators += _retained_bytes(lambda: _stored_b(system, orbits))
+    # the first step's detector solve, on the preset's rows
+    x = initial_state(params, grid, h.num_channels).values[orbits.channels]
+    rhs = _stored_b(system, orbits).apply(x, np.empty_like(x))
+    detector_solve = _peak_bytes(lambda: solver.correct_stored(rhs, orbits, out=x))
+    del solver, x, rhs
     stored = ORBITS[num_spins] * row_bytes
-    bound = 3 * stored + operators + 2 * largest_group * row_bytes + 0.1 * stored
+    bound = 3 * stored + operators + detector_solve + 0.1 * stored
 
     def traced_peak(keep):
         tracemalloc.start()
