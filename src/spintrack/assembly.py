@@ -110,9 +110,10 @@ class CNSystem:
 
     A = I + (i dt / 2 hbar) H and B = I - (i dt / 2 hbar) H, so A + B = 2I
     holds entrywise and exactly.  Both are built in natural order on first
-    access, for the checks and the benchmark's traced loop.  No solve reads
-    A, and `run` applies B from one band set per solver group
-    (`solver._StoredB`), so a run builds neither.
+    access, for the checks and the benchmark's traced loop; a run builds
+    neither.  Their entries come from `cn_bands` and `detector_entries`,
+    which also write the solver's factored blocks of A and run's B
+    (`solver._StoredB`), so those agree with `a` and `b` bit for bit.
     """
 
     h: DiscreteHamiltonian
@@ -177,51 +178,71 @@ def assemble_hamiltonian(params, grid, layout, boundary_mode="ghost"):
     )
 
 
-def _identity_plus(h, scale, eye=1.0):
-    """eye * I + scale * H as a CSR matrix in natural mask order, written straight from h.
+def cn_bands(h, scale, eye=1.0):
+    """(group, bands): each channel's group, and each group's bands of eye * I + scale * H without the flips.
 
-    Row (mask, i) holds (mask, i-1), (mask, i), (mask, i+1) and, at
-    detector row i_j, the flip partner (mask ^ 2^j, i_j): first when bit j
-    of mask is set, last when it is clear, so the columns of every row are
-    sorted.  All channels share one pattern, written as if every bit were
-    clear: one row per diagonal shift, copied to its channels; the detector
-    rows of the channels with the bit set are then rotated by one.
-    Off-diagonal values are 0.0 + scale * v, which turns -0.0 into +0.0 as
-    a sum with I does.
+    The groups are the distinct diagonal shifts, ascending; bands[g] is
+    (lower, diagonal, upper), and every group shares the off-diagonals
+    0.0 + scale * v, which turns -0.0 into +0.0 as a sum with I does.
+    """
+    shifts, group = np.unique(h.channel_shift, return_inverse=True)
+    lower, upper = 0.0 + scale * h.lower, 0.0 + scale * h.upper
+    diagonals = scale * np.add.outer(shifts, h.kin_diag)
+    diagonals += eye
+    return group, [(lower, diagonal, upper) for diagonal in diagonals]
+
+
+def detector_entries(h, scale, group, bands, channels):
+    """The detector rows of `channels` in eye * I + scale * H, from `cn_bands`' group and bands.
+
+    Returns (values, channel, point), each (len(channels), N, 4): row
+    (channels[s], i_j) sums values[s, j, k] at column (channel, point)[s, j, k]
+    in k order: the band's i_j - 1, i_j, i_j + 1 and the flip partner's
+    (mask ^ 2^j, i_j), which comes first instead when bit j of the mask is
+    set, so that natural-order columns are sorted.
+    """
+    det = h.detector_indices
+    partner, flip = h.flips()
+    band = np.stack([np.stack((dl[det - 1], d[det], du[det]), axis=1) for dl, d, du in bands])
+    values = np.concatenate((band[group[channels]], (0.0 + scale * flip[channels])[:, :, None]), axis=2)
+    channel = np.where(np.arange(4) == 3, partner[channels][:, :, None], channels[:, None, None])
+    point = np.broadcast_to(det[:, None] + np.array([-1, 0, 1, 0]), values.shape)
+    first = (channels[:, None] >> np.arange(len(det))) & 1 == 1
+    order = np.where(first[:, :, None], [3, 0, 1, 2], [0, 1, 2, 3])
+    return tuple(np.take_along_axis(arr, order, axis=2) for arr in (values, channel, point))
+
+
+def _identity_plus(h, scale, eye=1.0):
+    """eye * I + scale * H as a CSR matrix in natural mask order, from `cn_bands` and `detector_entries`.
+
+    Each group's rows are written once and copied to its channels; the
+    detector rows are then overwritten in their summation order, which
+    keeps every row's columns sorted.
     """
     m, nx = h.num_channels, h.num_points
+    group, bands = cn_bands(h, scale, eye)
     det = h.detector_indices if h.flip_strength else np.empty(0, dtype=np.int64)
     counts = np.r_[2, np.full(nx - 2, 3), 2]
     counts[det] += 1
     ptr = np.concatenate(([0], np.cumsum(counts)))  # one channel's row pointers
     width = int(ptr[-1])
     diag = ptr[:-1] + (np.arange(nx) > 0)  # position of entry (i, i)
-    partner = ptr[det] + 3
     idx_dtype = np.int32 if m * width <= np.iinfo(np.int32).max else np.int64
     cols = np.empty(width, dtype=idx_dtype)
     cols[diag] = np.arange(nx)
     cols[diag[1:] - 1] = np.arange(nx - 1)
     cols[diag[:-1] + 1] = np.arange(1, nx)
+    rows = np.empty((len(bands), width), dtype=np.complex128)
+    for row, (dl, d, du) in zip(rows, bands):
+        row[diag[1:] - 1], row[diag], row[diag[:-1] + 1] = dl, d, du
+    data = np.take(rows, group, axis=0)
     indices = np.empty((m, width), dtype=idx_dtype)
     np.add(np.arange(0, m * nx, nx, dtype=idx_dtype)[:, None], cols, out=indices)
-    row = np.empty(width, dtype=np.complex128)
-    row[diag[1:] - 1] = 0.0 + scale * h.lower
-    row[diag[:-1] + 1] = 0.0 + scale * h.upper
-    shifts, group = np.unique(h.channel_shift, return_inverse=True)
-    rows = np.tile(row, (len(shifts), 1))
-    on_diag = scale * np.add.outer(shifts, h.kin_diag)
-    on_diag += eye
-    rows[:, diag] = on_diag
-    data = np.take(rows, group, axis=0)
     if len(det):
-        partner_mask, value = h.flips()
-        indices[:, partner] = partner_mask * nx + det
-        data[:, partner] = 0.0 + scale * value
-        masks = np.arange(m)
-        for j, start in enumerate(ptr[det]):
-            flipped = np.flatnonzero(masks & (1 << j))  # the rows with bit j set
-            for arr in (indices, data):
-                arr[flipped, start:start + 4] = arr[flipped[:, None], start + np.array([3, 0, 1, 2])]
+        values, channel, point = detector_entries(h, scale, group, bands, np.arange(m))
+        at = ptr[det, None] + np.arange(4)  # each detector row's four entries
+        data[:, at] = values
+        indices[:, at] = channel * nx + point
     indptr = np.empty(m * nx + 1, dtype=idx_dtype)
     np.add.outer(np.arange(m, dtype=idx_dtype) * width, ptr[:-1], out=indptr[:-1].reshape(m, nx))
     indptr[-1] = m * width

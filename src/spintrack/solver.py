@@ -28,14 +28,14 @@ import queue
 import threading
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import blas, cython_lapack, lapack
 
 from . import observables
-from .assembly import _identity_plus
+from .assembly import cn_bands, detector_entries
 from .spinspace import mirrors
 from .state import StateVector
 
@@ -118,13 +118,9 @@ class CapacitanceSolver:
     def __init__(self, system, config):
         h = system.h
         f = 1j * system.dt / (2.0 * system.hbar)
-        lower, upper = f * h.lower, f * h.upper
-        shifts, group_of = np.unique(h.channel_shift, return_inverse=True)
-        self._group_of = group_of
+        self._group_of, bands = cn_bands(h, f)  # A's blocks, exactly as `system.a` holds them
         self._every = self.orbits(np.arange(h.num_channels))  # one-channel orbits, for `solve`
-        self._factors = [
-            _tridiagonal_factor(lower, 1.0 + f * (h.kin_diag + shift), upper) for shift in shifts
-        ]
+        self._factors = [_tridiagonal_factor(*band) for band in bands]
         self._coupled = bool(h.flip_strength)
         self._max_iter = config.max_iter
         self.iterations = 0
@@ -141,7 +137,7 @@ class CapacitanceSolver:
         # block G_g[j, k] = T_g^-1[i_j, i_k]
         self._rows = [_detector_rows(lu, det) for lu in self._factors]
         blocks = [rows[det - band.start].T for band, rows in self._rows]
-        self._g = np.stack(blocks)[group_of]  # (M, N, N)
+        self._g = np.stack(blocks)[self._group_of]  # (M, N, N)
         # reference block: the middle group's, whose shift is 0 at every even N
         g0 = blocks[len(blocks) // 2]
         d = 1j * self._k  # the eigenvalues f gamma sigma_j of each detector's flip coupling
@@ -228,15 +224,13 @@ class CapacitanceSolver:
         for group, sl in segments:
             _tridiagonal_solve(self._factors[group], r[sl])
 
-    def solve(self, rhs, x0=None, out=None):
-        """A^-1 rhs into `out` (a new array when None), both in natural order; `x0` is not used."""
+    def solve(self, rhs, x0=None):
+        """A^-1 rhs as a new array, both in natural order; `x0` is not used."""
         channels = self._every.channels
         r = rhs.reshape(len(channels), -1)[channels]  # a new array, in group order
         self._correct(r, self._every)
         self.solve_rows(r, self._every.segments(0, len(r)))
-        out = np.empty(rhs.shape, dtype=np.complex128) if out is None else out
-        out.reshape(r.shape)[channels] = r
-        return out
+        return self._every.expand(r).reshape(rhs.shape)
 
     def orbits(self, images):
         """The `_Orbits` of the mirror images `images` (each channel's), in this solver's groups."""
@@ -405,15 +399,15 @@ class _StoredB:
     """B = I - i f H on the stored rows of `_Orbits`, with f = dt / 2 hbar.
 
     Each solver group shares one set of tridiagonal bands: the three
-    diagonals of its channels' block of B without the flips, read from the
-    Nx x Nx CSR matrix that `_identity_plus` writes.  `apply_bands`
-    multiplies row segments by their group's bands with LAPACK's `zlagtm`,
-    which writes into `out` with no transposed copy and releases the GIL.
+    diagonals of its channels' block of B without the flips, as
+    `assembly.cn_bands` writes them.  `apply_bands` multiplies row
+    segments by their group's bands with LAPACK's `zlagtm`, which writes
+    into `out` with no transposed copy and releases the GIL.
     `apply_detector` then writes the detector rows again from `_detector`,
     a CSR matrix with one row per stored row and detector: B's four
-    entries of that row, in B's order (the flip entry first when bit j of
-    the row's channel is set, last when it is clear), the flip column at
-    the partner's stored row, reversed in x when the partner is unstored.
+    entries of that row as `assembly.detector_entries` writes them, in B's
+    order, with each column moved to its channel's stored row, reversed in
+    x when that channel is unstored.
     zlagtm sums each band row lower, diagonal, upper, in the order in which
     the CSR kernel sums B's row, so every entry of B x equals
     `CNSystem.b`'s product bit for bit.  The operator holds (N + 1) band
@@ -422,35 +416,19 @@ class _StoredB:
     """
 
     def __init__(self, h, scale, orbits):
-        shifts, group = np.unique(h.channel_shift, return_inverse=True)
+        group, self._bands = cn_bands(h, scale)
         self._all = orbits.segments(0, len(orbits.channels))
-        bands = [
-            _identity_plus(replace(h, channel_shift=shift[None], flip_strength=0.0), scale)
-            for shift in shifts
-        ]
-        self._bands = [tuple(band.diagonal(k) for k in (-1, 0, 1)) for band in bands]
         self._band_at = [tuple(diag.ctypes.data for diag in band) for band in self._bands]
         self._shape = (len(orbits.channels), h.num_points)
         self._nx = ctypes.c_int(h.num_points)
-        self._det = det = h.detector_indices
+        self._det = h.detector_indices
         self._detector = None
         if not h.flip_strength:
             return
-        nx, channels = h.num_points, orbits.channels
-        s, n = len(channels), len(det)
-        # each detector row's band entries (i_j - 1, i_j, i_j + 1) and its
-        # flip entry, (S, N, 4), flip last
-        band = np.stack([np.stack((dl[det - 1], d[det], du[det]), axis=1) for dl, d, du in self._bands])
-        band = band[group[channels]]
-        partner, value = h.flips()
-        partner = partner[channels]
-        data = np.concatenate((band, (0.0 + scale * value[channels])[:, :, None]), axis=2)
-        cols = np.empty(data.shape, dtype=np.int64)
-        cols[:, :, :3] = (np.arange(s) * nx)[:, None, None] + det[:, None] + np.arange(-1, 2)
-        cols[:, :, 3] = orbits.slot[partner] * nx + np.where(orbits.reflected[partner], nx - 1 - det, det)
-        first = (channels[:, None] >> np.arange(n)) & 1 == 1  # the rows that sum the flip first
-        for arr in (data, cols):
-            arr[first] = np.roll(arr[first], 1, axis=1)
+        (s, nx), n = self._shape, len(self._det)
+        data, channel, point = detector_entries(h, scale, group, self._bands, orbits.channels)
+        # each column at its channel's stored row, reversed in x when the channel is unstored
+        cols = orbits.slot[channel] * nx + np.where(orbits.reflected[channel], nx - 1 - point, point)
         self._detector = sparse.csr_matrix(
             (data.ravel(), cols.ravel(), np.arange(0, 4 * s * n + 1, 4)), shape=(s * n, s * nx)
         )

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sparse_linalg
+from scipy.linalg import lapack
 
 from spintrack import (
     SolveConfig,
@@ -469,6 +470,25 @@ def test_direct_matches_full_space_solve(num_spins, boundary_mode, dt, rng):
                 reference = sparse_linalg.spsolve(system.a, rhs)
                 err = np.linalg.norm(x - reference) / np.linalg.norm(reference)
                 assert err <= 1e-12, (rho, beta, kappa)
+
+
+@pytest.mark.parametrize("dt", [0.065 / 350, -0.065 / 350], ids=["forward", "backward"])
+@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
+def test_factored_blocks_are_zgttrf_of_the_assembled_a(boundary_mode, dt):
+    # each channel's LU factor is zgttrf of that channel's diagonal block
+    # of the assembled A, compared as bytes, so -0.0 and +0.0 differ
+    grid, layout = small_instance(4, 100)
+    params = scaled_params(rho=100.0)
+    h = assemble_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
+    system = assemble_cn(h, dt, params.hbar)
+    solver = make_linear_solver(system, SolveConfig())
+    nx = h.num_points
+    for mask in range(h.num_channels):
+        block = system.a[mask * nx:(mask + 1) * nx, mask * nx:(mask + 1) * nx]
+        *expected, info = lapack.zgttrf(*(block.diagonal(k) for k in (-1, 0, 1)))
+        assert info == 0
+        factor = solver._factors[solver._group_of[mask]]
+        assert [a.tobytes() for a in factor] == [a.tobytes() for a in expected], mask
 
 
 def test_direct_preset_run_matches_sparse_lu():
