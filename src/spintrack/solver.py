@@ -246,16 +246,6 @@ class CapacitanceSolver:
         self._correct(r, orbits)
         return out
 
-    def solve_stored(self, rhs, orbits, out):
-        """A^-1 rhs into `out`, both holding the stored rows of `orbits` in their group order.
-
-        The rows are solved in place, with no gather or scatter.
-        """
-        self.correct_stored(rhs, orbits, out)
-        rows = len(orbits.channels)
-        self.solve_rows(out.reshape(rows, -1), orbits.segments(0, rows))
-        return out
-
 
 def _cython_lapack(name, *argtypes):
     """LAPACK routine `name` from scipy's public Cython LAPACK table, as a ctypes function.
@@ -509,38 +499,10 @@ def _weighted_norm(v, weights):
     return np.sqrt(weights @ np.vecdot(re_im, re_im))
 
 
-def _relative_residual(r, rhs_norm, weights):
-    """Relative residual ||r|| / ||rhs|| of r = rhs - A x.
-
-    r holds stored rows and its norm is their weighted sum, which covers
-    every channel, as `rhs_norm` must.  A non-finite entry in x or rhs
-    makes the residual NaN or inf.  A zero right-hand side falls back to
-    the absolute residual.
-    """
-    return float(_weighted_norm(r, weights) / (rhs_norm if rhs_norm != 0.0 else 1.0))
-
-
 def _axpy(x, y, a):
     """y += a x, in place, in one BLAS pass; x and y are C-contiguous complex arrays."""
     out = blas.zaxpy(x.ravel(), y.ravel(), a=a)
     assert np.shares_memory(out, y), "zaxpy must write y in place"
-
-
-def _refine(solver, b, orbits, x, bx, r):
-    """One round of iterative refinement of the stored rows x, with bx = B x and r = rhs - A x.
-
-    Solves A c = r and sets x += c, bx += B c and r -= A c = 2c - B c, so
-    bx stays B x and r the residual of the new x.  c and B c are allocated
-    here, because only a step that refines needs them.  Returns the
-    detector iterations of the solve.
-    """
-    c = solver.solve_stored(r, orbits, out=np.empty_like(x))
-    bc = b.apply(c, np.empty_like(c))
-    x += c
-    bx += bc
-    r += bc
-    _axpy(c, r, -2.0)
-    return solver.iterations
 
 
 class _Worker:
@@ -629,10 +591,11 @@ class RunRecord:
     `threads` is the number of threads the steps ran on, and `profile`
     maps each phase of the run to its seconds: `setup` (from the call to
     the first step), then, summed over the steps, `detector_solve` (the
-    detector values' gather, iteration and correction), `lanes` (the
-    tridiagonal solves and B's bands, one lane per thread), `residual`
-    (B's detector rows, the residual and any refinement) and `record`.
-    All six are None when the record was not produced by `run`.
+    right-hand side's norm and the detector values' gather, iteration and
+    correction), `lanes` (the tridiagonal solves and B's bands, one lane
+    per thread), `residual` (B's detector rows and the residual) and
+    `record`.  A refinement round adds to the first three like the step's
+    own solve.  All six are None when the record was not produced by `run`.
     """
 
     times: np.ndarray
@@ -660,10 +623,12 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     (A x = 2x - B x) and the energy (B = I - i f H with f = dt / 2 hbar, so
     Re <x, H x> = -Im <x, B x> / f).  A step whose residual exceeds
     `config.rtol` takes up to REFINEMENT_ROUNDS rounds of iterative
-    refinement (`_refine`) before it fails, and it fails at once when a
-    round leaves more than REFINEMENT_CONTRACTION of the residual it
-    started from: a round that removes rounding error leaves far less,
-    while a wrong operator contracts the residual slowly.
+    refinement before it fails: a round solves A c = r for the residual r
+    by the step's own solve (`solve_round`), with c in place of x, and
+    adds c to x and B c to B x.  The step fails at once when a round
+    leaves more than REFINEMENT_CONTRACTION of the residual it started
+    from: a round that removes rounding error leaves far less, while a
+    wrong operator contracts the residual slowly.
 
     The run stores one channel per orbit, in the solver's group order, and
     steps with B applied to those rows only (`_StoredB`): per group, one
@@ -683,10 +648,11 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     (`_step_threads`).  With two threads, the stored rows are cut into two
     halves of equal row count (a solver group may straddle the cut), and a
     `_Worker` pinned to another CPU of this process runs the second half
-    while the calling thread runs the first.  B's detector rows, the
-    residual and the record follow on the calling thread.  Every row is
-    computed by the same operations on either count, so the results are
-    bit-identical.  The worker lives for this call alone.
+    while the calling thread runs the first; a refinement round splits its
+    rows the same way.  B's detector rows, the residual and the record
+    follow on the calling thread.  Every row is computed by the same
+    operations on either count, so the results are bit-identical.  The
+    worker lives for this call alone.
 
     Parameters
     ----------
@@ -733,9 +699,37 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         if classes is not None:
             classes[k] = observables.class_sums(probs, tags)
 
-    def lane(segments, bx):
-        solver.solve_rows(x, segments)
-        b.apply_bands(x, bx, segments)
+    def lane(segments, c, bc):
+        solver.solve_rows(c, segments)
+        b.apply_bands(c, bc, segments)
+
+    def solve_round(r, c, bc, r_norm):
+        """Solve A c = r for step k, write bc = B c, and overwrite r with r - A c.
+
+        A c = 2c - B c because A + B = 2I exactly, so the new residual
+        reuses B c.  Adds the detector iterations to step k's count and the
+        seconds since `clock` to the profile.  Returns the relative residual
+        ||r|| / r_norm, a weighted row norm that covers every channel (the
+        absolute one when r_norm is 0); a non-finite entry makes it NaN or inf.
+        """
+        nonlocal clock, detector_s, lanes_s, residual_s
+        solver.correct_stored(r, orbits, out=c)
+        iterations[k - 1] += solver.iterations
+        solved = time.perf_counter()
+        if worker is None:
+            lane(first, c, bc)
+        else:
+            worker.fork_join(lane, (second, c, bc), (first, c, bc))
+        joined = time.perf_counter()
+        b.apply_detector(c, bc)
+        r += bc
+        _axpy(c, r, -2.0)
+        residual = float(_weighted_norm(r, weights) / (r_norm or 1.0))
+        detector_s += solved - clock
+        lanes_s += joined - solved
+        clock = time.perf_counter()
+        residual_s += clock - joined
+        return residual
 
     bx = b.apply(x, np.empty_like(x))
     spare = np.empty_like(x)
@@ -750,7 +744,7 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         )
     worst = 0.0
     refined = 0
-    iterations = np.empty(num_steps, dtype=np.int64)
+    iterations = np.zeros(num_steps, dtype=np.int64)
     threads = _step_threads(threads, x.size)
     cut = len(x) // 2 if threads == 2 else len(x)
     first, second = orbits.segments(0, cut), orbits.segments(cut, len(x))
@@ -762,28 +756,20 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         for k in range(1, num_steps + 1):
             rhs, bx = bx, spare  # the last B x is this step's right-hand side
             try:
-                solver.correct_stored(rhs, orbits, out=x)
-                iterations[k - 1] = solver.iterations
-                solved = time.perf_counter()
-                if worker is None:
-                    lane(first, bx)
-                else:
-                    worker.fork_join(lane, (second, bx), (first, bx))
-                joined = time.perf_counter()
-                b.apply_detector(x, bx)
-                # A x = 2x - B x because A + B = 2I exactly, so the residual
-                # rhs - A x reuses the B x that is the next step's right-hand
-                # side; it overwrites rhs, which the step is done with
+                # the residual rhs - A x overwrites rhs, which the step is done with
                 rhs_norm = _weighted_norm(rhs, weights)
-                rhs += bx
-                _axpy(x, rhs, -2.0)
-                residual = _relative_residual(rhs, rhs_norm, weights)
+                residual = solve_round(rhs, x, bx, rhs_norm)
                 rounds = 0
                 # a NaN or inf residual is not refined, and it raises
                 while config.rtol < residual < np.inf and rounds < REFINEMENT_ROUNDS:
                     before = residual
-                    iterations[k - 1] += _refine(solver, b, orbits, x, bx, rhs)
-                    residual = _relative_residual(rhs, rhs_norm, weights)
+                    # a round of iterative refinement: c = A^-1 r, x += c and
+                    # B x += B c; c and B c live for the round alone
+                    c, bc = np.empty_like(x), np.empty_like(x)
+                    residual = solve_round(rhs, c, bc, rhs_norm)
+                    x += c
+                    bx += bc
+                    del c, bc
                     rounds += 1
                     if not residual < REFINEMENT_CONTRACTION * before:
                         raise SolverError(
@@ -802,13 +788,10 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
             refined += rounds > 0
             spare = rhs
             checked = time.perf_counter()
+            residual_s += checked - clock
             record(k, bx)
-            recorded = time.perf_counter()
-            detector_s += solved - clock
-            lanes_s += joined - solved
-            residual_s += checked - joined
-            record_s += recorded - checked
-            clock = recorded
+            clock = time.perf_counter()
+            record_s += clock - checked
     finally:
         if worker is not None:
             worker.close()

@@ -131,18 +131,29 @@ two_cpus = pytest.mark.skipif(
 )
 
 
+# `_compact(4)` arguments of the two-thread cases
+TWO_THREAD_CASES = {
+    "mirror-orbits": dict(x0=0.0),
+    "one-channel-orbits": dict(x0=0.05),
+    # the packet started on the left cluster: the solve's own error grows
+    # with rho, and 25-27 of the 60 steps refine
+    "refined": dict(x0=-0.3, rho=1e6, kappa=2),
+}
+
+
 @two_cpus
 @pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
-@pytest.mark.parametrize("x0", [0.0, 0.05], ids=["mirror-orbits", "one-channel-orbits"])
-def test_two_threads_match_one_bit_for_bit(x0, boundary_mode, monkeypatch):
+@pytest.mark.parametrize("case", list(TWO_THREAD_CASES))
+def test_two_threads_match_one_bit_for_bit(case, boundary_mode, monkeypatch):
     # the floor lowered, so that these small instances step on two threads;
-    # each thread runs the same per-row operations on its half of the rows
+    # each thread runs the same per-row operations on its half of the rows,
+    # in a step's first solve and in each refinement round alike
     monkeypatch.setattr(solver_module, "TWO_THREAD_MIN_VALUES", 0)
-    system, psi0, layout = _compact(4, x0=x0, boundary_mode=boundary_mode)
+    system, psi0, layout = _compact(4, boundary_mode=boundary_mode, **TWO_THREAD_CASES[case])
     one = run(system, psi0, STEPS, sides=layout.sides, threads=1)
     two = run(system, psi0, STEPS, sides=layout.sides)
     assert (one.threads, two.threads) == (1, 2)
-    assert two.stored_channels == (ORBITS[4] if x0 == 0.0 else 16)
+    assert two.stored_channels == (ORBITS[4] if case == "mirror-orbits" else 16)
     # the cut at half the rows falls inside a solver group
     orbits = make_linear_solver(system, SolveConfig()).orbits(solver_module._mirror_images(system.h, psi0.values))
     cut = two.stored_channels // 2
@@ -151,7 +162,11 @@ def test_two_threads_match_one_bit_for_bit(x0, boundary_mode, monkeypatch):
     for series in ("times", "norm2", "energy", "capacitance_iterations", *CLASSES):
         np.testing.assert_array_equal(getattr(two, series), getattr(one, series), err_msg=series)
     assert two.max_step_residual == one.max_step_residual
-    assert one.unchanged[-1] < 0.6  # the packet crossed the clusters
+    assert two.refined_steps == one.refined_steps
+    if case == "refined":
+        assert one.refined_steps >= 20
+    else:
+        assert one.unchanged[-1] < 0.6  # the packet crossed the clusters
 
 
 @two_cpus
@@ -237,6 +252,33 @@ def test_stored_b_is_b_on_the_stored_rows(rng, rho, boundary_mode):
             # control: the flip entry summed last in every detector row
             _flip_last(b, orbits.channels)
             assert not np.array_equal(b.apply(stored, np.empty_like(stored)), full[orbits.channels])
+
+
+@pytest.mark.parametrize("arg", ["x", "out"])
+@pytest.mark.parametrize("wrong", ["shape", "complex64", "fortran", "strided"])
+def test_stored_b_bands_refuse_an_array_before_lapack_runs(wrong, arg, monkeypatch):
+    # zlagtm reads x and writes out through raw pointers, with B's row
+    # count, Nx and a row stride of Nx, so any other array must be refused
+    system, psi0, _ = _compact(2)
+    orbits = make_linear_solver(system, SolveConfig()).orbits(mirrors(2))
+    b = _stored_b(system, orbits)
+    segments = orbits.segments(0, ORBITS[2])
+    good = psi0.values[orbits.channels]
+    arrays = {
+        "shape": good[:-1].copy(),
+        "complex64": good.astype(np.complex64),
+        "fortran": np.asfortranarray(good),
+        "strided": np.zeros((ORBITS[2], 2 * good.shape[1]), dtype=good.dtype)[:, ::2],
+    }
+    calls = []
+    monkeypatch.setattr(solver_module, "_zlagtm", lambda *args: calls.append(args))
+    b.apply_bands(good, np.empty_like(good), segments)
+    assert len(calls) == len(segments)  # the control: the stub stands in for LAPACK
+    calls.clear()
+    args = {"x": good, "out": np.empty_like(good), arg: arrays[wrong]}
+    with pytest.raises(ValueError, match="^B applies to C-ordered complex arrays of shape"):
+        b.apply_bands(args["x"], args["out"], segments)
+    assert not calls
 
 
 @pytest.mark.parametrize("kind", ["mirror", "one-channel"])
