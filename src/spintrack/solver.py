@@ -111,8 +111,8 @@ class CapacitanceSolver:
     size (dt / 2 hbar) * alpha * N.  GCR, a minimal-residual Krylov
     iteration on the preconditioned system, absorbs them: two iterations at
     the preset, and a few tens when alpha is large next to the flip
-    coupling, restarting every CAPACITANCE_RESTART iterations.  `iterations`
-    holds the iterations of the last solve.  No sparse factor is formed.
+    coupling, restarting every CAPACITANCE_RESTART iterations.  `correct`
+    returns the iterations of its solve.  No sparse factor is formed.
     """
 
     def __init__(self, system, config):
@@ -123,7 +123,6 @@ class CapacitanceSolver:
         self._factors = [_tridiagonal_factor(*band) for band in bands]
         self._coupled = bool(h.flip_strength)
         self._max_iter = config.max_iter
-        self.iterations = 0
         if not self._coupled:
             return
         det = h.detector_indices
@@ -156,13 +155,13 @@ class CapacitanceSolver:
         return _apply_bitwise(self._transform, y, adjoint=False)
 
     def _minimal_residual(self, w, w_norm):
-        """Solve (I + G K) v = w by GCR, from v = 0.
+        """Solve (I + G K) v = w by GCR, from v = 0; returns (v, iterations).
 
         Each new pair z = P r, q = (I + G K) z is orthonormalized against the cycle's q.
         """
         v = np.zeros_like(w)
         if not w_norm:
-            return v
+            return v, 0
         r = w.copy()
         for k in range(self._max_iter * CAPACITANCE_RESTART):
             if k % CAPACITANCE_RESTART == 0:
@@ -179,10 +178,9 @@ class CapacitanceSolver:
             a = np.vdot(q, r)
             v += a * z
             r -= a * q
-            self.iterations += 1
             residual = _norm(r) / w_norm
             if residual <= CAPACITANCE_RTOL:
-                return v
+                return v, k + 1
             if not np.isfinite(residual):
                 break
             zs.append(z)
@@ -193,28 +191,31 @@ class CapacitanceSolver:
             residual=residual,
         )
 
-    def _correct(self, r, orbits):
+    def correct(self, r, orbits):
         """Overwrite the stored rows `r` of `orbits` with r - E K v, the detector part of A^-1 r.
 
-        The detector values of an unstored channel are its image's,
-        reversed: each block T_g is reversal-symmetric, so
+        Returns the GCR iterations of the detector solve (0 without flip
+        coupling); `solve_rows` over every row of `r` then completes
+        A^-1 r.  The detector values of an unstored channel are its
+        image's, reversed: each block T_g is reversal-symmetric, so
         (T_g^-1 J r)[i_j] = (T_g^-1 r)[i_(N-1-j)].
         """
-        self.iterations = 0
+        if not self._coupled:
+            return 0
         channels = orbits.channels
-        if self._coupled:
-            w = np.empty((len(self._g), len(self._det)), dtype=np.complex128)
-            # a non-finite rhs turns w NaN quietly; its norm then raises
-            # SolverError before the iteration runs
-            with np.errstate(invalid="ignore"):
-                for sl, (band, rows) in zip(orbits.slices, self._rows):
-                    w[channels[sl]] = r[sl, band] @ rows
-            orbits.fill(w)
-            w_norm = _norm(w)
-            if not np.isfinite(w_norm):
-                raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
-            v = self._minimal_residual(w, w_norm)
-            r[:, self._det] -= self._apply_k(v)[channels]
+        w = np.empty((len(self._g), len(self._det)), dtype=np.complex128)
+        # a non-finite rhs turns w NaN quietly; its norm then raises
+        # SolverError before the iteration runs
+        with np.errstate(invalid="ignore"):
+            for sl, (band, rows) in zip(orbits.slices, self._rows):
+                w[channels[sl]] = r[sl, band] @ rows
+        orbits.fill(w)
+        w_norm = _norm(w)
+        if not np.isfinite(w_norm):
+            raise SolverError(f"right-hand side is not finite at the detectors (norm {w_norm})")
+        v, iterations = self._minimal_residual(w, w_norm)
+        r[:, self._det] -= self._apply_k(v)[channels]
+        return iterations
 
     def solve_rows(self, r, segments):
         """Overwrite the rows of `segments`, (group, row slice) pairs, of `r` with T^-1 r.
@@ -228,7 +229,7 @@ class CapacitanceSolver:
         """A^-1 rhs as a new array, both in natural order; `x0` is not used."""
         channels = self._every.channels
         r = rhs.reshape(len(channels), -1)[channels]  # a new array, in group order
-        self._correct(r, self._every)
+        self.correct(r, self._every)
         self.solve_rows(r, self._every.segments(0, len(r)))
         return self._every.expand(r).reshape(rhs.shape)
 
@@ -236,15 +237,9 @@ class CapacitanceSolver:
         """The `_Orbits` of the mirror images `images` (each channel's), in this solver's groups."""
         return _Orbits(images, self._group_of)
 
-    def correct_stored(self, rhs, orbits, out):
-        """rhs - E K v into `out`, both holding the stored rows of `orbits` in their group order.
 
-        `solve_rows` over every row of `out` then completes A^-1 rhs.
-        """
-        r = out.reshape(len(orbits.channels), -1)
-        np.copyto(r, rhs.reshape(r.shape))
-        self._correct(r, orbits)
-        return out
+# the name the package exports and `run` builds its solver by, so a test can substitute it
+make_linear_solver = CapacitanceSolver
 
 
 def _cython_lapack(name, *argtypes):
@@ -336,10 +331,6 @@ def _apply_bitwise(chunks, v, adjoint):
     return v
 
 
-def make_linear_solver(system, config):
-    return CapacitanceSolver(system, config)
-
-
 class _Orbits:
     """The rows `run` stores: one channel per orbit {m, images[m]} of the mirror map.
 
@@ -407,7 +398,6 @@ class _StoredB:
 
     def __init__(self, h, scale, orbits):
         group, self._bands = cn_bands(h, scale)
-        self._all = orbits.segments(0, len(orbits.channels))
         self._band_at = [tuple(diag.ctypes.data for diag in band) for band in self._bands]
         self._shape = (len(orbits.channels), h.num_points)
         self._nx = ctypes.c_int(h.num_points)
@@ -446,12 +436,6 @@ class _StoredB:
         """Write the detector rows of B x into `out`; x and out are (S, Nx) arrays of stored rows."""
         if self._detector is not None:
             out[:, self._det] = (self._detector @ x.ravel()).reshape(len(x), -1)
-
-    def apply(self, x, out):
-        """B x into `out`; both are C-ordered (S, Nx) arrays of stored rows."""
-        self.apply_bands(x, out, self._all)
-        self.apply_detector(x, out)
-        return out
 
 
 def _mirror_images(h, values):
@@ -584,7 +568,7 @@ class RunRecord:
     probability series are None when the run was not given side labels.
     `max_step_residual` is the largest relative residual of any step, after
     refinement, `capacitance_iterations` (length num_steps) holds each
-    step's detector solve iterations (`CapacitanceSolver.iterations`,
+    step's detector solve iterations (`CapacitanceSolver.correct`'s counts,
     summed over the step's refinement solves), `stored_channels` counts the
     channels the run evolved (one per mirror orbit, or all 2^N),
     `refined_steps` counts the steps that took iterative refinement,
@@ -703,35 +687,40 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         solver.solve_rows(c, segments)
         b.apply_bands(c, bc, segments)
 
+    def lap(phase):
+        """Add the seconds since the last lap to `phase`'s entry of the profile."""
+        nonlocal clock
+        now = time.perf_counter()
+        profile[phase] += now - clock
+        clock = now
+
     def solve_round(r, c, bc, r_norm):
         """Solve A c = r for step k, write bc = B c, and overwrite r with r - A c.
 
         A c = 2c - B c because A + B = 2I exactly, so the new residual
-        reuses B c.  Adds the detector iterations to step k's count and the
-        seconds since `clock` to the profile.  Returns the relative residual
-        ||r|| / r_norm, a weighted row norm that covers every channel (the
-        absolute one when r_norm is 0); a non-finite entry makes it NaN or inf.
+        reuses B c.  Adds the detector iterations to step k's count and
+        laps the profile.  Returns the relative residual ||r|| / r_norm, a
+        weighted row norm that covers every channel (the absolute one when
+        r_norm is 0); a non-finite entry makes it NaN or inf.
         """
-        nonlocal clock, detector_s, lanes_s, residual_s
-        solver.correct_stored(r, orbits, out=c)
-        iterations[k - 1] += solver.iterations
-        solved = time.perf_counter()
+        np.copyto(c, r)
+        iterations[k - 1] += solver.correct(c, orbits)
+        lap("detector_solve")
         if worker is None:
             lane(first, c, bc)
         else:
             worker.fork_join(lane, (second, c, bc), (first, c, bc))
-        joined = time.perf_counter()
+        lap("lanes")
         b.apply_detector(c, bc)
         r += bc
         _axpy(c, r, -2.0)
         residual = float(_weighted_norm(r, weights) / (r_norm or 1.0))
-        detector_s += solved - clock
-        lanes_s += joined - solved
-        clock = time.perf_counter()
-        residual_s += clock - joined
+        lap("residual")
         return residual
 
-    bx = b.apply(x, np.empty_like(x))
+    bx = np.empty_like(x)
+    b.apply_bands(x, bx, orbits.segments(0, len(x)))
+    b.apply_detector(x, bx)
     spare = np.empty_like(x)
     record(0, bx)
     # Accuracy (not stability) guard: compare dt against the phase period of
@@ -749,10 +738,10 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     cut = len(x) // 2 if threads == 2 else len(x)
     first, second = orbits.segments(0, cut), orbits.segments(cut, len(x))
     worker = _Worker(_other_cpu()) if threads == 2 else None
-    detector_s = lanes_s = residual_s = record_s = 0.0
+    profile = dict.fromkeys(("setup", "detector_solve", "lanes", "residual", "record"), 0.0)
+    clock = started
     try:
-        clock = time.perf_counter()
-        setup_s = clock - started
+        lap("setup")
         for k in range(1, num_steps + 1):
             rhs, bx = bx, spare  # the last B x is this step's right-hand side
             try:
@@ -787,11 +776,9 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
             worst = max(worst, residual)
             refined += rounds > 0
             spare = rhs
-            checked = time.perf_counter()
-            residual_s += checked - clock
+            lap("residual")
             record(k, bx)
-            clock = time.perf_counter()
-            record_s += clock - checked
+            lap("record")
     finally:
         if worker is not None:
             worker.close()
@@ -811,11 +798,5 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         stored_channels=len(orbits.channels),
         refined_steps=refined,
         threads=threads,
-        profile={
-            "setup": setup_s,
-            "detector_solve": detector_s,
-            "lanes": lanes_s,
-            "residual": residual_s,
-            "record": record_s,
-        },
+        profile=profile,
     )

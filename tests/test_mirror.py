@@ -45,7 +45,8 @@ def _compact(num_spins, num_points=201, half_length=0.75, rho=100.0, kappa=1, x0
     """A small symmetric instance whose packet crosses the clusters at +-0.3 in 60 steps.
 
     Returns (system, psi0, layout).  At 201 points the packet's wavenumber
-    is resolved (k0 dx = 1.0), and it stays clear of the boundary.
+    is resolved (k0 dx = 1.0); started at the origin, it stays clear of the
+    boundary, and started at x0 = -0.3 it reaches x = -L.
     """
     grid = build_grid(half_length, num_points)
     geom = model.Geometry(
@@ -123,6 +124,20 @@ def test_control_expand_without_reversing_detectors(monkeypatch):
         values[self.unstored] = values[self.images]
 
     _control(monkeypatch, "fill", fill, step=5)
+
+
+def test_ghost_boundary_drifts_the_norm_once_the_packet_reaches_it():
+    # started on the left cluster, the packet reaches x = -L within the 60
+    # steps; the ghost rows are not Hermitian there, the symmetrized rows
+    # are.  README "Boundary modes" quotes both drifts; a boundary fix must
+    # update this test and that sentence together
+    drift = {}
+    for mode in ("ghost", "symmetrized"):
+        system, psi0, layout = _compact(4, rho=0.0, x0=-0.3, boundary_mode=mode)
+        record = run(system, psi0, STEPS, sides=layout.sides)
+        drift[mode] = np.max(np.abs(record.norm2 - 1.0))  # summary.json's norm2_max_drift
+    assert drift["ghost"] > 1e-2
+    assert drift["symmetrized"] <= 1e-12
 
 
 two_cpus = pytest.mark.skipif(
@@ -211,6 +226,14 @@ def _stored_b(system, orbits):
     return solver_module._StoredB(system.h, -1j * system.dt / (2.0 * system.hbar), orbits)
 
 
+def _apply_b(b, orbits, x):
+    """B x on the stored rows x of `orbits`, as `run` writes it: the bands, then the detector rows."""
+    out = np.empty_like(x)
+    b.apply_bands(x, out, orbits.segments(0, len(x)))
+    b.apply_detector(x, out)
+    return out
+
+
 def _flip_last(b, channels):
     """Rewrite `b`'s detector rows with the flip entry last for every channel, as if B's order were ignored."""
     num_spins = b._det.size
@@ -242,7 +265,7 @@ def test_stored_b_is_b_on_the_stored_rows(rng, rho, boundary_mode):
         assert np.all(np.diff(h.channel_shift[orbits.channels]) >= 0)  # group order
         stored = values[orbits.channels]
         b = _stored_b(system, orbits)
-        np.testing.assert_array_equal(b.apply(stored, np.empty_like(stored)), full[orbits.channels])
+        np.testing.assert_array_equal(_apply_b(b, orbits, stored), full[orbits.channels])
         np.testing.assert_array_equal(orbits.expand(stored), values)
         # the weighted row sums are the full-space sums
         assert orbits.weights.sum() == m
@@ -251,7 +274,7 @@ def test_stored_b_is_b_on_the_stored_rows(rng, rho, boundary_mode):
         if rho:
             # control: the flip entry summed last in every detector row
             _flip_last(b, orbits.channels)
-            assert not np.array_equal(b.apply(stored, np.empty_like(stored)), full[orbits.channels])
+            assert not np.array_equal(_apply_b(b, orbits, stored), full[orbits.channels])
 
 
 @pytest.mark.parametrize("arg", ["x", "out"])
@@ -351,8 +374,8 @@ def test_run_traces_three_stored_vectors_beyond_its_operators(num_spins):
     operators += _retained_bytes(lambda: _stored_b(system, orbits))
     # the first step's detector solve, on the preset's rows
     x = initial_state(params, grid, h.num_channels).values[orbits.channels]
-    rhs = _stored_b(system, orbits).apply(x, np.empty_like(x))
-    detector_solve = _peak_bytes(lambda: solver.correct_stored(rhs, orbits, out=x))
+    rhs = _apply_b(_stored_b(system, orbits), orbits, x)
+    detector_solve = _peak_bytes(lambda: (np.copyto(x, rhs), solver.correct(x, orbits)))
     del solver, x, rhs
     stored = ORBITS[num_spins] * row_bytes
     bound = 3 * stored + operators + detector_solve + 0.1 * stored

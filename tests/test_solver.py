@@ -66,6 +66,12 @@ def test_run_rejects_nonfinite_state(value):
             run(system, _with_entries(psi0, value, points), 5, sides=layout.sides)
 
 
+def _iterations(solver, rhs):
+    """The detector iterations of `solver.solve(rhs)`: `correct` on a group-ordered copy of rhs."""
+    every = solver._every
+    return solver.correct(rhs.reshape(len(every.channels), -1)[every.channels], every)
+
+
 def test_nonfinite_rhs_leaves_the_solver_usable():
     # the refused solve keeps no state, so the next one runs as a fresh
     # solver's does
@@ -79,7 +85,7 @@ def test_nonfinite_rhs_leaves_the_solver_usable():
     x = solver.solve(rhs)
     fresh = make_linear_solver(system, SolveConfig())
     np.testing.assert_array_equal(x, fresh.solve(rhs))
-    assert solver.iterations == fresh.iterations > 0
+    assert _iterations(solver, rhs) == _iterations(fresh, rhs) > 0
 
 
 def _solve_chain(system, psi0, num_steps, linear_solver=None):
@@ -122,14 +128,14 @@ def _stepped_run(system, psi0, layout, num_steps):
         x = shared.solve(rhs)
         bx = system.b @ x
         r = rhs + bx - 2.0 * x
-        iterations.append(shared.iterations)
+        iterations.append(_iterations(shared, rhs))
         for _ in range(solver_module.REFINEMENT_ROUNDS):
             if np.linalg.norm(r) <= SolveConfig().rtol * np.linalg.norm(rhs):
                 break
             c = shared.solve(r)
+            iterations[-1] += _iterations(shared, r)
             bc = system.b @ c
             x, bx, r = x + c, bx + bc, r + bc - 2.0 * c
-            iterations[-1] += shared.iterations
         states.append(StateVector(x.reshape(psi0.values.shape), psi0.dx))
     np.testing.assert_array_equal(record.capacitance_iterations, iterations)
     return record, states
@@ -256,10 +262,10 @@ def test_iterative_matches_direct():
     w = w.reshape(psi0.values.shape)[:, system.h.detector_indices]
     eye = np.eye(w.size).reshape(-1, *w.shape)
     dense = np.stack([(e + solver._gk(e)).ravel() for e in eye], axis=1)
-    v = solver._minimal_residual(w, np.linalg.norm(w))
+    v, iterations = solver._minimal_residual(w, np.linalg.norm(w))
     reference = np.linalg.solve(dense, w.ravel()).reshape(w.shape)
     assert np.linalg.norm(v - reference) <= 1e-14 * np.linalg.norm(reference)
-    assert solver.iterations == 2
+    assert iterations == 2
 
 
 def test_zero_rhs_solves_to_zero_without_iterating(recwarn):
@@ -267,9 +273,10 @@ def test_zero_rhs_solves_to_zero_without_iterating(recwarn):
     # by a zero norm
     system, psi0, _ = _system(num_points=120)
     solver = make_linear_solver(system, SolveConfig())
-    x = solver.solve(np.zeros(system.dim, dtype=complex))
+    zero = np.zeros(system.dim, dtype=complex)
+    x = solver.solve(zero)
     assert not x.any()
-    assert solver.iterations == 0
+    assert _iterations(solver, zero) == 0
     assert not recwarn.list
 
 
@@ -300,10 +307,14 @@ def test_iterative_exhaustion_raises_with_residual(rng, monkeypatch):
     system = _large_alpha_system(1e3)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
     solver = make_linear_solver(system, SolveConfig(max_iter=1))
+    # each iteration preconditions once; the raise returns no count
+    preconditioned = []
+    precondition = solver._precondition
+    monkeypatch.setattr(solver, "_precondition", lambda res: preconditioned.append(res) or precondition(res))
     with pytest.raises(SolverError, match="capacitance") as err:
         solver.solve(rhs)
     assert err.value.residual > CAPACITANCE_RTOL
-    assert solver.iterations == 2
+    assert len(preconditioned) == 2
 
 
 @pytest.mark.parametrize("alpha", [1e3, 1e6])
@@ -316,9 +327,9 @@ def test_iterative_solves_large_alpha(alpha, rng):
     x = solver.solve(rhs)
     reference = sparse_linalg.spsolve(system.a, rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
-    first = solver.iterations
+    first = _iterations(solver, rhs)
     np.testing.assert_array_equal(solver.solve(rhs), x)
-    assert solver.iterations == first
+    assert _iterations(solver, rhs) == first
 
 
 def test_iterative_restarts_converge(rng, monkeypatch):
@@ -327,14 +338,13 @@ def test_iterative_restarts_converge(rng, monkeypatch):
     # restarts, and still converges
     system = _large_alpha_system(1e3)
     rhs = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-    unrestarted = make_linear_solver(system, SolveConfig())
-    unrestarted.solve(rhs)
+    unrestarted = _iterations(make_linear_solver(system, SolveConfig()), rhs)
     monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 2)
     solver = make_linear_solver(system, SolveConfig())
     x = solver.solve(rhs)
     reference = sparse_linalg.spsolve(system.a, rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
-    assert solver.iterations > unrestarted.iterations
+    assert _iterations(solver, rhs) > unrestarted
 
 
 def test_solve_paths_do_not_build_a(rng):
@@ -465,6 +475,25 @@ def test_solver_holds_no_state_sized_array():
     sizes = [a.nbytes for a in _arrays(solver)]
     assert sizes
     assert max(sizes) < h.dim * 16  # one state vector of complex128
+
+
+def test_solve_leaves_the_solver_unchanged(rng):
+    # `correct` returns its detector iterations, so a solve writes nothing
+    # to the solver: its attributes keep their objects and their contents
+    params, geom, grid, tgrid = preset_from_epsilon(0.1, 4)
+    h = assemble_hamiltonian(params, grid, place_detectors(geom, grid))
+    solver = make_linear_solver(assemble_cn(h, tgrid.dt, params.hbar), SolveConfig())
+    before = dict(vars(solver))
+    contents = {key: [a.copy() for a in _arrays(value)] for key, value in before.items()}
+    rhs = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+    assert _iterations(solver, rhs) > 0
+    for _ in range(2):
+        solver.solve(rhs)
+    assert vars(solver).keys() == before.keys()
+    for key, value in before.items():
+        assert vars(solver)[key] is value, key
+        for kept, now in zip(contents[key], _arrays(value), strict=True):
+            np.testing.assert_array_equal(now, kept, err_msg=key)
 
 
 @pytest.mark.parametrize("dt", [0.065 / 350, -0.065 / 350], ids=["forward", "backward"])
