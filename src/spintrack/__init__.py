@@ -9,7 +9,19 @@ stable Crank-Nicolson scheme that preserves the discrete norm, and the
 channel probabilities are aggregated into no-flip / one-flip / left-track /
 right-track / both-sides classes to quantify track formation and
 decoherence.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS to 1 unless
+it is already set: `solver.run` steps on up to two threads of its own, and
+OpenBLAS's default pool beside them slows its small BLAS calls (README,
+"Performance notes").  A caller that imported numpy first keeps
+OpenBLAS's own pool.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .assembly import (
     CNSystem,

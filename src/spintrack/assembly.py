@@ -69,11 +69,6 @@ class DiscreteHamiltonian:
     def dim(self):
         return self.num_channels * self.num_points
 
-    @property
-    def nnz(self):
-        coupled = len(self.detector_indices) if self.flip_strength else 0
-        return self.num_channels * (3 * self.num_points - 2 + coupled)
-
     def flips(self):
         """(partner, value), each (M, N): row (mask, i_j) couples to column
         (partner[mask, j], i_j), partner = mask ^ 2^j, with the entry
@@ -83,25 +78,9 @@ class DiscreteHamiltonian:
         sign = np.where(masks & bits, 1.0, -1.0)
         return masks ^ bits, (-1j * sign) * self.flip_strength
 
-    def to_sparse(self, fmt="csr"):
-        """Materialize as a scipy sparse matrix."""
-        return _identity_plus(self, 1.0, eye=0.0).asformat(fmt)
-
-    def apply(self, values):
-        """H @ v computed block-wise; `values` has shape (M, Nx), result is new."""
-        if values.shape != (self.num_channels, self.num_points):
-            raise ValueError(
-                f"shape mismatch: state {values.shape}, operator "
-                f"({self.num_channels}, {self.num_points})"
-            )
-        out = (self.kin_diag + self.channel_shift[:, None]) * values
-        out[:, :-1] += self.upper * values[:, 1:]
-        out[:, 1:] += self.lower * values[:, :-1]
-        if self.flip_strength:
-            det = self.detector_indices
-            partner, value = self.flips()
-            out[:, det] += value * values[partner, det]  # detector rows are distinct
-        return out
+    def to_sparse(self):
+        """Materialize as a scipy CSR matrix."""
+        return _identity_plus(self, 1.0, eye=0.0)
 
 
 @dataclass(eq=False)

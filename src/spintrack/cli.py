@@ -76,6 +76,14 @@ _SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"
 # "Performance notes"), so a run must have room for this many.
 WORKING_SET_VECTORS = 8
 
+# summary.json's boundary_mass is the final probability within this many
+# packet widths sigma of either end of the domain.  Above BOUNDARY_MASS_LIMIT
+# the run warns: the packet has reached a boundary, where the ghost closure
+# does not conserve the norm and the results stop describing an open line.
+# The N = 8 preset reads 4.3e-9.
+BOUNDARY_SIGMAS = 4.0
+BOUNDARY_MASS_LIMIT = 1e-6
+
 
 def _cpu_count():
     """The CPUs this process may run on, not every CPU of the host."""
@@ -366,11 +374,21 @@ def _mask_string(mask, num_spins):
     return "".join("1" if (mask >> j) & 1 else "0" for j in range(num_spins))
 
 
+def _boundary_notes(mass):
+    """The warning of a boundary mass above BOUNDARY_MASS_LIMIT: a list of no note or one."""
+    if mass <= BOUNDARY_MASS_LIMIT:
+        return []
+    return [
+        f"boundary mass {mass:.3e} > {BOUNDARY_MASS_LIMIT:g}: the packet reached within "
+        f"{BOUNDARY_SIGMAS:g} sigma of the domain's ends"
+    ]
+
+
 def write_run_artifacts(result, out_dir):
     """Write timeseries.csv, channels_final.csv and summary.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rec = result.record
+    rec, setup = result.record, result.setup
 
     with open(out / "timeseries.csv", "w", encoding="ascii") as fh:
         fh.write("t,norm2,energy,UC,OS,LRC_left,LRC_right,MT\n")
@@ -381,7 +399,7 @@ def write_run_artifacts(result, out_dir):
         for row in zip(*columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
-    n = result.setup.geom.num_spins
+    n = setup.geom.num_spins
     with open(out / "channels_final.csv", "w", encoding="ascii") as fh:
         fh.write("mask,probability\n")
         for mask, p in enumerate(result.final_channels.probs):
@@ -389,9 +407,10 @@ def write_run_artifacts(result, out_dir):
 
     cls = result.final_classes
     iters = rec.capacitance_iterations
+    boundary_mass = observables.boundary_mass(rec.final_state, setup.grid, BOUNDARY_SIGMAS * setup.params.sigma)
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "resolved": resolved_dict(result.setup),
+        "resolved": resolved_dict(setup),
         "results": {
             "UC": cls.unchanged,
             "OS": cls.one_spin,
@@ -413,12 +432,13 @@ def write_run_artifacts(result, out_dir):
             "stored_channels": rec.stored_channels,
             "refined_steps": rec.refined_steps,
             "arrival_time": result.arrival,
+            "boundary_mass": boundary_mass,
             "wall_seconds": result.wall_seconds,
             "threads": rec.threads,
             "profile": rec.profile,
             "peak_rss_mb": _peak_rss_mb(),
         },
-        "warnings": result.regime_notes,
+        "warnings": result.regime_notes + _boundary_notes(boundary_mass),
     }
     with open(out / "summary.json", "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2)
@@ -435,6 +455,8 @@ def cmd_run(args):
     result = simulate(setup)
     summary = write_run_artifacts(result, setup.out_dir)
     res = summary["results"]
+    for note in _boundary_notes(res["boundary_mass"]):
+        print(f"warning: {note}", file=sys.stderr)
     print(
         f"N={setup.geom.num_spins} rho={setup.params.rho:g}: "
         f"UC={res['UC']:.6f} OS={res['OS']:.6f} "

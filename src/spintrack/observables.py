@@ -78,8 +78,18 @@ def class_probs(cp, sides):
 
 
 def energy(state, h):
-    """Energy expectation Re <psi, H psi> in the dx-weighted inner product."""
-    return float(state.dx * np.real(np.vdot(state.values, h.apply(state.values))))
+    """Energy expectation Re <psi, H psi> in the dx-weighted inner product.
+
+    H psi is the product with `h.to_sparse()`, which is built on each call.
+    """
+    h_psi = h.to_sparse() @ state.values.ravel()
+    return float(state.dx * np.real(np.vdot(state.values, h_psi)))
+
+
+def boundary_mass(state, grid, width):
+    """Probability dx * sum |psi|^2 over the grid points within `width` of either end."""
+    near = state.values[:, np.abs(grid.xs) >= grid.half_length - width]
+    return float(state.dx * np.vdot(near, near).real)
 
 
 def arrival_time(record, drop):

@@ -119,7 +119,6 @@ class CapacitanceSolver:
         h = system.h
         f = 1j * system.dt / (2.0 * system.hbar)
         self._group_of, bands = cn_bands(h, f)  # A's blocks, exactly as `system.a` holds them
-        self._every = self.orbits(np.arange(h.num_channels))  # one-channel orbits, for `solve`
         self._factors = [_tridiagonal_factor(*band) for band in bands]
         self._coupled = bool(h.flip_strength)
         self._max_iter = config.max_iter
@@ -227,11 +226,11 @@ class CapacitanceSolver:
 
     def solve(self, rhs, x0=None):
         """A^-1 rhs as a new array, both in natural order; `x0` is not used."""
-        channels = self._every.channels
-        r = rhs.reshape(len(channels), -1)[channels]  # a new array, in group order
-        self.correct(r, self._every)
-        self.solve_rows(r, self._every.segments(0, len(r)))
-        return self._every.expand(r).reshape(rhs.shape)
+        every = self.orbits(np.arange(len(self._group_of)))  # one-channel orbits
+        r = rhs.reshape(len(every.channels), -1)[every.channels]  # a new array, in group order
+        self.correct(r, every)
+        self.solve_rows(r, every.segments(0, len(r)))
+        return every.expand(r).reshape(rhs.shape)
 
     def orbits(self, images):
         """The `_Orbits` of the mirror images `images` (each channel's), in this solver's groups."""
@@ -392,8 +391,7 @@ class _StoredB:
     zlagtm sums each band row lower, diagonal, upper, in the order in which
     the CSR kernel sums B's row, so every entry of B x equals
     `CNSystem.b`'s product bit for bit.  The operator holds (N + 1) band
-    sets of 3 Nx - 2 numbers and 4 S N detector entries, against 3 S Nx
-    for B's rows.
+    sets of 3 Nx - 2 numbers and 4 S N detector entries.
     """
 
     def __init__(self, h, scale, orbits):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spintrack as st
+from spintrack import cli
 
 # (UC, OS, LRC one side) at final time, rho = 100, by detector count
 REFERENCE_RHO100 = {
@@ -197,9 +198,18 @@ def test_criterion_12_sparsity_structure():
                 params = scaled_params()
             h = st.assemble_hamiltonian(params, grid, layout)
             expect = (3 * nx - 2) * 2**n + n * 2**n
-            assert h.to_sparse("csr").nnz == expect
-            assert h.nnz == expect
+            assert h.to_sparse().nnz == expect
     _report(12, "stored nonzeros match (3Nx-2)M + NM")
+
+
+def test_preset_n8_boundary_mass_below_the_warning(cache):
+    # the packet stays clear of +-L: the final probability within 4 sigma
+    # of them is far below the limit at which `spintrack run` warns
+    params, _, grid, _ = st.preset_from_epsilon(0.1, 8)
+    state = cache.get(8, 100.0).record.final_state
+    mass = st.observables.boundary_mass(state, grid, cli.BOUNDARY_SIGMAS * params.sigma)
+    assert mass == pytest.approx(4.3e-9, rel=0.05)
+    assert cli._boundary_notes(mass) == []
 
 
 def test_criterion_13_arrival_time(cache):

@@ -14,6 +14,7 @@ from spintrack import (
     assemble_cn,
     assemble_hamiltonian,
     build_grid,
+    energy,
     initial_state,
     place_detectors,
     preset_from_epsilon,
@@ -39,8 +40,7 @@ def test_nnz_reference_count():
     params, geom, grid, _ = preset_from_epsilon(0.1, 4)
     layout = place_detectors(geom, grid)
     h = assemble_hamiltonian(params, grid, layout)
-    assert h.nnz == 48032
-    assert h.to_sparse("csr").nnz == 48032
+    assert h.to_sparse().nnz == 48032
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -48,7 +48,7 @@ def test_nnz_reference_count():
 def test_nnz_formula(n, nx):
     grid, layout = small_instance(n, nx)
     h = assemble_hamiltonian(scaled_params(), grid, layout)
-    assert h.to_sparse("csr").nnz == (3 * nx - 2) * 2**n + n * 2**n
+    assert h.to_sparse().nnz == (3 * nx - 2) * 2**n + n * 2**n
 
 
 def test_interior_and_boundary_entries():
@@ -56,7 +56,7 @@ def test_interior_and_boundary_entries():
     grid, layout = small_instance(2, 80)
     h = assemble_hamiltonian(params, grid, layout)
     hop = params.hbar**2 / (2 * params.mass * grid.dx**2)
-    dense = h.to_sparse("csr").toarray()
+    dense = h.to_sparse().toarray()
     nx = grid.num_points
     det = set(layout.grid_indices)
     for mask in (0, 1, 3):
@@ -77,7 +77,7 @@ def test_symmetrized_mode_is_hermitian():
     params = scaled_params()
     grid, layout = small_instance(2, 60)
     h = assemble_hamiltonian(params, grid, layout, boundary_mode="symmetrized")
-    dense = h.to_sparse("csr").toarray()
+    dense = h.to_sparse().toarray()
     assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
 
@@ -85,7 +85,7 @@ def test_detector_row_entries():
     params = scaled_params(rho=10.0, beta=2e-3, kappa=1)
     grid, layout = small_instance(2, 80)
     h = assemble_hamiltonian(params, grid, layout)
-    dense = h.to_sparse("csr").toarray()
+    dense = h.to_sparse().toarray()
     nx = grid.num_points
     hop = params.hbar**2 / (2 * params.mass * grid.dx**2)
     bump = params.hbar**2 * params.beta / (2 * params.mass * grid.dx)
@@ -106,7 +106,7 @@ def test_detector_row_entries():
 def test_coupling_pairs_are_conjugate():
     grid, layout = small_instance(3, 200)
     h = assemble_hamiltonian(scaled_params(rho=37.0), grid, layout)
-    coo = h.to_sparse("coo")
+    coo = h.to_sparse().tocoo()
     off = coo.row // grid.num_points != coo.col // grid.num_points
     entries = dict(zip(zip(coo.row[off], coo.col[off]), coo.data[off]))
     assert len(entries) == 3 * 8
@@ -127,9 +127,9 @@ def test_rho_zero_decouples_channels():
     grid, layout = small_instance(2, 80)
     h = assemble_hamiltonian(params, grid, layout)
     nx = grid.num_points
-    assert h.nnz == 4 * (3 * nx - 2)
+    assert h.to_sparse().nnz == 4 * (3 * nx - 2)
     # blocks differ only by the channel energy shift
-    dense = h.to_sparse("csr").toarray()
+    dense = h.to_sparse().toarray()
     blocks = [dense[m * nx:(m + 1) * nx, m * nx:(m + 1) * nx] for m in range(4)]
     for m, block in enumerate(blocks):
         shifted = block - np.eye(nx) * (params.alpha * spin_sum(m, 2))
@@ -142,7 +142,7 @@ def test_free_hamiltonian_blocks_identical():
     params = scaled_params(rho=0.0, beta=0.0, alpha=0.0)
     grid, layout = small_instance(2, 60)
     h = assemble_hamiltonian(params, grid, layout)
-    dense = h.to_sparse("csr").toarray()
+    dense = h.to_sparse().toarray()
     nx = grid.num_points
     first = dense[:nx, :nx]
     for m in range(1, 4):
@@ -215,38 +215,26 @@ def test_assemble_cn_peak_allocation():
 def test_apply_h_zero_and_linearity(rng):
     params = scaled_params()
     grid, layout = small_instance(2, 90)
-    h = assemble_hamiltonian(params, grid, layout)
+    h = assemble_hamiltonian(params, grid, layout).to_sparse()
     zero = StateVector.zeros(4, 90, grid.dx)
-    assert np.all(h.apply(zero.values) == 0.0)
+    assert np.all(h @ zero.values.ravel() == 0.0)
 
-    u = rng.standard_normal((4, 90)) + 1j * rng.standard_normal((4, 90))
-    v = rng.standard_normal((4, 90)) + 1j * rng.standard_normal((4, 90))
+    u = rng.standard_normal(4 * 90) + 1j * rng.standard_normal(4 * 90)
+    v = rng.standard_normal(4 * 90) + 1j * rng.standard_normal(4 * 90)
     a, b = 0.7 - 0.2j, -1.3 + 0.5j
-    lhs = h.apply(a * u + b * v)
-    rhs = a * h.apply(u) + b * h.apply(v)
+    lhs = h @ (a * u + b * v)
+    rhs = a * (h @ u) + b * (h @ v)
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
-
-
-@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
-@pytest.mark.parametrize("rho", [0.0, 55.0])
-@pytest.mark.parametrize("num_spins", [1, 2, 3])
-def test_apply_h_matches_sparse(rng, num_spins, rho, boundary_mode):
-    grid, layout = small_instance(num_spins, 90)
-    h = assemble_hamiltonian(scaled_params(rho=rho), grid, layout, boundary_mode=boundary_mode)
-    v = rng.standard_normal((h.num_channels, 90)) + 1j * rng.standard_normal((h.num_channels, 90))
-    direct = h.apply(v).ravel()
-    via_sparse = h.to_sparse("csr") @ v.ravel()
-    np.testing.assert_allclose(direct, via_sparse, rtol=1e-14, atol=1e-14)
 
 
 def test_apply_h_hermitian_inner_product(rng):
     params = scaled_params()
     grid, layout = small_instance(2, 90)
-    h = assemble_hamiltonian(params, grid, layout, boundary_mode="symmetrized")
-    u = rng.standard_normal((4, 90)) + 1j * rng.standard_normal((4, 90))
-    v = rng.standard_normal((4, 90)) + 1j * rng.standard_normal((4, 90))
-    lhs = np.vdot(u, h.apply(v))
-    rhs = np.conj(np.vdot(v, h.apply(u)))
+    h = assemble_hamiltonian(params, grid, layout, boundary_mode="symmetrized").to_sparse()
+    u = rng.standard_normal(4 * 90) + 1j * rng.standard_normal(4 * 90)
+    v = rng.standard_normal(4 * 90) + 1j * rng.standard_normal(4 * 90)
+    lhs = np.vdot(u, h @ v)
+    rhs = np.conj(np.vdot(v, h @ u))
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
@@ -254,12 +242,12 @@ def test_apply_h_dimension_mismatch():
     grid, layout = small_instance(2, 90)
     h = assemble_hamiltonian(scaled_params(), grid, layout)
     with pytest.raises(ValueError):
-        h.apply(np.zeros((4, 91), dtype=complex))
+        energy(StateVector.zeros(4, 91, grid.dx), h)
 
 
 def test_small_dense_eigenvalues_real():
     grid, layout = small_instance(1, 50)
     h = assemble_hamiltonian(scaled_params(), grid, layout, boundary_mode="symmetrized")
-    eigs = np.linalg.eigvals(h.to_sparse("csr").toarray())
+    eigs = np.linalg.eigvals(h.to_sparse().toarray())
     assert np.max(np.abs(eigs.imag)) <= 1e-10
 

@@ -249,6 +249,20 @@ def test_run_reference_preset_summary(tmp_path):
     assert res["refined_steps"] == 0
 
 
+@pytest.mark.parametrize("x0, warns", [(0.0, False), (-1.3, True)], ids=["centre", "near-boundary"])
+def test_run_warns_when_the_packet_reaches_a_boundary(tmp_path, capsys, x0, warns):
+    # a packet started 0.2 from -L spreads into the 4 sigma next to it
+    out = tmp_path / "out"
+    assert cli.main(["run", "-c", _write(tmp_path / "cfg.json", small_explicit_config(out, x0=x0))]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    mass = summary["results"]["boundary_mass"]
+    assert (mass > cli.BOUNDARY_MASS_LIMIT) == warns
+    boundary_notes = [note for note in summary["warnings"] if note.startswith("boundary mass")]
+    assert len(boundary_notes) == warns
+    err = capsys.readouterr().err
+    assert all(f"warning: {note}" in err for note in boundary_notes)
+
+
 def test_run_profile_phases_are_positive_and_within_the_wall(tmp_path):
     out = tmp_path / "out"
     cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 4, "num_steps": 20,
@@ -627,11 +641,13 @@ print((peak_bytes() - base) / cli._state_vector_bytes(setup))
 """
 
 
-def _python(*args, check=True):
-    """Run this interpreter on `args` with this package importable; returns the CompletedProcess."""
+def _python(*args, check=True, unset=()):
+    """Run this interpreter on `args` with this package importable and the
+    environment variables `unset` removed; returns the CompletedProcess."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    env = {key: value for key, value in os.environ.items() if key not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(path_entries)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300, check=check
     )
@@ -644,6 +660,35 @@ def test_working_set_constant_covers_the_measured_peak(path):
     # running the preset on either stepping path stays within it
     vectors = float(_python("-c", _FOOTPRINT_SCRIPT, path).stdout)
     assert 0.0 < vectors <= cli.WORKING_SET_VECTORS
+
+
+# Imports the modules named by its arguments in order, then prints its thread count.
+_THREADS_SCRIPT = """
+import importlib, os, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+def _threads_after_importing(*modules):
+    """Threads of a fresh process, with no BLAS thread setting, after it imports `modules`."""
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    return int(_python("-c", _THREADS_SCRIPT, *modules, unset=unset).stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_importing_the_package_first_keeps_blas_on_one_thread():
+    assert _threads_after_importing("spintrack.cli") == 1
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="counts threads in /proc; OpenBLAS starts a pool only on 2 or more CPUs",
+)
+def test_importing_numpy_first_keeps_the_blas_pool():
+    # control: the package sets no thread count once numpy has loaded OpenBLAS
+    assert _threads_after_importing("numpy", "spintrack.cli") > 1
 
 
 # Touches ~200 MB, then replaces itself with a preset run by exec.

@@ -13,7 +13,7 @@ from spintrack import (
     energy,
     initial_state,
 )
-from spintrack.oracle import scaled_params, small_instance
+from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
 from spintrack.solver import RunRecord
 
 
@@ -84,12 +84,26 @@ def test_energy_zero_state():
 def test_energy_eigenvector(rng):
     grid, layout = small_instance(1, 40)
     h = assemble_hamiltonian(scaled_params(), grid, layout, boundary_mode="symmetrized")
-    dense = h.to_sparse("csr").toarray()
+    dense = h.to_sparse().toarray()
     eigvals, eigvecs = np.linalg.eigh(dense)
     k = 11
     vec = eigvecs[:, k] / np.sqrt(grid.dx)  # unit dx-weighted norm
     state = StateVector(vec.reshape(2, 40), grid.dx)
     assert energy(state, h) == pytest.approx(eigvals[k], rel=1e-10)
+
+
+@pytest.mark.parametrize("boundary_mode", ["ghost", "symmetrized"])
+@pytest.mark.parametrize("rho", [0.0, 55.0])
+@pytest.mark.parametrize("num_spins", [1, 2, 3])
+def test_energy_matches_dense_oracle(rng, num_spins, rho, boundary_mode):
+    # H from the entry-by-entry dense oracle, not from the assembly's writers
+    params = scaled_params(rho=rho)
+    grid, layout = small_instance(num_spins, 90)
+    h = assemble_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
+    dense = dense_hamiltonian(params, grid, layout, boundary_mode=boundary_mode)
+    values = rng.standard_normal((h.num_channels, 90)) + 1j * rng.standard_normal((h.num_channels, 90))
+    expected = grid.dx * np.vdot(values, dense @ values.ravel()).real
+    assert energy(StateVector(values, grid.dx), h) == pytest.approx(expected, rel=1e-13)
 
 
 def test_energy_alpha_shift_on_initial_state():

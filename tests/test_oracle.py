@@ -42,7 +42,7 @@ def test_dense_matches_assembly_entrywise():
         params = scaled_params(rho=73.0, beta=3e-4, kappa=kappa)
         grid, layout = small_instance(3, 120)
         dense = dense_hamiltonian(params, grid, layout)
-        via_sparse = assemble_hamiltonian(params, grid, layout).to_sparse("csr").toarray()
+        via_sparse = assemble_hamiltonian(params, grid, layout).to_sparse().toarray()
         assert np.max(np.abs(dense - via_sparse)) <= 1e-12 * np.max(np.abs(dense))
 
 

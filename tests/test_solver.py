@@ -68,7 +68,7 @@ def test_run_rejects_nonfinite_state(value):
 
 def _iterations(solver, rhs):
     """The detector iterations of `solver.solve(rhs)`: `correct` on a group-ordered copy of rhs."""
-    every = solver._every
+    every = solver.orbits(np.arange(len(solver._group_of)))  # one-channel orbits
     return solver.correct(rhs.reshape(len(every.channels), -1)[every.channels], every)
 
 
@@ -241,7 +241,9 @@ def test_cn_operators_match_dense_oracle(boundary_mode, dt):
         b = system.b
         assert b.has_canonical_format and system.a.has_canonical_format
         assert b.indices.dtype == np.int32 and b.indptr.dtype == np.int32
-        assert b.nnz == system.h.nnz
+        m, nx = system.h.num_channels, system.h.num_points
+        coupled = len(system.h.detector_indices) if system.h.flip_strength else 0
+        assert b.nnz == (3 * nx - 2) * m + coupled * m
 
 
 def test_single_free_channel_norm_preserved():
