@@ -23,7 +23,7 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -109,9 +109,6 @@ class RunSetup:
     boundary_mode: str
     out_dir: str
     arrival_drop: float
-    # the most threads `solver.run` may step on; no config key sets it, and
-    # a sweep lowers it when its concurrent points fill the CPUs
-    threads: int = 2
 
 
 @dataclass
@@ -123,12 +120,6 @@ class SimulationResult:
     arrival: float | None
     regime_notes: list
     wall_seconds: float
-
-
-def _reject_unknown(section, keys, allowed):
-    for key in keys:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} in {section} config")
 
 
 def _convert(kind, value):
@@ -147,22 +138,28 @@ def _convert(kind, value):
     return kind(value)
 
 
-def _reader(section, cfg):
-    """read(key, kind, default): cfg[key] converted by `kind`.
+def _section(name, cfg, allowed):
+    """read(key, kind, default) of config section `name`: cfg[key] converted by `kind`.
 
-    A missing or null key takes `default` (an error when none is given); a
-    value `kind` cannot convert is a ConfigurationError naming the key.
+    `cfg` must be an object whose keys are all in `allowed`.  A missing or
+    null key takes `default` (an error when none is given); a value `kind`
+    cannot convert is a ConfigurationError naming the key.
     """
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"'{name}' must be an object")
+    for key in cfg:
+        if key not in allowed:
+            raise ConfigurationError(f"unknown key {key!r} in {name} config")
 
     def read(key, kind, default=inspect.Parameter.empty):
         if cfg.get(key) is None:
             if default is inspect.Parameter.empty:
-                raise ConfigurationError(f"{section} config missing key {key!r}")
+                raise ConfigurationError(f"{name} config missing key {key!r}")
             return default
         try:
             return _convert(kind, cfg[key])
         except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigurationError(f"{section} config key {key!r}: {err}") from err
+            raise ConfigurationError(f"{name} config key {key!r}: {err}") from err
 
     return read
 
@@ -201,35 +198,23 @@ def load_config(path):
 
 
 def _solve_config_from(cfg):
-    section = {} if cfg.get("solver") is None else cfg["solver"]
-    if not isinstance(section, dict):
-        raise ConfigurationError("'solver' must be an object")
-    _reject_unknown("solver", section, _SOLVER_KEYS)
-    read = _reader("solver", section)
+    read = _section("solver", {} if cfg.get("solver") is None else cfg["solver"], _SOLVER_KEYS)
     if read("method", str, "direct") not in ("direct", "iterative"):  # both name the one solve
         raise ConfigurationError("solver config key 'method': must be 'direct' or 'iterative'")
-    try:
-        return _build(SolveConfig, read)
-    except ValueError as err:
-        raise ConfigurationError(f"solver config: {err}") from err
+    return _build(SolveConfig, read)
 
 
 def resolve_run_config(cfg):
     """Validate a run config dict and build every object the run needs."""
-    _reject_unknown("run", cfg, _TOP_KEYS)
+    top = _section("run", cfg, _TOP_KEYS)
     if ("preset" in cfg) == ("explicit" in cfg):
         raise ConfigurationError("exactly one of 'preset' or 'explicit' is required")
 
-    section = "preset" if "preset" in cfg else "explicit"
-    values = cfg[section]
-    if not isinstance(values, dict):
-        raise ConfigurationError(f"'{section}' must be an object")
-    read = _reader(section, values)
-    if section == "preset":
-        _reject_unknown("preset", values, _PRESET_KEYS)
+    if "preset" in cfg:
+        read = _section("preset", cfg["preset"], _PRESET_KEYS)
         params, geom, grid, tgrid = _build(model.preset_from_epsilon, read)
     else:
-        _reject_unknown("explicit", values, _EXPLICIT_KEYS)
+        read = _section("explicit", cfg["explicit"], _EXPLICIT_KEYS)
         params = _build(model.PhysicalParams, read)
         geom = _build(model.Geometry, read)
         grid = model.build_grid(geom.half_length, read("num_points", int))
@@ -239,7 +224,6 @@ def resolve_run_config(cfg):
         raise ConfigurationError(f"boundary_mode must be one of {BOUNDARY_MODES}, got {boundary_mode!r}")
     layout = model.place_detectors(geom, grid)
 
-    top = _reader("run", cfg)
     drop = top("arrival_drop", float, 0.01)
     if not 0.0 < drop < 1.0:
         raise ConfigurationError("arrival_drop must be in (0, 1)")
@@ -325,11 +309,12 @@ def _check_footprint(setup):
         )
 
 
-def simulate(setup):
+def simulate(setup, threads=2):
     """Assemble, integrate, and aggregate one configured run.
 
-    `wall_seconds` times `solver.run`, on at most `setup.threads` threads;
-    the record's `profile` gains the assembly's seconds before it.
+    `wall_seconds` times `solver.run`, on at most `threads` threads (a
+    sweep passes fewer when its concurrent points fill the CPUs); the
+    record's `profile` gains the assembly's seconds before it.
 
     Raises ConfigurationError, before it allocates, when the run does not
     fit in memory (`_check_footprint`).
@@ -351,7 +336,7 @@ def simulate(setup):
         setup.tgrid.num_steps,
         setup.solve_config,
         setup.layout.sides,
-        setup.threads,
+        threads,
     )
     wall = time.perf_counter() - assembled
     record.profile = {"assembly": assembled - start, **record.profile}
@@ -469,13 +454,14 @@ def cmd_run(args):
 def _sweep_point(cfg, threads):
     """Run one sweep point's run config on at most `threads` threads.
 
-    Must stay a top-level function for process pools.
+    The row carries the point's summary warnings.  Must stay a top-level
+    function for process pools.
     """
     row = {"N": cfg["preset"]["num_spins"], "rho": cfg["preset"]["rho"]}
     try:
-        setup = replace(resolve_run_config(cfg), threads=threads)
-        result = simulate(setup)
-        write_run_artifacts(result, setup.out_dir)
+        setup = resolve_run_config(cfg)
+        result = simulate(setup, threads)
+        summary = write_run_artifacts(result, setup.out_dir)
         cls = result.final_classes
         two_lrc = cls.left_track + cls.right_track
         row.update(
@@ -487,6 +473,7 @@ def _sweep_point(cfg, threads):
             row_sum=two_lrc + cls.one_spin + cls.unchanged + cls.multi_track,
             arrival_time=result.arrival,
             wall_seconds=result.wall_seconds,
+            warnings=summary["warnings"],
         )
     except Exception as err:  # per-point isolation: a bad point must not kill the sweep
         row.update(error=str(err), exit_code=_failure(err)[0])
@@ -551,8 +538,7 @@ _SWEEP_COLUMNS = (
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
-    _reject_unknown("sweep", cfg, _SWEEP_KEYS)
-    read = _reader("sweep", cfg)
+    read = _section("sweep", cfg, _SWEEP_KEYS)
     spins = read("num_spins", _sorted_list(int))
     rhos = read("rho", _sorted_list(float))
     if any(n % 2 or n < 2 for n in spins):
@@ -596,6 +582,8 @@ def cmd_sweep(args):
 
     failed = [row for row in rows if "error" in row]
     for row in rows:
+        for note in row.get("warnings", ()):  # a failed point has none
+            print(f"N={row['N']} rho={row['rho']:g}: warning: {note}", file=sys.stderr)
         if "error" in row:
             print(f"N={row['N']} rho={row['rho']:g}: FAILED: {row['error']}", file=sys.stderr)
         else:

@@ -36,6 +36,7 @@ from scipy.linalg import blas, cython_lapack, lapack
 
 from . import observables
 from .assembly import cn_bands, detector_entries
+from .model import ConfigurationError
 from .spinspace import mirrors
 from .state import StateVector
 
@@ -80,9 +81,9 @@ class SolveConfig:
 
     def __post_init__(self):
         if not 0.0 < self.rtol <= 1e-6:
-            raise ValueError(f"rtol must be in (0, 1e-6], got {self.rtol}")
+            raise ConfigurationError(f"rtol must be in (0, 1e-6], got {self.rtol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 class CapacitanceSolver:

@@ -134,6 +134,12 @@ def test_missing_required_key_named(tmp_path, capsys, payload, key):
         ("info", {"preset": {"epsilon": 0.1, "num_spins": 4}, "out_dir": 5}, "out_dir"),
         ("sweep", {"epsilon": 0.1, "num_spins": [2], "rho": ["100"]}, "rho"),
         ("info", {"preset": {"epsilon": 0.1, "num_spins": 4, "rho": 10**400}}, "rho"),
+        ("info", {"preset": 5}, "'preset' must be an object"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4}, "solver": 5}, "'solver' must be an object"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4}, "solver": {"rtol": 0.5}}, "rtol"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4, "boundary_mode": "open"}}, "boundary_mode"),
+        ("info", {"preset": {"epsilon": 0.1, "num_spins": 4}, "arrival_drop": 1.5}, "arrival_drop"),
+        ("sweep", {"epsilon": 0.1, "num_spins": [3], "rho": [100.0]}, "num_spins"),
     ],
 )
 def test_malformed_value_is_config_error(tmp_path, monkeypatch, capsys, command, payload, key):
@@ -141,6 +147,19 @@ def test_malformed_value_is_config_error(tmp_path, monkeypatch, capsys, command,
     cfg = _write(tmp_path / "cfg.json", payload)
     assert cli.main([command, "-c", cfg]) == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config"), ("{", "is not valid JSON"), ("[]", "root must be a JSON object")],
+    ids=["missing", "not-json", "not-object"],
+)
+def test_unloadable_config_file_is_config_error(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["info", "-c", str(path)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["rho", "kappa", "num_points", "num_steps", "t_final", "boundary_mode"])
@@ -538,9 +557,9 @@ def _count_simulations(monkeypatch):
     calls = []
     real = cli.simulate
 
-    def simulate(setup):
+    def simulate(setup, threads=2):
         calls.append(setup)
-        return real(setup)
+        return real(setup, threads)
 
     monkeypatch.setattr(cli, "simulate", simulate)
     return calls
@@ -754,10 +773,10 @@ def test_sweep_exits_with_first_failed_points_code(tmp_path, monkeypatch, capsys
     # error; the sweep exits with the code of the first failure in sweep order
     real = cli.simulate
 
-    def simulate(setup):
+    def simulate(setup, threads=2):
         if setup.geom.num_spins == 2:
             raise error
-        return real(setup)
+        return real(setup, threads)
 
     monkeypatch.setattr(cli, "simulate", simulate)
     assert cli.main(["sweep", "-c", _coarse_sweep(tmp_path)]) == code
@@ -823,10 +842,30 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch, capsys):
     assert results[2] == results[0]
 
 
+def test_sweep_prints_each_points_warnings(tmp_path, capsys):
+    # by t_final = 0.12 both packets near the domain's ends; one of the two
+    # points runs in the spawned child, and its row carries its notes back
+    def sweep(name, **keys):
+        out = tmp_path / name
+        cfg = _write(tmp_path / f"{name}.json", {"epsilon": 0.1, "rho": [100.0], "num_steps": 100,
+                                                 "out_dir": str(out), **keys})
+        assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_OK
+        return out, capsys.readouterr().err.splitlines()
+
+    out, late = sweep("late", num_spins=[2, 4], t_final=0.12, parallelism=2)
+    for n in (2, 4):
+        notes = json.loads((out / f"N{n}_rho100" / "summary.json").read_text())["warnings"]
+        assert any(note.startswith("boundary mass") for note in notes)
+        prefix = f"N={n} rho=100: warning: "
+        assert [line for line in late if line.startswith(prefix)] == [prefix + note for note in notes]
+    _, control = sweep("default", num_spins=[2], parallelism=1)
+    assert not any("boundary mass" in line for line in control)
+
+
 def test_parent_lane_failure_stops_dispatch(tmp_path, monkeypatch):
     # an exception that escapes this process's lane (here a Ctrl-C) ends the
     # sweep: the child lane finishes the point it holds and starts no other
-    def simulate(setup):
+    def simulate(setup, threads=2):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "simulate", simulate)

@@ -40,11 +40,11 @@ def _system(num_spins=2, num_points=100, rho=100.0, beta=1e-4, kappa=1, dt=0.065
 def test_solve_config_validation():
     with pytest.raises(TypeError):  # one detector solve: there is no method to choose
         SolveConfig(method="direct")
-    with pytest.raises(ValueError):
+    with pytest.raises(model.ConfigurationError):
         SolveConfig(rtol=1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(model.ConfigurationError):
         SolveConfig(rtol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(model.ConfigurationError):
         SolveConfig(max_iter=0)
 
 
