@@ -22,7 +22,7 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -262,7 +262,7 @@ def _peak_rss_mb():
     """This process image's peak resident set size in MB (1e6 bytes).
 
     VmHWM where /proc has it: on Linux `ru_maxrss` also keeps the peak of
-    the image that exec replaced, such as the parent of a spawned sweep worker.
+    the image that exec replaced, such as the one a spawned process was forked from.
     """
     try:
         with open("/proc/self/status") as status:
@@ -488,46 +488,41 @@ def _failure(err):
     return EXIT_MISMATCH, None
 
 
+# A forked sweep worker is a copy of the already-imported `sweep` process and
+# starts its first point at once; a spawned one must import numpy, scipy and
+# the package first.  Outside Linux fork is not a safe default, so workers spawn.
+_POOL_CONTEXT = get_context("fork" if sys.platform == "linux" else "spawn")
+
+
 def _run_points(points, workers):
     """The rows of `_sweep_point` over `points`, in their order.
 
-    `workers` lanes take points from one queue, largest first (descending N;
-    within one N, in the order of `points`) so that no lane is left alone
-    with a large point at the end.  This process is one lane, and each of the other
-    `workers - 1` is a thread that hands its points to a spawned process, so
-    this process works while the children import.  A lane that raises empties
-    the queue, so the others start no new point, and the exception propagates
-    once the running ones end.  Each point may step on its share of this
-    process's CPUs, at least 1 and at most 2 threads.
+    Points start largest first (descending N; within one N, in the order of
+    `points`), so that no worker is left alone with a large point at the end.
+    With `workers` > 1 this process runs no point: it submits every point to
+    a pool of `workers` processes and waits for their rows.  On Linux the
+    pool forks all its workers at the first submit, before it starts its
+    manager thread, and this process must then have no other thread: a
+    forked copy of another thread's lock would stay held.  A failure that a
+    point's future raises (Ctrl-C, a broken pool) cancels the points the
+    pool has not yet queued for its workers and propagates once the running
+    ones end.  The pool keeps up to `workers + 1` points queued ahead of its
+    workers, and a queued point still starts.  Each point may step on its
+    share of this process's CPUs, at least 1 and at most 2 threads.
     """
-    rows = [None] * len(points)
     order = sorted(range(len(points)), key=lambda k: -points[k]["preset"]["num_spins"])
-    todo = iter(order)  # next() on a list iterator is atomic
     point_threads = max(1, min(2, _cpu_count() // workers))
-
-    def lane(run):
-        try:
-            for k in todo:
-                rows[k] = run(points[k], point_threads)
-        except BaseException:
-            for _ in todo:
-                pass
-            raise
-
     if workers == 1:
-        lane(_sweep_point)
-        return rows
-
-    def in_child(point, threads):
-        return pool.submit(_sweep_point, point, threads).result()
-
-    spawn = get_context("spawn")
-    with ProcessPoolExecutor(workers - 1, mp_context=spawn) as pool, ThreadPoolExecutor(workers - 1) as feeding:
-        feeders = [feeding.submit(lane, in_child) for _ in range(workers - 1)]
-        lane(_sweep_point)
-        for feeder in feeders:
-            feeder.result()  # a child lane's failure, e.g. a broken pool
-    return rows
+        rows = {k: _sweep_point(points[k], point_threads) for k in order}
+    else:
+        with ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT) as pool:
+            futures = {k: pool.submit(_sweep_point, points[k], point_threads) for k in order}
+            try:  # in start order, so that a failure of the first points is seen first
+                rows = {k: future.result() for k, future in futures.items()}
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    return [rows[k] for k in range(len(points))]
 
 
 _SWEEP_COLUMNS = (

@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import pytest
@@ -813,8 +816,8 @@ def test_sweep_starts_largest_points_first(tmp_path, monkeypatch):
 
 def test_parallel_sweep_matches_serial(tmp_path, monkeypatch, capsys):
     # N=8 collides detectors on this coarse grid, so its two points fail with
-    # a config error.  This process holds its first point for a moment, so
-    # that a child lane takes the other N=8 point.
+    # a config error.  Each holds its worker for a moment, so that with more
+    # than one worker the two failed rows come back from different workers.
     real = cli.resolve_run_config
 
     def resolve_run_config(cfg):
@@ -843,8 +846,8 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_prints_each_points_warnings(tmp_path, capsys):
-    # by t_final = 0.12 both packets near the domain's ends; one of the two
-    # points runs in the spawned child, and its row carries its notes back
+    # by t_final = 0.12 both packets near the domain's ends; each point runs
+    # in a worker process, and its row carries its notes back
     def sweep(name, **keys):
         out = tmp_path / name
         cfg = _write(tmp_path / f"{name}.json", {"epsilon": 0.1, "rho": [100.0], "num_steps": 100,
@@ -862,23 +865,82 @@ def test_sweep_prints_each_points_warnings(tmp_path, capsys):
     assert not any("boundary mass" in line for line in control)
 
 
-def test_parent_lane_failure_stops_dispatch(tmp_path, monkeypatch):
-    # an exception that escapes this process's lane (here a Ctrl-C) ends the
-    # sweep: the child lane finishes the point it holds and starts no other
+def _record_starts(monkeypatch, path, then):
+    """Patch `cli.simulate` to append [N, rho, start time, pid] to `path`, then call `then`.
+
+    Forked sweep workers inherit the patch; spawned ones would import the
+    real `simulate` and record nothing.
+    """
+
     def simulate(setup, threads=2):
-        raise KeyboardInterrupt
+        with open(path, "a", encoding="ascii") as fh:  # one short append per point
+            fh.write(json.dumps([setup.geom.num_spins, setup.params.rho, time.monotonic(), os.getpid()]) + "\n")
+        return then(setup, threads)
 
     monkeypatch.setattr(cli, "simulate", simulate)
-    out = tmp_path / "sweep"
-    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2, 4],
-                                           "rho": [10.0, 20.0], "num_points": 120,
-                                           "num_steps": 5, "t_final": 0.005,
-                                           "parallelism": 2, "out_dir": str(out)})
+
+
+def _starts(path):
+    """The [N, rho, start time, pid] of each recorded point, in start order."""
+    return sorted((json.loads(line) for line in path.read_text().splitlines()), key=lambda start: start[2])
+
+
+def _small_sweep(tmp_path, spins, rhos, parallelism):
+    return _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": spins, "rho": rhos,
+                                            "num_points": 120, "num_steps": 5, "t_final": 0.005,
+                                            "parallelism": parallelism, "out_dir": str(tmp_path / "sweep")})
+
+
+def test_parallel_sweep_starts_largest_points_first(tmp_path, monkeypatch):
+    # the workers take the points in the order they were submitted, so no
+    # N = 2 point starts while an N = 4 point waits; this process runs none
+    starts = tmp_path / "starts.txt"
+    _record_starts(monkeypatch, starts, cli.simulate)
+    assert cli.main(["sweep", "-c", _small_sweep(tmp_path, [2, 4], [10.0, 20.0], 2)]) == cli.EXIT_OK
+    started = _starts(starts)
+    assert sorted((n, rho) for n, rho, _, _ in started) == [(2, 10.0), (2, 20.0), (4, 10.0), (4, 20.0)]
+    assert [n for n, *_ in started] == [4, 4, 2, 2]
+    assert os.getpid() not in {pid for *_, pid in started}
+
+
+def test_worker_interrupt_stops_dispatch(tmp_path, monkeypatch):
+    # a Ctrl-C in the first point's worker ends the sweep, and the points the
+    # pool had not yet queued never start.  The other points hold their
+    # workers meanwhile: up to parallelism + 1 points had started when this
+    # process saw the interrupt, and up to parallelism + 1 more were queued.
+    def interrupt(setup, threads):
+        if (setup.geom.num_spins, setup.params.rho) != (4, 10.0):
+            time.sleep(0.3)
+        raise KeyboardInterrupt
+
+    starts = tmp_path / "starts.txt"
+    _record_starts(monkeypatch, starts, interrupt)
+    parallelism = 2
+    cfg = _small_sweep(tmp_path, [2, 4], [10.0, 20.0, 30.0, 40.0], parallelism)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["sweep", "-c", cfg])
-    assert not (out / "N2_rho10").exists()
-    assert not (out / "N2_rho20").exists()
-    assert not (out / "sweep.csv").exists()
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
+    assert len(_starts(starts)) <= 2 * (parallelism + 1) < 8
+
+
+def test_parallel_sweep_leaves_the_process_as_it_found_it(tmp_path, monkeypatch):
+    # both workers are forked while this thread is the process's only one,
+    # before the pool starts its manager thread; the pool's thread and
+    # workers end with the sweep, and a forked pool starts no
+    # multiprocessing resource tracker, which a spawned one does
+    threads_at_fork = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: threads_at_fork.append(threading.active_count()) or fork())
+    tracker = resource_tracker._resource_tracker
+    launches = []
+    ensure_running = tracker.ensure_running
+    monkeypatch.setattr(tracker, "ensure_running", lambda: launches.append(None) or ensure_running())
+    threads = threading.active_count()
+    assert cli.main(["sweep", "-c", _small_sweep(tmp_path, [2], [10.0, 20.0], 2)]) == cli.EXIT_OK
+    assert threads_at_fork == [1, 1]
+    assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
+    assert launches == []
 
 
 def _oracle_cases():
