@@ -20,6 +20,7 @@ import json
 import math
 import os
 import resource
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -370,7 +371,11 @@ def _boundary_notes(mass):
 
 
 def write_run_artifacts(result, out_dir):
-    """Write timeseries.csv, channels_final.csv and summary.json."""
+    """Write timeseries.csv, channels_final.csv and summary.json.
+
+    summary.json comes last, written under a temporary name and then renamed,
+    so a directory that holds it holds a complete point.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rec, setup = result.record, result.setup
@@ -425,9 +430,10 @@ def write_run_artifacts(result, out_dir):
         },
         "warnings": result.regime_notes + _boundary_notes(boundary_mass),
     }
-    with open(out / "summary.json", "w", encoding="ascii") as fh:
+    with open(out / "summary.json.partial", "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    os.replace(fh.name, out / "summary.json")
     return summary
 
 
@@ -494,34 +500,41 @@ def _failure(err):
 _POOL_CONTEXT = get_context("fork" if sys.platform == "linux" else "spawn")
 
 
+def _end_on_interrupt():
+    """Pool initializer: a Ctrl-C ends a sweep worker at once, before it takes another point.
+
+    A worker that inherited SIGINT ignored (a background job of a
+    non-interactive shell) keeps ignoring it.
+    """
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def _run_points(points, workers):
     """The rows of `_sweep_point` over `points`, in their order.
 
     Points start largest first (descending N; within one N, in the order of
     `points`), so that no worker is left alone with a large point at the end.
-    With `workers` > 1 this process runs no point: it submits every point to
-    a pool of `workers` processes and waits for their rows.  On Linux the
-    pool forks all its workers at the first submit, before it starts its
-    manager thread, and this process must then have no other thread: a
-    forked copy of another thread's lock would stay held.  A failure that a
-    point's future raises (Ctrl-C, a broken pool) cancels the points the
-    pool has not yet queued for its workers and propagates once the running
-    ones end.  The pool keeps up to `workers + 1` points queued ahead of its
-    workers, and a queued point still starts.  Each point may step on its
-    share of this process's CPUs, at least 1 and at most 2 threads.
+    With `workers` > 1 this process runs no point: it maps the points over a
+    pool of `workers` processes and waits for their rows.  On Linux the pool
+    forks all its workers at the first submit, before it starts its manager
+    thread, and this process must then have no other thread: a forked copy of
+    another thread's lock would stay held.  A failure that a point raises
+    (Ctrl-C, a broken pool) cancels the points the pool has not yet queued
+    for its workers and propagates once the running ones end.  A Ctrl-C at
+    the terminal also reaches the workers and ends them (`_end_on_interrupt`),
+    so no point starts after it.  Each point may step on its share of this
+    process's CPUs, at least 1 and at most 2 threads.
     """
     order = sorted(range(len(points)), key=lambda k: -points[k]["preset"]["num_spins"])
-    point_threads = max(1, min(2, _cpu_count() // workers))
+    args = ([points[k] for k in order], [max(1, min(2, _cpu_count() // workers))] * len(order))
     if workers == 1:
-        rows = {k: _sweep_point(points[k], point_threads) for k in order}
+        done = map(_sweep_point, *args)
     else:
-        with ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT) as pool:
-            futures = {k: pool.submit(_sweep_point, points[k], point_threads) for k in order}
-            try:  # in start order, so that a failure of the first points is seen first
-                rows = {k: future.result() for k, future in futures.items()}
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        # the rows come in start order, so that a failure of the first points is seen first
+        with ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT, initializer=_end_on_interrupt) as pool:
+            done = list(pool.map(_sweep_point, *args))
+    rows = dict(zip(order, done))
     return [rows[k] for k in range(len(points))]
 
 

@@ -29,7 +29,6 @@ class ClassProbabilities:
     right_track: float
     multi_track: float
     total: float
-    t: float
 
 
 def channel_probs(state, t=0.0):
@@ -43,19 +42,13 @@ def channel_probs(state, t=0.0):
     return ChannelProbabilities(probs=probs, t=t)
 
 
-def class_tags(sides, num_channels):
-    """ConfigClass tag of every channel, checked against the channel count."""
-    tags = classify_all(sides)
-    if len(tags) != num_channels:
-        raise ValueError(
-            f"{num_channels} channels but side assignment implies {len(tags)}"
-        )
-    return tags
+def class_sums(probs, sides):
+    """Channel probabilities summed per ConfigClass, indexed by class value.
 
-
-def class_sums(probs, tags):
-    """Channel probabilities summed per ConfigClass, indexed by class value."""
-    return np.bincount(tags, weights=probs, minlength=len(ConfigClass))
+    `probs` is in natural channel order; a length other than 2**N raises
+    numpy's ValueError.
+    """
+    return np.bincount(classify_all(sides), weights=probs, minlength=len(ConfigClass))
 
 
 def class_probs(cp, sides):
@@ -65,7 +58,7 @@ def class_probs(cp, sides):
     layout they agree, and their sum is the total probability of seeing a
     track on either side.
     """
-    sums = class_sums(cp.probs, class_tags(sides, len(cp.probs)))
+    sums = class_sums(cp.probs, sides)
     return ClassProbabilities(
         unchanged=float(sums[ConfigClass.UNCHANGED]),
         one_spin=float(sums[ConfigClass.ONE_SPIN]),
@@ -73,7 +66,6 @@ def class_probs(cp, sides):
         right_track=float(sums[ConfigClass.RIGHT_TRACK]),
         multi_track=float(sums[ConfigClass.MULTIPLE_TRACKS]),
         total=cp.total,
-        t=cp.t,
     )
 
 

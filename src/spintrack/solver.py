@@ -660,13 +660,12 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     shape = (system.h.num_channels, system.h.num_points)
     if initial.values.shape != shape:
         raise ValueError(f"state shape {initial.values.shape} does not match system {shape}")
-    tags = observables.class_tags(sides, shape[0]) if sides is not None else None
     dx = initial.dx
     energy_scale = -dx * 2.0 * system.hbar / system.dt
     times = system.dt * np.arange(num_steps + 1)
     norm2 = np.empty(num_steps + 1)
     energy = np.empty(num_steps + 1)
-    classes = np.empty((num_steps + 1, 5)) if tags is not None else None
+    classes = np.empty((num_steps + 1, 5)) if sides is not None else None
     solver = make_linear_solver(system, config)
     orbits = solver.orbits(_mirror_images(system.h, initial.values))
     weights = orbits.weights
@@ -680,7 +679,7 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         norm2[k] = probs.sum()
         energy[k] = energy_scale * _dot(x, bx, weights).imag
         if classes is not None:
-            classes[k] = observables.class_sums(probs, tags)
+            classes[k] = observables.class_sums(probs, sides)
 
     def lane(segments, c, bc):
         solver.solve_rows(c, segments)

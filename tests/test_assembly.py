@@ -1,5 +1,6 @@
 """Hamiltonian structure, entry values, and the Crank-Nicolson operators."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,32 @@ def test_detector_on_boundary_rejected():
     )
     with pytest.raises(ConfigurationError):
         assemble_hamiltonian(scaled_params(), grid, layout)
+
+
+def _layout(grid, indices):
+    return DetectorLayout(
+        positions=grid.xs[indices],
+        grid_indices=np.array(indices),
+        sides=SideAssignment((-1, 1)),
+        nominal_positions=grid.xs[indices],
+    )
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda grid, h: assemble_hamiltonian(scaled_params(), grid, _layout(grid, [30, 70]), "periodic"),
+         "unknown boundary mode 'periodic'"),
+        (lambda grid, h: assemble_hamiltonian(scaled_params(), grid, _layout(grid, [50, 50])),
+         "detector grid indices must be distinct"),
+        (lambda grid, h: assemble_cn(h, 0.0, 0.1), "dt must be nonzero"),
+    ],
+    ids=["boundary_mode", "shared_index", "zero_dt"],
+)
+def test_assembly_rejects_an_ill_posed_input(build, fragment):
+    grid = build_grid(1.5, 100)
+    with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+        build(grid, _zero_hamiltonian())
 
 
 def test_assemble_cn_sum_identity():

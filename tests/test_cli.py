@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -245,6 +246,26 @@ def test_run_writes_artifacts(tmp_path):
     assert res["peak_rss_mb"] >= summary["resolved"]["state_vector_bytes"] / 1e6 > 0.0
     assert res["stored_channels"] == 3  # one per mirror orbit of the 4 channels
     assert res["refined_steps"] == 0
+
+
+def test_summary_appears_only_whole(tmp_path, monkeypatch):
+    # summary.json is written last and renamed into place: a run leaves the
+    # three artifacts and nothing else, and a write cut short (here by a
+    # Ctrl-C after part of the object) leaves no summary.json
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "cfg.json", small_explicit_config(out))
+    assert cli.main(["run", "-c", cfg]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["channels_final.csv", "summary.json", "timeseries.csv"]
+    (out / "summary.json").unlink()
+
+    def dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:200])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.json, "dump", dump)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "-c", cfg])
+    assert not (out / "summary.json").exists()
 
 
 def test_run_rho_zero_override(tmp_path):
@@ -663,15 +684,19 @@ print((peak_bytes() - base) / cli._state_vector_bytes(setup))
 """
 
 
-def _python(*args, check=True, unset=()):
-    """Run this interpreter on `args` with this package importable and the
-    environment variables `unset` removed; returns the CompletedProcess."""
+def _child_env(unset=()):
+    """This process's environment with this package importable and the variables `unset` removed."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {key: value for key, value in os.environ.items() if key not in unset}
     env["PYTHONPATH"] = os.pathsep.join(path_entries)
+    return env
+
+
+def _python(*args, check=True, unset=()):
+    """Run this interpreter on `args` in `_child_env(unset)`; returns the CompletedProcess."""
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300, check=check
+        [sys.executable, *args], env=_child_env(unset), capture_output=True, text=True, timeout=300, check=check
     )
 
 
@@ -921,6 +946,87 @@ def test_worker_interrupt_stops_dispatch(tmp_path, monkeypatch):
         cli.main(["sweep", "-c", cfg])
     assert not (tmp_path / "sweep" / "sweep.csv").exists()
     assert len(_starts(starts)) <= 2 * (parallelism + 1) < 8
+
+
+# Runs the sweep of config argv[1] with `simulate` patched to append each
+# point's [N, rho, start time, pid] to argv[2] and sleep argv[3] seconds
+# first; with argv[4] == "ignore" it starts with SIGINT ignored, as a
+# background job of a non-interactive shell does.
+_SIGINT_SCRIPT = """
+import json, os, signal, sys, time
+from spintrack import cli
+config, starts, delay, mode = sys.argv[1:]
+if mode == "ignore":
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+real = cli.simulate
+
+def simulate(setup, threads=2):
+    with open(starts, "a", encoding="ascii") as fh:
+        fh.write(json.dumps([setup.geom.num_spins, setup.params.rho, time.monotonic(), os.getpid()]) + "\\n")
+    time.sleep(float(delay))
+    return real(setup, threads)
+
+cli.simulate = simulate
+sys.exit(cli.main(["sweep", "-c", config]))
+"""
+
+
+def _interrupted_sweep(tmp_path, delay, mode, parallelism=2):
+    """Run a 6-point sweep in a session of its own and send SIGINT to its
+    process group once `parallelism` points have started; returns the
+    finished process, its stderr and the recorded starts."""
+    starts = tmp_path / "starts.txt"
+    cfg = _small_sweep(tmp_path, [2, 4], [10.0, 20.0, 30.0], parallelism)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SIGINT_SCRIPT, cfg, str(starts), str(delay), mode],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not starts.exists() or len(starts.read_text().splitlines()) < parallelism:
+            assert proc.poll() is None, proc.communicate()[1]
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    return proc, err, _starts(starts)
+
+
+def _group_is_gone(pgid, timeout=5.0):
+    """Whether no process of group `pgid` is left within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the test's simulate patch reaches forked workers only")
+def test_ctrl_c_stops_a_parallel_sweep_at_once(tmp_path):
+    # a Ctrl-C reaches the whole process group: the workers end in their
+    # first points, and the points queued for them never start
+    proc, _, started = _interrupted_sweep(tmp_path, delay=10.0, mode="interrupt")
+    assert proc.returncode != 0
+    assert [n for n, *_ in started] == [4, 4]
+    assert not (tmp_path / "sweep" / "sweep.csv").exists()
+    assert _group_is_gone(proc.pid)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the test's simulate patch reaches forked workers only")
+def test_sweep_started_with_sigint_ignored_finishes(tmp_path):
+    # control: workers that inherit SIGINT ignored keep ignoring it
+    proc, err, started = _interrupted_sweep(tmp_path, delay=0.3, mode="ignore")
+    assert proc.returncode == cli.EXIT_OK, err
+    assert len(started) == 6
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 7
+    assert _group_is_gone(proc.pid)
 
 
 def test_parallel_sweep_leaves_the_process_as_it_found_it(tmp_path, monkeypatch):

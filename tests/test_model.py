@@ -1,11 +1,16 @@
 """Grids, detector placement, the initial packet, and the preset."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spintrack import (
+    MAX_SPINS,
     ConfigurationError,
     Geometry,
+    TimeGrid,
     build_grid,
     initial_state,
     nominal_detector_positions,
@@ -147,8 +152,6 @@ def test_initial_state_even_symmetry():
 
 
 def test_initial_state_empty_after_truncation():
-    from dataclasses import replace
-
     params, geom, grid, _ = preset_from_epsilon(0.1, 4)
     starved = replace(scaled_params(), trunc_a=grid.dx / 10.0)
     with pytest.raises(ConfigurationError):
@@ -192,3 +195,48 @@ def test_preset_rejects_odd_counts():
         preset_from_epsilon(0.1, 5)
     with pytest.raises(ConfigurationError):
         preset_from_epsilon(-0.1, 4)
+
+
+def _geometry(**keys):
+    return Geometry(**{"half_length": 1.5, "cluster_distance": 0.5, "spacing": 0.01, "num_spins": 4, **keys})
+
+
+def _snap(num_points, cluster_distance, spacing):
+    """Place two detectors at +-(cluster_distance + spacing / 2) on a grid over [-1, 1]."""
+    geom = _geometry(half_length=1.0, cluster_distance=cluster_distance, spacing=spacing, num_spins=2)
+    return place_detectors(geom, build_grid(1.0, num_points))
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: replace(scaled_params(), hbar=0.0), "hbar and mass must be positive"),
+        (lambda: replace(scaled_params(), mass=-1.0), "hbar and mass must be positive"),
+        (lambda: replace(scaled_params(), rho=-1.0), "alpha, beta, rho must be non-negative"),
+        (lambda: _geometry(half_length=0.0), "half_length must be positive"),
+        (lambda: _geometry(cluster_distance=1.5), "cluster_distance must lie inside the domain"),
+        (lambda: _geometry(spacing=0.0), "spacing must be positive"),
+        (lambda: _geometry(num_spins=3), "num_spins must be even and >= 2, got 3"),
+        (lambda: _geometry(num_spins=MAX_SPINS + 2), f"num_spins capped at {MAX_SPINS}"),
+        (lambda: TimeGrid(t_final=0.0, num_steps=10), "t_final must be positive, num_steps >= 1"),
+        (lambda: TimeGrid(t_final=0.065, num_steps=0), "t_final must be positive, num_steps >= 1"),
+        (lambda: build_grid(0.0, 11), "half_length must be positive"),
+        # +-0.96 lie inside (-1, 1) but snap to the end points at dx = 0.1
+        (lambda: _snap(21, 0.95, 0.02), "a detector snapped onto a boundary point"),
+        # +-dx/2 with dx = 1/8, exact in binary, tie toward -inf: onto x = -dx and x = 0
+        (lambda: _snap(17, 0.03125, 0.0625), "a detector snapped onto the origin and has no side"),
+    ],
+    ids=[
+        "hbar", "mass", "rho", "half_length", "cluster_distance", "spacing", "odd_spins",
+        "max_spins", "t_final", "num_steps", "grid_half_length", "snapped_to_boundary", "snapped_to_origin",
+    ],
+)
+def test_model_rejects_an_ill_posed_configuration(build, fragment):
+    with pytest.raises(ConfigurationError, match=re.escape(fragment)):
+        build()
+
+
+def test_validate_regime_notes_a_strong_point_interaction():
+    # beta * d = 0.5 is not << 1, while d < sigma and sigma << D hold
+    notes = validate_regime(replace(scaled_params(), beta=50.0), _geometry())
+    assert notes == ["beta << 1/d violated: beta=50, 1/d=100"]
