@@ -291,7 +291,8 @@ def resolved_dict(setup):
         "detector_positions": [float(y) for y in setup.layout.positions],
         "detector_indices": [int(i) for i in setup.layout.grid_indices],
         "sides": list(setup.layout.sides.signs),
-        "predicted_arrival": geom.cluster_distance / params.p0,
+        # the packets travel at |p0| either way; at p0 = 0 they never arrive
+        "predicted_arrival": geom.cluster_distance / abs(params.p0) if params.p0 else None,
         "state_vector_bytes": _state_vector_bytes(setup),
         "working_set_bytes": _working_set_bytes(setup),
         "solver": asdict(setup.solve_config),
@@ -315,7 +316,9 @@ def simulate(setup, threads=2):
 
     `wall_seconds` times `solver.run`, on at most `threads` threads (a
     sweep passes fewer when its concurrent points fill the CPUs); the
-    record's `profile` gains the assembly's seconds before it.
+    record's `profile` gains the assembly's seconds before it.  The
+    result's `regime_notes` are `validate_regime`'s notes followed by the
+    run's own (`RunRecord.notes`), so they reach summary.json's `warnings`.
 
     Raises ConfigurationError, before it allocates, when the run does not
     fit in memory (`_check_footprint`).
@@ -350,7 +353,7 @@ def simulate(setup, threads=2):
         final_channels=final_channels,
         final_classes=final_classes,
         arrival=arrival,
-        regime_notes=regime_notes,
+        regime_notes=regime_notes + record.notes,
         wall_seconds=wall,
     )
 
@@ -446,7 +449,7 @@ def cmd_run(args):
     result = simulate(setup)
     summary = write_run_artifacts(result, setup.out_dir)
     res = summary["results"]
-    for note in _boundary_notes(res["boundary_mass"]):
+    for note in result.record.notes + _boundary_notes(res["boundary_mass"]):
         print(f"warning: {note}", file=sys.stderr)
     print(
         f"N={setup.geom.num_spins} rho={setup.params.rho:g}: "

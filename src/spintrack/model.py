@@ -8,7 +8,6 @@ symmetrically around +-D.  The particle reaches the clusters at about
 t = D/p0, which for epsilon = 0.1 and D = 0.5 is t = 0.0375.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,12 +167,14 @@ def nominal_detector_positions(geom):
 
 
 def place_detectors(geom, grid):
-    """Snap the nominal detector positions onto the grid.
+    """Snap the nominal detector positions onto the grid, mirror-symmetrically.
 
-    Each position snaps to the nearest grid point (ties toward -inf).  Raises
-    if two detectors land on the same point, if a detector leaves the open
-    domain, or if one lands on a boundary point; warns if snapping breaks the
-    mirror symmetry of the layout.
+    Each detector of the x > 0 half snaps to the nearest grid point (ties
+    toward -inf, that is, toward the origin), and the x < 0 half is its
+    mirror image, so the layout is symmetric about the origin on every grid.
+    Raises if a detector snaps onto the origin, if two detectors land on the
+    same point, if a detector leaves the open domain, or if one lands on a
+    boundary point.
     """
     nominal = nominal_detector_positions(geom)
     L = grid.half_length
@@ -181,19 +182,19 @@ def place_detectors(geom, grid):
         raise ConfigurationError(
             f"detector positions {nominal.min():g}..{nominal.max():g} leave the domain (-{L:g}, {L:g})"
         )
-    indices = np.ceil((nominal + L) / grid.dx - 0.5).astype(np.int64)
+    right = np.ceil((nominal[geom.num_spins // 2:] + L) / grid.dx - 0.5).astype(np.int64)
+    # a detector at the origin would collide with its own mirror; an exact
+    # tie there on a grid without an origin point snaps to x < 0
+    if grid.xs[right[0]] <= 0.0:
+        raise ConfigurationError("a detector snapped onto the origin and has no side")
+    indices = np.concatenate([grid.num_points - 1 - right[::-1], right])
     if len(np.unique(indices)) != len(indices):
         raise ConfigurationError(
             f"grid too coarse: detectors {nominal} collide after snapping (dx={grid.dx:g})"
         )
-    if indices[0] <= 0 or indices[-1] >= grid.num_points - 1:
+    if indices[-1] >= grid.num_points - 1:
         raise ConfigurationError("a detector snapped onto a boundary point")
     positions = grid.xs[indices]
-    if np.any(positions == 0.0):
-        raise ConfigurationError("a detector snapped onto the origin and has no side")
-    mirrored = indices + indices[::-1]
-    if np.any(mirrored != grid.num_points - 1):
-        warnings.warn("snapping broke the mirror symmetry of the detector layout")
     sides = SideAssignment(tuple(-1 if y < 0 else 1 for y in positions))
     return DetectorLayout(
         positions=positions,

@@ -27,8 +27,7 @@ import os
 import queue
 import threading
 import time
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
@@ -579,6 +578,8 @@ class RunRecord:
     per thread), `residual` (B's detector rows and the residual) and
     `record`.  A refinement round adds to the first three like the step's
     own solve.  All six are None when the record was not produced by `run`.
+    `notes` holds the run's warnings, such as a time step too coarse for
+    accurate phases.
     """
 
     times: np.ndarray
@@ -596,6 +597,7 @@ class RunRecord:
     refined_steps: int | None = None
     threads: int | None = None
     profile: dict | None = None
+    notes: list = field(default_factory=list)
 
 
 def run(system, initial, num_steps, config=None, sides=None, threads=2):
@@ -724,8 +726,9 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     # Accuracy (not stability) guard: compare dt against the phase period of
     # the occupied modes, 2 hbar / |<H>|.  The operator norm would be the grid
     # cutoff energy and would flag every well-resolved run.
+    notes = []
     if energy[0] != 0.0 and abs(system.dt) > 2.0 * system.hbar / abs(energy[0]):
-        warnings.warn(
+        notes.append(
             f"dt={system.dt:g} exceeds 2*hbar/|<H>|~{2.0 * system.hbar / abs(energy[0]):g}; "
             "the scheme stays stable but phases will be inaccurate"
         )
@@ -797,4 +800,5 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         refined_steps=refined,
         threads=threads,
         profile=profile,
+        notes=notes,
     )

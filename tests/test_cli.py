@@ -57,6 +57,20 @@ def test_info_reference_preset(tmp_path, capsys):
     assert info["working_set_bytes"] == cli.WORKING_SET_VECTORS * info["state_vector_bytes"]
 
 
+@pytest.mark.parametrize("p0", [0.0, -40.0 / 3.0], ids=["at-rest", "negative"])
+def test_predicted_arrival_uses_the_packets_speed(tmp_path, capsys, p0):
+    # the two packets move at |p0| in opposite directions; at rest they never arrive
+    expected = None if p0 == 0.0 else pytest.approx(0.5 / (40.0 / 3.0))
+    payload = small_explicit_config(tmp_path / "out", p0=p0)
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert cli.main(["info", "-c", cfg]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["predicted_arrival"] == expected
+    if p0 == 0.0:
+        assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["resolved"]["predicted_arrival"] is None
+
+
 def test_info_memory_estimate_n12(tmp_path, capsys):
     cfg = _write(tmp_path / "cfg.json", {"preset": {"epsilon": 0.1, "num_spins": 12}})
     assert cli.main(["info", "-c", cfg]) == 0
@@ -537,21 +551,25 @@ def _large_alpha_config(tmp_path, **solver):
     return _write(tmp_path / "cfg.json", {**payload, "solver": solver})
 
 
-def test_run_solves_large_alpha(tmp_path):
+def test_run_solves_large_alpha(tmp_path, capsys):
     cfg = _large_alpha_config(tmp_path)
-    with pytest.warns(UserWarning, match="phases will be inaccurate"):
-        assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
-    res = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
-    assert res["max_step_residual"] <= 1e-12
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["results"]["max_step_residual"] <= 1e-12
+    # the step is coarse for this spin energy: the run's note reaches the
+    # summary and, once, stderr
+    coarse = [note for note in summary["warnings"] if "phases will be inaccurate" in note]
+    assert len(coarse) == 1
+    assert capsys.readouterr().err.count(f"warning: {coarse[0]}\n") == 1
 
 
 def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys, monkeypatch):
     # one restart cycle of two iterations is too few for this detector system
     monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 2)
     cfg = _large_alpha_config(tmp_path, max_iter=1)
-    with pytest.warns(UserWarning, match="phases will be inaccurate"):
-        assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
     assert "detector capacitance solve stopped" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_obsolete_solver_method_key(tmp_path, capsys):
@@ -888,6 +906,23 @@ def test_sweep_prints_each_points_warnings(tmp_path, capsys):
         assert [line for line in late if line.startswith(prefix)] == [prefix + note for note in notes]
     _, control = sweep("default", num_spins=[2], parallelism=1)
     assert not any("boundary mass" in line for line in control)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_sweep_keeps_each_points_coarse_step_note(tmp_path, capsys, parallelism):
+    # dt = 0.0065 is coarse for both points; each point's run notes it in
+    # its own summary and row, also when both run in this process
+    out = tmp_path / "sweep"
+    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2], "rho": [100.0, 150.0],
+                                           "num_steps": 10, "t_final": 0.065,
+                                           "parallelism": parallelism, "out_dir": str(out)})
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    for rho in (100, 150):
+        notes = json.loads((out / f"N2_rho{rho}" / "summary.json").read_text())["warnings"]
+        coarse = [note for note in notes if note.startswith("dt=0.0065 exceeds")]
+        assert len(coarse) == 1
+        assert err.count(f"N=2 rho={rho}: warning: {coarse[0]}") == 1
 
 
 def _record_starts(monkeypatch, path, then):

@@ -428,17 +428,61 @@ def test_packet_off_the_origin_takes_the_full_path():
     assert run(system, psi0, 5, sides=layout.sides).stored_channels == 16
 
 
-def test_mirror_broken_snap_takes_the_full_path():
-    grid = build_grid(0.75, 151)
-    geom = model.Geometry(half_length=0.75, cluster_distance=0.3, spacing=0.03, num_spins=4)
-    with pytest.warns(UserWarning, match="mirror symmetry"):
-        layout = model.place_detectors(geom, grid)
+def _run_layout(grid, layout):
     params = scaled_params()
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, 0.065 / 100, params.hbar)
     psi0 = initial_state(params, grid, h.num_channels)
+    return system, psi0, run(system, psi0, 5, sides=layout.sides)
+
+
+def _tie_grid_layout():
+    # the detectors at +-0.285 and +-0.315 sit exactly halfway between grid
+    # points (dx = 0.01)
+    grid = build_grid(0.75, 151)
+    geom = model.Geometry(half_length=0.75, cluster_distance=0.3, spacing=0.03, num_spins=4)
+    return grid, model.place_detectors(geom, grid)
+
+
+def test_tie_grid_snaps_symmetrically_and_takes_the_mirror_path():
+    grid, layout = _tie_grid_layout()
+    assert np.array_equal(layout.grid_indices + layout.grid_indices[::-1], [150] * 4)
+    assert np.array_equal(layout.positions, -layout.positions[::-1])
+    system, psi0, record = _run_layout(grid, layout)
+    assert not _stores_every_channel(system, psi0)
+    assert record.stored_channels == ORBITS[4]
+
+
+def test_tie_grid_preset_n8_keeps_left_right_symmetry():
+    # at 1201 points every detector of the N = 8 preset sits exactly halfway
+    # between two grid points
+    params, geom, grid, tgrid = model.preset_from_epsilon(
+        0.1, 8, rho=100.0, num_points=1201, num_steps=100, t_final=0.05
+    )
+    layout = model.place_detectors(geom, grid)
+    h = assemble_hamiltonian(params, grid, layout)
+    system = assemble_cn(h, tgrid.dt, params.hbar)
+    record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps, sides=layout.sides)
+    assert record.stored_channels == ORBITS[8]
+    assert record.left_track[-1] > 1e-2
+    # equal up to the order of the class sums
+    assert np.max(np.abs(record.left_track - record.right_track)) <= CLASS_BOUND
+
+
+def test_asymmetric_layout_takes_the_full_path():
+    # snapping never breaks the mirror, but a hand-built layout can
+    grid, snapped = _tie_grid_layout()
+    indices = snapped.grid_indices.copy()
+    indices[0] -= 1
+    layout = model.DetectorLayout(
+        positions=grid.xs[indices],
+        grid_indices=indices,
+        sides=snapped.sides,
+        nominal_positions=snapped.nominal_positions,
+    )
+    system, psi0, record = _run_layout(grid, layout)
     assert _stores_every_channel(system, psi0)
-    assert run(system, psi0, 5, sides=layout.sides).stored_channels == 16
+    assert record.stored_channels == 16
 
 
 def test_nan_in_an_unstored_row_takes_the_full_path_and_raises():

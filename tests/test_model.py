@@ -112,6 +112,33 @@ def test_place_detectors_snapping_bound():
     assert np.all(layout.grid_indices + layout.grid_indices[::-1] == grid.num_points - 1)
 
 
+# the epsilon = 0.1 presets, N = 2..24, on which snapping each detector on
+# its own (ties toward -inf) broke the mirror: ladder grids put a detector
+# exactly halfway between two points
+_TIES = {1000: [], 1201: [8, 24], 1321: [4, 12, 20], 2401: [16], 2641: [8, 24], 5281: [16]}
+
+
+@pytest.mark.parametrize("num_points", sorted(_TIES))
+def test_place_detectors_mirror_symmetric_on_every_grid(num_points):
+    grid = build_grid(1.5, num_points)
+    ties = []
+    for n in range(2, MAX_SPINS + 1, 2):
+        geom = Geometry(half_length=1.5, cluster_distance=0.5, spacing=0.1 / n, num_spins=n)
+        try:
+            indices = place_detectors(geom, grid).grid_indices
+        except ConfigurationError as err:
+            assert "collide after snapping" in str(err)
+            continue
+        assert np.array_equal(indices + indices[::-1], [num_points - 1] * n)
+        own = np.ceil((nominal_detector_positions(geom) + 1.5) / grid.dx - 0.5).astype(np.int64)
+        if np.array_equal(own + own[::-1], [num_points - 1] * n):
+            assert np.array_equal(indices, own)
+        else:  # the x > 0 half keeps its own snap, the other is its mirror
+            assert np.array_equal(indices[n // 2:], own[n // 2:])
+            ties.append(n)
+    assert ties == _TIES[num_points]
+
+
 def test_place_detectors_grid_too_coarse():
     geom = Geometry(half_length=1.5, cluster_distance=0.5, spacing=0.01, num_spins=4)
     grid = build_grid(1.5, 31)  # dx = 0.1 >> spacing
@@ -223,12 +250,22 @@ def _snap(num_points, cluster_distance, spacing):
         (lambda: build_grid(0.0, 11), "half_length must be positive"),
         # +-0.96 lie inside (-1, 1) but snap to the end points at dx = 0.1
         (lambda: _snap(21, 0.95, 0.02), "a detector snapped onto a boundary point"),
-        # +-dx/2 with dx = 1/8, exact in binary, tie toward -inf: onto x = -dx and x = 0
+        # +dx/2 with dx = 1/8, exact in binary, ties toward -inf onto x = 0,
+        # which is also its own mirror: the origin is named, not a collision
         (lambda: _snap(17, 0.03125, 0.0625), "a detector snapped onto the origin and has no side"),
+        # two detectors at x = 0 on a grid without an origin point: the x > 0
+        # half's one ties onto x = -dx/2
+        (
+            lambda: place_detectors(
+                _geometry(half_length=1.0, cluster_distance=0.25, spacing=0.5), build_grid(1.0, 20)
+            ),
+            "a detector snapped onto the origin and has no side",
+        ),
     ],
     ids=[
         "hbar", "mass", "rho", "half_length", "cluster_distance", "spacing", "odd_spins",
         "max_spins", "t_final", "num_steps", "grid_half_length", "snapped_to_boundary", "snapped_to_origin",
+        "tied_at_the_origin",
     ],
 )
 def test_model_rejects_an_ill_posed_configuration(build, fragment):

@@ -425,16 +425,21 @@ def test_serial_runs_bitwise_identical():
 
 
 def test_coarse_step_warns():
+    # the accuracy guard leaves a note on the record, not a Python warning
     system, psi0, _ = _system(dt=0.065)
-    with pytest.warns(UserWarning, match="phases will be inaccurate"):
-        run(system, psi0, 1)
+    (note,) = run(system, psi0, 1).notes
+    assert note.startswith("dt=0.065 exceeds 2*hbar/|<H>|~")
+    assert note.endswith("phases will be inaccurate")
+    fine, psi0, _ = _system()
+    assert run(fine, psi0, 1).notes == []
 
 
 def test_coarse_backward_step_warns():
     # the accuracy guard compares |dt|; a time-reversed run is as coarse
     system, psi0, _ = _system(dt=-0.05)
-    with pytest.warns(UserWarning, match="phases will be inaccurate"):
-        run(system, psi0, 1)
+    (note,) = run(system, psi0, 1).notes
+    assert note.startswith("dt=-0.05 exceeds")
+    assert note.endswith("phases will be inaccurate")
 
 
 def test_direct_solver_reuses_factorization():
