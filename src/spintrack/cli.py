@@ -69,7 +69,9 @@ _EXPLICIT_KEYS = {
     "num_points", "boundary_mode", *_keys(model.PhysicalParams, model.Geometry, model.TimeGrid)
 }
 _SOLVER_KEYS = {"method", *_keys(SolveConfig)}  # "method" is obsolete, kept for saved configs
-_SWEEP_KEYS = _PRESET_KEYS | {"solver", "out_dir", "parallelism", "arrival_drop"}
+# the run keys a sweep passes on to each of its points unchanged
+_FORWARDED_KEYS = _TOP_KEYS - {"preset", "explicit", "out_dir"}
+_SWEEP_KEYS = _PRESET_KEYS | _FORWARDED_KEYS | {"out_dir", "parallelism"}
 
 
 # A preset run's peak RSS above the interpreter, reached while `run` steps,
@@ -319,11 +321,7 @@ def simulate(setup, threads=2):
     record's `profile` gains the assembly's seconds before it.  The
     result's `regime_notes` are `validate_regime`'s notes followed by the
     run's own (`RunRecord.notes`), so they reach summary.json's `warnings`.
-
-    Raises ConfigurationError, before it allocates, when the run does not
-    fit in memory (`_check_footprint`).
     """
-    _check_footprint(setup)
     start = time.perf_counter()
     regime_notes = model.validate_regime(setup.params, setup.geom)
     h = assemble_hamiltonian(
@@ -440,22 +438,42 @@ def write_run_artifacts(result, out_dir):
     return summary
 
 
-def cmd_run(args):
-    setup = resolve_run_config(load_config(args.config))
-    for note in model.validate_regime(setup.params, setup.geom):
-        print(f"warning: {note}", file=sys.stderr)
+def _run_point(cfg, threads, warn):
+    """Run config `cfg` on at most `threads` threads; return (setup, summary results).
+
+    `warn` takes each note in summary.json's `warnings` order: the regime
+    notes before the run, the run's own and the boundary-mass note after it,
+    or the run's notes before a failed step's SolverError propagates.
+    """
+    setup = resolve_run_config(cfg)
+    regime_notes = model.validate_regime(setup.params, setup.geom)
+    for note in regime_notes:
+        warn(note)
     _check_footprint(setup)  # a refused run leaves no output directory behind
     Path(setup.out_dir).mkdir(parents=True, exist_ok=True)  # unusable: fail before the run
-    result = simulate(setup)
+    try:
+        result = simulate(setup, threads)
+    except SolverError as err:
+        for note in err.notes:
+            warn(note)
+        raise
     summary = write_run_artifacts(result, setup.out_dir)
-    res = summary["results"]
-    for note in result.record.notes + _boundary_notes(res["boundary_mass"]):
-        print(f"warning: {note}", file=sys.stderr)
+    for note in summary["warnings"][len(regime_notes):]:
+        warn(note)
+    return setup, summary["results"]
+
+
+def _print_warning(note):
+    print(f"warning: {note}", file=sys.stderr)
+
+
+def cmd_run(args):
+    setup, res = _run_point(load_config(args.config), 2, _print_warning)
     print(
         f"N={setup.geom.num_spins} rho={setup.params.rho:g}: "
         f"UC={res['UC']:.6f} OS={res['OS']:.6f} "
         f"LRC_left={res['LRC_left']:.6f} LRC_right={res['LRC_right']:.6f} "
-        f"MT={res['MT']:.3e} ({result.wall_seconds:.1f}s) -> {setup.out_dir}"
+        f"MT={res['MT']:.3e} ({res['wall_seconds']:.1f}s) -> {setup.out_dir}"
     )
     return EXIT_OK
 
@@ -463,26 +481,17 @@ def cmd_run(args):
 def _sweep_point(cfg, threads):
     """Run one sweep point's run config on at most `threads` threads.
 
-    The row carries the point's summary warnings.  Must stay a top-level
-    function for process pools.
+    The row carries the point's warnings, also when it fails.  Must stay a
+    top-level function for process pools.
     """
-    row = {"N": cfg["preset"]["num_spins"], "rho": cfg["preset"]["rho"]}
+    row = {"N": cfg["preset"]["num_spins"], "rho": cfg["preset"]["rho"], "warnings": []}
     try:
-        setup = resolve_run_config(cfg)
-        result = simulate(setup, threads)
-        summary = write_run_artifacts(result, setup.out_dir)
-        cls = result.final_classes
-        two_lrc = cls.left_track + cls.right_track
+        _, res = _run_point(cfg, threads, row["warnings"].append)
+        two_lrc = res["LRC_left"] + res["LRC_right"]
         row.update(
-            LRC_one_side=cls.left_track,
-            two_LRC=two_lrc,
-            OS=cls.one_spin,
-            UC=cls.unchanged,
-            MT=cls.multi_track,
-            row_sum=two_lrc + cls.one_spin + cls.unchanged + cls.multi_track,
-            arrival_time=result.arrival,
-            wall_seconds=result.wall_seconds,
-            warnings=summary["warnings"],
+            LRC_one_side=res["LRC_left"], two_LRC=two_lrc, OS=res["OS"], UC=res["UC"], MT=res["MT"],
+            row_sum=two_lrc + res["OS"] + res["UC"] + res["MT"],
+            arrival_time=res["arrival_time"], wall_seconds=res["wall_seconds"],
         )
     except Exception as err:  # per-point isolation: a bad point must not kill the sweep
         row.update(error=str(err), exit_code=_failure(err)[0])
@@ -559,7 +568,7 @@ def cmd_sweep(args):
     if parallelism < 0:
         raise ConfigurationError(f"parallelism must be >= 0 (0: every available CPU), got {parallelism}")
     preset = {key: cfg[key] for key in _PRESET_KEYS & cfg.keys()}
-    shared = {key: cfg[key] for key in ("solver", "arrival_drop") if key in cfg}
+    shared = {key: cfg[key] for key in _FORWARDED_KEYS & cfg.keys()}
     points = [
         {
             "preset": {**preset, "num_spins": n, "rho": r},
@@ -593,7 +602,7 @@ def cmd_sweep(args):
 
     failed = [row for row in rows if "error" in row]
     for row in rows:
-        for note in row.get("warnings", ()):  # a failed point has none
+        for note in row.get("warnings", ()):
             print(f"N={row['N']} rho={row['rho']:g}: warning: {note}", file=sys.stderr)
         if "error" in row:
             print(f"N={row['N']} rho={row['rho']:g}: FAILED: {row['error']}", file=sys.stderr)
@@ -609,7 +618,7 @@ def cmd_sweep(args):
 def cmd_info(args):
     setup = resolve_run_config(load_config(args.config))
     for note in model.validate_regime(setup.params, setup.geom):
-        print(f"warning: {note}", file=sys.stderr)
+        _print_warning(note)
     json.dump(resolved_dict(setup), sys.stdout, indent=2)
     print()
     return EXIT_OK

@@ -57,11 +57,15 @@ TWO_THREAD_MIN_VALUES = 20_000
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed or produced non-finite values."""
+    """Linear solve failed or produced non-finite values.
 
-    def __init__(self, message, residual=None):
+    `notes` are the notes the run had made when its step failed (`RunRecord.notes`).
+    """
+
+    def __init__(self, message, residual=None, notes=()):
         super().__init__(message)
         self.residual = residual
+        self.notes = list(notes)
 
 
 @dataclass(frozen=True)
@@ -773,7 +777,7 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
                         residual=residual,
                     )
             except SolverError as err:
-                raise SolverError(f"step {k}: {err}", residual=err.residual) from err
+                raise SolverError(f"step {k}: {err}", residual=err.residual, notes=notes) from err
             worst = max(worst, residual)
             refined += rounds > 0
             spare = rhs

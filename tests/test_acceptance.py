@@ -252,3 +252,26 @@ def test_no_flip_probability_flat_before_arrival(cache):
     record = cache.get(4, 100.0).record
     early = record.times < 0.02
     assert np.max(np.abs(record.unchanged[early] - 1.0)) <= 1e-6
+
+
+def _born_ratio(cache, num_spins, kappa=1, rho=0.5):
+    """(1 - UC) / (N rho^2) at t*: the flip probability per detector per rho^2."""
+    return (1.0 - cache.get(num_spins, rho, kappa=kappa).classes.unchanged) / (num_spins * rho**2)
+
+
+def test_weak_coupling_flips_scale_with_the_detector_count(cache):
+    # to first order in rho each detector flips on its own, with a probability
+    # proportional to (kappa rho)^2, so (1 - UC) / (N rho^2) has one limit at
+    # every N.  N = 2 reads lower: its one detector per side sits d/2 outside
+    # D, where more of the packet's slow tail has yet to pass it by t*
+    def agree(a, b):
+        return abs(a / b - 1.0) <= 1.1e-4
+
+    ratio = {n: _born_ratio(cache, n) for n in (2, 4, 8)}
+    assert agree(ratio[8], ratio[4])
+    assert 0.003 <= 1.0 - ratio[2] / ratio[4] <= 0.008
+    # the control: kappa = 2 quadruples the flip probability
+    doubled = _born_ratio(cache, 4, kappa=2)
+    assert doubled / ratio[4] == pytest.approx(4.0, rel=1e-3)
+    assert not agree(doubled, ratio[4])
+    print(f"[acceptance] weak coupling (1-UC)/(N rho^2) by N: {ratio}, kappa=2 at N=4: {doubled:.6e}")

@@ -568,8 +568,31 @@ def test_run_exits_3_when_the_direct_solve_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 2)
     cfg = _large_alpha_config(tmp_path, max_iter=1)
     assert cli.main(["run", "-c", cfg]) == cli.EXIT_SOLVER
-    assert "detector capacitance solve stopped" in capsys.readouterr().err
+    # the notes the run had made reach stderr before the failure
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert err[0].startswith("warning: d < sigma violated")
+    assert err[1].startswith("warning: dt=0.0004 exceeds 2*hbar/|<H>|")
+    assert err[2].startswith("solver failure: step 1: detector capacitance solve stopped")
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_failed_sweep_point_keeps_its_notes(tmp_path, capsys, monkeypatch):
+    # one iteration is too few for the detector system from step 2 on; each
+    # point prints its regime note and its coarse-step note before it fails
+    monkeypatch.setattr("spintrack.solver.CAPACITANCE_RESTART", 1)
+    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2], "rho": [100.0, 150.0],
+                                           "num_steps": 10, "t_final": 0.065, "solver": {"max_iter": 1},
+                                           "parallelism": 1, "out_dir": str(tmp_path / "sweep")})
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    for rho in (100, 150):
+        prefix = f"N=2 rho={rho}: "
+        lines = [line[len(prefix):] for line in err if line.startswith(prefix)]
+        assert len(lines) == 3
+        assert lines[0].startswith("warning: d < sigma violated")
+        assert lines[1].startswith("warning: dt=0.0065 exceeds 2*hbar/|<H>|")
+        assert lines[2].startswith("FAILED: step 2: detector capacitance solve stopped")
 
 
 def test_obsolete_solver_method_key(tmp_path, capsys):
@@ -793,6 +816,27 @@ def test_memory_bytes_takes_the_lower_address_space_limit(monkeypatch):
     assert cli._memory_bytes() == physical // 2
     monkeypatch.setattr(cli.resource, "getrlimit", lambda kind: (physical * 2, physical * 2))
     assert cli._memory_bytes() == physical
+
+
+def test_sweep_point_with_a_blocked_directory_fails_before_it_runs(tmp_path, monkeypatch, capsys):
+    # the path of the rho = 150 point's directory is a regular file: that
+    # point fails with an I/O error before it runs, after its regime note,
+    # and the other point completes
+    calls = _count_simulations(monkeypatch)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "N2_rho150").write_text("")
+    cfg = _write(tmp_path / "sweep.json", {"epsilon": 0.1, "num_spins": [2], "rho": [100.0, 150.0],
+                                           "num_steps": 20, "t_final": 0.0037,
+                                           "parallelism": 1, "out_dir": str(out)})
+    assert cli.main(["sweep", "-c", cfg]) == cli.EXIT_IO
+    assert [setup.params.rho for setup in calls] == [100.0]
+    err = capsys.readouterr().err.splitlines()
+    blocked = [line for line in err if line.startswith("N=2 rho=150: ")]
+    assert len(blocked) == 2
+    assert blocked[0].startswith("N=2 rho=150: warning: d < sigma violated")
+    assert blocked[1].startswith("N=2 rho=150: FAILED: ")
+    assert (out / "N2_rho100" / "summary.json").is_file()
 
 
 def test_sweep_records_failed_points(tmp_path, capsys):
