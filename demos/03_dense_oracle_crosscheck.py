@@ -3,16 +3,17 @@
 The dense oracle rebuilds the Hamiltonian entry by entry from the stencil
 definitions, shares no construction code with the sparse assembly, and
 evolves with dense LU instead of the structured direct solve.
-`oracle.production_vs_dense` runs both evolutions on one instance and
-returns the largest state and channel-probability differences; on this
-small instance they must agree to near machine precision.  The packet
+`oracle.final_states` runs both evolutions on one instance, and
+`oracle.differences` returns the largest state and channel-probability
+differences of their final states; on this small instance they must agree
+to near machine precision.  The packet
 starts on the right-hand detector, so the 50 steps exercise the spin-flip
 coupling; started at the origin it would not reach them in time.
 `spintrack validate` runs the same comparison over a whole coupling matrix.
 """
 
 import spintrack as st
-from spintrack.oracle import production_vs_dense
+from spintrack.oracle import differences, final_states
 
 params = st.PhysicalParams(
     hbar=0.1, mass=1.0, alpha=1e-4, beta=1e-4, rho=100.0,
@@ -23,7 +24,7 @@ grid = st.build_grid(1.5, 100)
 layout = st.place_detectors(geom, grid)
 tgrid = st.TimeGrid(t_final=50 * 0.065 / 350, num_steps=50)
 
-max_abs, prob_gap = production_vs_dense(params, grid, layout, tgrid)
+max_abs, prob_gap = differences(*final_states(params, grid, layout, tgrid))
 print(f"instance: N=2 (4 channels), Nx=100, K={tgrid.num_steps}")
 print(f"max |psi_sparse - psi_dense|      : {max_abs:.3e}")
 print(f"max channel-probability difference: {prob_gap:.3e}")

@@ -112,6 +112,7 @@ class RunSetup:
     boundary_mode: str
     out_dir: str
     arrival_drop: float
+    regime_notes: list  # model.validate_regime's, derived once: info, the runner and simulate read these
 
 
 @dataclass
@@ -193,7 +194,7 @@ def load_config(path):
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigurationError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON text is UTF-8
         raise ConfigurationError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
@@ -241,6 +242,7 @@ def resolve_run_config(cfg):
         boundary_mode=boundary_mode,
         out_dir=top("out_dir", str, "spintrack_out"),
         arrival_drop=drop,
+        regime_notes=model.validate_regime(params, geom),
     )
 
 
@@ -319,11 +321,10 @@ def simulate(setup, threads=2):
     `wall_seconds` times `solver.run`, on at most `threads` threads (a
     sweep passes fewer when its concurrent points fill the CPUs); the
     record's `profile` gains the assembly's seconds before it.  The
-    result's `regime_notes` are `validate_regime`'s notes followed by the
-    run's own (`RunRecord.notes`), so they reach summary.json's `warnings`.
+    result's `regime_notes` are the setup's followed by the run's own
+    (`RunRecord.notes`), so they reach summary.json's `warnings`.
     """
     start = time.perf_counter()
-    regime_notes = model.validate_regime(setup.params, setup.geom)
     h = assemble_hamiltonian(
         setup.params, setup.grid, setup.layout, boundary_mode=setup.boundary_mode
     )
@@ -351,7 +352,7 @@ def simulate(setup, threads=2):
         final_channels=final_channels,
         final_classes=final_classes,
         arrival=arrival,
-        regime_notes=regime_notes + record.notes,
+        regime_notes=setup.regime_notes + record.notes,
         wall_seconds=wall,
     )
 
@@ -446,8 +447,7 @@ def _run_point(cfg, threads, warn):
     or the run's notes before a failed step's SolverError propagates.
     """
     setup = resolve_run_config(cfg)
-    regime_notes = model.validate_regime(setup.params, setup.geom)
-    for note in regime_notes:
+    for note in setup.regime_notes:
         warn(note)
     _check_footprint(setup)  # a refused run leaves no output directory behind
     Path(setup.out_dir).mkdir(parents=True, exist_ok=True)  # unusable: fail before the run
@@ -458,7 +458,7 @@ def _run_point(cfg, threads, warn):
             warn(note)
         raise
     summary = write_run_artifacts(result, setup.out_dir)
-    for note in summary["warnings"][len(regime_notes):]:
+    for note in summary["warnings"][len(setup.regime_notes):]:
         warn(note)
     return setup, summary["results"]
 
@@ -617,7 +617,7 @@ def cmd_sweep(args):
 
 def cmd_info(args):
     setup = resolve_run_config(load_config(args.config))
-    for note in model.validate_regime(setup.params, setup.geom):
+    for note in setup.regime_notes:
         _print_warning(note)
     json.dump(resolved_dict(setup), sys.stdout, indent=2)
     print()

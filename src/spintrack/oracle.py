@@ -131,8 +131,3 @@ def differences(a, b):
     """(max state diff, max channel-probability diff) of two final states."""
     prob_diff = np.max(np.abs(channel_probs(a).probs - channel_probs(b).probs))
     return float(np.max(np.abs(a.values - b.values))), float(prob_diff)
-
-
-def production_vs_dense(params, grid, layout, time_grid):
-    """`differences` of the production and dense evolutions of one instance."""
-    return differences(*final_states(params, grid, layout, time_grid))

@@ -170,7 +170,7 @@ def test_criterion_10_coupling_factor_resolution(cache):
 
 
 def test_criterion_11_oracle_equivalence():
-    from spintrack.oracle import production_vs_dense, scaled_params, small_instance
+    from spintrack.oracle import differences, final_states, scaled_params, small_instance
 
     # the packet starts on the right detector: from the origin it would not
     # reach the detectors in 50 steps, and the comparison could not see the
@@ -179,7 +179,7 @@ def test_criterion_11_oracle_equivalence():
     tgrid = st.TimeGrid(t_final=50 * 0.065 / 350, num_steps=50)
     for rho in (0.0, 10.0, 100.0):
         params = scaled_params(rho=rho, x0=0.5)
-        max_abs, prob_diff = production_vs_dense(params, grid, layout, tgrid)
+        max_abs, prob_diff = differences(*final_states(params, grid, layout, tgrid))
         assert max_abs <= 1e-10
         assert prob_diff <= 1e-12
     _report(11, "production solver matches the dense reference")

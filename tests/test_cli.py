@@ -169,12 +169,19 @@ def test_malformed_value_is_config_error(tmp_path, monkeypatch, capsys, command,
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "cannot read config"), ("{", "is not valid JSON"), ("[]", "root must be a JSON object")],
-    ids=["missing", "not-json", "not-object"],
+    [
+        (None, "cannot read config"),
+        ("{", "is not valid JSON"),
+        ("[]", "root must be a JSON object"),
+        (b'{"out_dir": "\xff"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["missing", "not-json", "not-object", "not-utf8"],
 )
 def test_unloadable_config_file_is_config_error(tmp_path, capsys, content, message):
     path = tmp_path / "cfg.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     assert cli.main(["info", "-c", str(path)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -593,6 +600,26 @@ def test_failed_sweep_point_keeps_its_notes(tmp_path, capsys, monkeypatch):
         assert lines[0].startswith("warning: d < sigma violated")
         assert lines[1].startswith("warning: dt=0.0065 exceeds 2*hbar/|<H>|")
         assert lines[2].startswith("FAILED: step 2: detector capacitance solve stopped")
+
+
+def test_run_derives_its_regime_notes_once(tmp_path, capsys, monkeypatch):
+    # resolving the config derives the notes; the warning before the run
+    # and summary.json's warnings both report that one list
+    calls = []
+    real = cli.model.validate_regime
+
+    def validate_regime(params, geom):
+        calls.append(geom.num_spins)
+        return real(params, geom)
+
+    monkeypatch.setattr("spintrack.model.validate_regime", validate_regime)
+    preset = {"epsilon": 0.1, "num_spins": 2, "num_steps": 10, "t_final": 0.065 * 10 / 350}
+    cfg = _write(tmp_path / "cfg.json", {"preset": preset, "out_dir": str(tmp_path / "out")})
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_OK
+    assert calls == [2]
+    (note,) = json.loads((tmp_path / "out" / "summary.json").read_text())["warnings"]
+    assert note.startswith("d < sigma violated")
+    assert capsys.readouterr().err == f"warning: {note}\n"
 
 
 def test_obsolete_solver_method_key(tmp_path, capsys):

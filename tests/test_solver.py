@@ -402,16 +402,26 @@ def test_run_norm_and_energy_conserved():
     assert final.norm2() == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
-def test_time_reversal():
-    params = scaled_params()
-    grid, layout = small_instance(2, 100)
+def test_time_reversal_through_the_flip_coupling():
+    # The N = 4 preset crosses its detectors in K steps (UC ends near 0.66),
+    # so the echo of K steps with -dt has to undo every flip entry of A and
+    # B: the state comes back and the flipped channels empty to rounding.
+    # The control runs the backward leg with rho off by 1e-6 relative.
+    params, geom, grid, tgrid = preset_from_epsilon(0.1, 4)
+    layout = place_detectors(geom, grid)
     h = assemble_hamiltonian(params, grid, layout)
-    forward = assemble_cn(h, 0.065 / 350, params.hbar)
-    backward = assemble_cn(h, -0.065 / 350, params.hbar)
     psi0 = initial_state(params, grid, h.num_channels)
-    mid = run(forward, psi0, 50).final_state
-    back = run(backward, mid, 50).final_state
-    assert np.max(np.abs(back.values - psi0.values)) <= 1e-8
+    forward = run(assemble_cn(h, tgrid.dt, params.hbar), psi0, tgrid.num_steps, sides=layout.sides)
+    assert forward.unchanged[-1] < 0.7
+    echoes = []
+    for rho in (params.rho, params.rho * (1 + 1e-6)):
+        h = assemble_hamiltonian(dataclasses.replace(params, rho=rho), grid, layout)
+        back = run(assemble_cn(h, -tgrid.dt, params.hbar), forward.final_state, tgrid.num_steps).final_state
+        flipped = observables.channel_probs(back).probs[1:].sum()
+        echoes.append((np.max(np.abs(back.values - psi0.values)), flipped))
+    (state_diff, flipped), control = echoes
+    assert state_diff <= 1e-12 and flipped <= 1e-24
+    assert control[0] > 1e-12 and control[1] > 1e-24
 
 
 def test_serial_runs_bitwise_identical():
