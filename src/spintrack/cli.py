@@ -47,6 +47,8 @@ EXIT_IO = 4
 # exits with it, and a failed sweep point records its code
 _FAILURES = {
     ConfigurationError: (EXIT_CONFIG, "config error"),
+    # a run that outgrows memory despite the footprint check is refused like one that fails it
+    MemoryError: (EXIT_CONFIG, "config error: out of memory"),
     SolverError: (EXIT_SOLVER, "solver failure"),
     OSError: (EXIT_IO, "I/O error"),
 }
@@ -129,14 +131,16 @@ class SimulationResult:
 def _convert(kind, value):
     """`value` converted by `kind`, which must take it as it is typed in JSON.
 
-    A float takes a finite number, an int an integral one, a str a string;
-    no number takes a boolean.
+    A float takes a finite number, an int an integral one that fits in 64
+    bits, a str a string; no number takes a boolean.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float and not (number and math.isfinite(value)):
         raise ValueError(f"must be a finite number, got {value!r}")
     if kind is int and not (number and (isinstance(value, int) or value.is_integer())):
         raise ValueError(f"must be an integer, got {value!r}")
+    if kind is int and not -(2**63) <= value < 2**63:  # numpy's int64, which sizes its arrays
+        raise ValueError(f"must fit in a 64-bit integer, got {value!r}")
     if kind is str and not isinstance(value, str):
         raise ValueError(f"must be a string, got {value!r}")
     return kind(value)
@@ -372,6 +376,16 @@ def _boundary_notes(mass):
     ]
 
 
+# the artifact columns of the five track classes, in observables.CLASS_FIELDS
+# order: timeseries.csv's class columns and summary.json's class results
+_CLASS_COLUMNS = ("UC", "OS", "LRC_left", "LRC_right", "MT")
+
+
+def _class_columns(classes):
+    """Artifact column -> class value of `classes`, a RunRecord or a ClassProbabilities."""
+    return {column: getattr(classes, name) for column, name in zip(_CLASS_COLUMNS, observables.CLASS_FIELDS)}
+
+
 def write_run_artifacts(result, out_dir):
     """Write timeseries.csv, channels_final.csv and summary.json.
 
@@ -383,12 +397,9 @@ def write_run_artifacts(result, out_dir):
     rec, setup = result.record, result.setup
 
     with open(out / "timeseries.csv", "w", encoding="ascii") as fh:
-        fh.write("t,norm2,energy,UC,OS,LRC_left,LRC_right,MT\n")
-        columns = (
-            rec.times, rec.norm2, rec.energy, rec.unchanged, rec.one_spin,
-            rec.left_track, rec.right_track, rec.multi_track,
-        )
-        for row in zip(*columns):
+        columns = {"t": rec.times, "norm2": rec.norm2, "energy": rec.energy, **_class_columns(rec)}
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     n = setup.geom.num_spins
@@ -404,11 +415,7 @@ def write_run_artifacts(result, out_dir):
         "schema_version": SCHEMA_VERSION,
         "resolved": resolved_dict(setup),
         "results": {
-            "UC": cls.unchanged,
-            "OS": cls.one_spin,
-            "LRC_left": cls.left_track,
-            "LRC_right": cls.right_track,
-            "MT": cls.multi_track,
+            **_class_columns(cls),
             "total": cls.total,
             "norm2_final": float(rec.norm2[-1]),
             "norm2_max_drift": float(np.max(np.abs(rec.norm2 - 1.0))),

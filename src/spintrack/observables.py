@@ -1,6 +1,6 @@
 """Per-channel probabilities, track-class aggregates, and diagnostics."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,11 @@ class ClassProbabilities:
     total: float
 
 
+# The five class fields, in ConfigClass order: those of ClassProbabilities and
+# of solver.RunRecord, and the order of the class columns `cli` writes.
+CLASS_FIELDS = tuple(f.name for f in fields(ClassProbabilities))[: len(ConfigClass)]
+
+
 def channel_probs(state, t=0.0):
     """Per-channel probabilities of a state; they sum to the state's norm2."""
     values = state.values
@@ -58,15 +63,8 @@ def class_probs(cp, sides):
     layout they agree, and their sum is the total probability of seeing a
     track on either side.
     """
-    sums = class_sums(cp.probs, sides)
-    return ClassProbabilities(
-        unchanged=float(sums[ConfigClass.UNCHANGED]),
-        one_spin=float(sums[ConfigClass.ONE_SPIN]),
-        left_track=float(sums[ConfigClass.LEFT_TRACK]),
-        right_track=float(sums[ConfigClass.RIGHT_TRACK]),
-        multi_track=float(sums[ConfigClass.MULTIPLE_TRACKS]),
-        total=cp.total,
-    )
+    sums = class_sums(cp.probs, sides).tolist()  # indexed by class value, like CLASS_FIELDS
+    return ClassProbabilities(**dict(zip(CLASS_FIELDS, sums, strict=True)), total=cp.total)
 
 
 def energy(state, h):

@@ -566,8 +566,10 @@ def _step_threads(threads, values):
 class RunRecord:
     """Per-step diagnostic series plus the final state.
 
-    All series have length num_steps + 1 and include t = 0.  The class
-    probability series are None when the run was not given side labels.
+    All series have length num_steps + 1 and include t = 0.  The five class
+    probability series, whose fields are in ConfigClass order
+    (`observables.CLASS_FIELDS`), are None when the run was not given side
+    labels.
     `max_step_residual` is the largest relative residual of any step, after
     refinement, `capacitance_iterations` (length num_steps) holds each
     step's detector solve iterations (`CapacitanceSolver.correct`'s counts,
@@ -671,7 +673,7 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     times = system.dt * np.arange(num_steps + 1)
     norm2 = np.empty(num_steps + 1)
     energy = np.empty(num_steps + 1)
-    classes = np.empty((num_steps + 1, 5)) if sides is not None else None
+    classes = np.empty((num_steps + 1, len(observables.CLASS_FIELDS))) if sides is not None else None
     solver = make_linear_solver(system, config)
     orbits = solver.orbits(_mirror_images(system.h, initial.values))
     weights = orbits.weights
@@ -788,15 +790,13 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         if worker is not None:
             worker.close()
     del solver, b, bx, spare, rhs  # the stepping arrays go before the full final state is built
+    # column c of `classes` is the series of class c, CLASS_FIELDS[c]
+    series = classes.T if classes is not None else [None] * len(observables.CLASS_FIELDS)
     return RunRecord(
         times=times,
         norm2=norm2,
         energy=energy,
-        unchanged=classes[:, 0] if classes is not None else None,
-        one_spin=classes[:, 1] if classes is not None else None,
-        left_track=classes[:, 2] if classes is not None else None,
-        right_track=classes[:, 3] if classes is not None else None,
-        multi_track=classes[:, 4] if classes is not None else None,
+        **dict(zip(observables.CLASS_FIELDS, series, strict=True)),
         final_state=StateVector(orbits.expand(x), dx),
         max_step_residual=worst,
         capacitance_iterations=iterations,

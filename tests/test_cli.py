@@ -257,6 +257,7 @@ def test_run_writes_artifacts(tmp_path):
     assert summary["schema_version"] == 1
     assert summary["resolved"]["num_spins"] == 2
     res = summary["results"]
+    assert list(res)[:6] == ["UC", "OS", "LRC_left", "LRC_right", "MT", "total"]  # timeseries.csv's order
     assert res["total"] == pytest.approx(1.0, abs=1e-9)
     # packet has not reached the detectors yet at this t_final
     assert res["UC"] == pytest.approx(1.0, abs=1e-6)
@@ -715,6 +716,37 @@ def test_run_refuses_a_working_set_that_does_not_fit(tmp_path, monkeypatch, caps
              "num_steps": 5, "t_final": 0.005, "parallelism": 1, "out_dir": str(out)}
     assert cli.main(["sweep", "-c", _write(tmp_path / "sweep.json", sweep)]) == cli.EXIT_CONFIG
     assert "nan" in (out / "sweep.csv").read_text().split("\n")[1]
+
+
+@pytest.mark.parametrize("command, key", [("info", "num_points"), ("run", "num_steps")])
+def test_int_value_beyond_int64_is_config_error(tmp_path, capsys, command, key):
+    # 2**70 is refused when the config is read, before any array is sized by it
+    out = tmp_path / "nested" / "out"
+    preset = {"epsilon": 0.1, "num_spins": 2, key: 2**70}
+    cfg = _write(tmp_path / "cfg.json", {"preset": preset, "out_dir": str(out)})
+    assert cli.main([command, "-c", cfg]) == cli.EXIT_CONFIG
+    assert f"config error: preset config key '{key}': must fit in a 64-bit integer" in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()
+
+
+def test_memory_error_is_config_error(tmp_path, monkeypatch, capsys):
+    # a run that runs out of memory exits 2 like one that the footprint check
+    # refuses; nothing large is allocated: the MemoryError is raised by hand
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    cfg = _write(tmp_path / "cfg.json", small_explicit_config(tmp_path / "out"))
+    with monkeypatch.context() as patch:
+        patch.setattr("spintrack.model.build_grid", out_of_memory)
+        assert cli.main(["info", "-c", cfg]) == cli.EXIT_CONFIG
+        assert "config error: out of memory: Unable to allocate" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "simulate", out_of_memory)
+    assert cli.main(["run", "-c", cfg]) == cli.EXIT_CONFIG
+    assert "config error: out of memory: Unable to allocate" in capsys.readouterr().err
+    sweep = {"epsilon": 0.1, "num_spins": [2], "rho": [100.0], "num_points": 120, "num_steps": 5,
+             "t_final": 0.005, "parallelism": 1, "out_dir": str(tmp_path / "sweep")}
+    assert cli.main(["sweep", "-c", _write(tmp_path / "sweep.json", sweep)]) == cli.EXIT_CONFIG
+    assert "N=2 rho=100: FAILED: Unable to allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("num_spins", [4, 20])

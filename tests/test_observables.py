@@ -1,17 +1,23 @@
 """Channel probabilities, class aggregation, energy, arrival time."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from spintrack import (
+    ClassProbabilities,
+    ConfigClass,
     SideAssignment,
     StateVector,
     arrival_time,
     assemble_hamiltonian,
     channel_probs,
     class_probs,
+    classify,
     energy,
     initial_state,
+    observables,
 )
 from spintrack.oracle import dense_hamiltonian, scaled_params, small_instance
 from spintrack.solver import RunRecord
@@ -56,6 +62,37 @@ def test_class_probs_uniform_reference():
     assert cls.left_track == pytest.approx(1 / 16)
     assert cls.right_track == pytest.approx(1 / 16)
     assert cls.multi_track == pytest.approx(9 / 16)
+
+
+# each class's field, named by hand
+CLASS_FIELD_OF = {
+    ConfigClass.UNCHANGED: "unchanged",
+    ConfigClass.ONE_SPIN: "one_spin",
+    ConfigClass.LEFT_TRACK: "left_track",
+    ConfigClass.RIGHT_TRACK: "right_track",
+    ConfigClass.MULTIPLE_TRACKS: "multi_track",
+}
+
+
+def test_class_fields_are_declared_in_config_class_order():
+    # class_probs, run's record and cli's artifact columns all follow this one order
+    expected = [CLASS_FIELD_OF[c] for c in ConfigClass]
+    assert [f.name for f in fields(ClassProbabilities)] == [*expected, "total"]
+    names = [f.name for f in fields(RunRecord)]
+    start = names.index(expected[0])
+    assert names[start : start + len(expected)] == expected
+    assert observables.CLASS_FIELDS == tuple(expected)
+
+
+def test_class_probs_fills_each_field_with_its_class(rng):
+    # a left/right-asymmetric distribution, so that no two classes share a sum
+    sides = SideAssignment((-1, -1, -1, 1, 1, 1))
+    probs = rng.random(64)
+    cls = class_probs(observables.ChannelProbabilities(probs=probs, t=0.0), sides)
+    for c, name in CLASS_FIELD_OF.items():
+        expected = sum(p for mask, p in enumerate(probs) if classify(mask, sides) == c)
+        assert getattr(cls, name) == pytest.approx(expected, rel=1e-13)
+    assert len({getattr(cls, name) for name in CLASS_FIELD_OF.values()}) == 5
 
 
 def test_class_probs_partition_identity(rng):
