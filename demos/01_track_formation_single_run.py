@@ -27,7 +27,7 @@ h = st.assemble_hamiltonian(params, grid, layout)
 system = st.assemble_cn(h, tgrid.dt, params.hbar)
 psi0 = st.initial_state(params, grid, h.num_channels)
 
-record = st.run(system, psi0, tgrid.num_steps, sides=layout.sides)
+record = st.run(system, psi0, tgrid.num_steps)
 classes = st.class_probs(st.channel_probs(record.final_state), layout.sides)
 
 print(f"\nfinal time t* = {tgrid.t_final}")

@@ -20,7 +20,7 @@ def final_classes(num_spins, rho=100.0):
     h = st.assemble_hamiltonian(params, grid, layout)
     system = st.assemble_cn(h, tgrid.dt, params.hbar)
     psi0 = st.initial_state(params, grid, h.num_channels)
-    record = st.run(system, psi0, tgrid.num_steps, sides=layout.sides)
+    record = st.run(system, psi0, tgrid.num_steps)
     return st.class_probs(st.channel_probs(record.final_state), layout.sides)
 
 

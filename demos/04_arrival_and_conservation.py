@@ -22,7 +22,7 @@ layout = st.place_detectors(geom, grid)
 h = st.assemble_hamiltonian(params, grid, layout)
 system = st.assemble_cn(h, tgrid.dt, params.hbar)
 psi0 = st.initial_state(params, grid, h.num_channels)
-record = st.run(system, psi0, tgrid.num_steps, sides=layout.sides)
+record = st.run(system, psi0, tgrid.num_steps)
 
 print("   t       UC         OS         2*LRC")
 for t_probe in (0.01, 0.02, 0.03, 0.0375, 0.045, 0.055, 0.065):

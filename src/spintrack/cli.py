@@ -342,7 +342,6 @@ def simulate(setup, threads=2):
         model.initial_state(setup.params, setup.grid, h.num_channels),
         setup.tgrid.num_steps,
         setup.solve_config,
-        setup.layout.sides,
         threads,
     )
     wall = time.perf_counter() - assembled

@@ -17,10 +17,20 @@ from .state import StateVector
 
 # Reading of "much smaller than" used by the regime checks.
 MUCH_LESS_FACTOR = 10.0
+# The longest array of complex values numpy can hold: its size in bytes must fit in an intp.
+MAX_ARRAY_LENGTH = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 
 class ConfigurationError(ValueError):
     """A parameter set that cannot produce a well-defined discrete problem."""
+
+
+def _check_array_length(key, length):
+    """Refuse a config key `key` whose value sizes an array longer than MAX_ARRAY_LENGTH."""
+    if length > MAX_ARRAY_LENGTH:
+        raise ConfigurationError(
+            f"{key} must be at most {MAX_ARRAY_LENGTH}, the longest array numpy holds, got {length}"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.t_final <= 0 or self.num_steps < 1:
             raise ConfigurationError("t_final must be positive, num_steps >= 1")
+        _check_array_length("num_steps", self.num_steps)
 
     @property
     def dt(self):
@@ -128,6 +139,7 @@ def build_grid(half_length, num_points):
     """Uniform grid over [-L, L] with num_points points (so dx = 2L/(Nx-1))."""
     if num_points < 3:
         raise ConfigurationError(f"need at least 3 grid points, got {num_points}")
+    _check_array_length("num_points", num_points)
     if half_length <= 0:
         raise ConfigurationError("half_length must be positive")
     # x_i = (2i - (Nx-1)) L/(Nx-1): the integer factor is exactly odd under
@@ -194,12 +206,10 @@ def place_detectors(geom, grid):
         )
     if indices[-1] >= grid.num_points - 1:
         raise ConfigurationError("a detector snapped onto a boundary point")
-    positions = grid.xs[indices]
-    sides = SideAssignment(tuple(-1 if y < 0 else 1 for y in positions))
     return DetectorLayout(
-        positions=positions,
+        positions=grid.xs[indices],
         grid_indices=indices,
-        sides=sides,
+        sides=SideAssignment.from_grid(indices, grid.num_points),
         nominal_positions=nominal,
     )
 

@@ -47,13 +47,14 @@ def channel_probs(state, t=0.0):
     return ChannelProbabilities(probs=probs, t=t)
 
 
-def class_sums(probs, sides):
+def class_sums(probs, tags):
     """Channel probabilities summed per ConfigClass, indexed by class value.
 
-    `probs` is in natural channel order; a length other than 2**N raises
-    numpy's ValueError.
+    `tags` holds each channel's ConfigClass (`spinspace.classify_all`), and
+    `probs` each channel's probability in the same order; lengths that
+    differ raise numpy's ValueError.
     """
-    return np.bincount(classify_all(sides), weights=probs, minlength=len(ConfigClass))
+    return np.bincount(tags, weights=probs, minlength=len(ConfigClass))
 
 
 def class_probs(cp, sides):
@@ -63,7 +64,7 @@ def class_probs(cp, sides):
     layout they agree, and their sum is the total probability of seeing a
     track on either side.
     """
-    sums = class_sums(cp.probs, sides).tolist()  # indexed by class value, like CLASS_FIELDS
+    sums = class_sums(cp.probs, classify_all(sides)).tolist()  # indexed by class value, like CLASS_FIELDS
     return ClassProbabilities(**dict(zip(CLASS_FIELDS, sums, strict=True)), total=cp.total)
 
 
@@ -91,8 +92,6 @@ def arrival_time(record, drop):
     """
     if not 0.0 < drop < 1.0:
         raise ValueError(f"drop must be in (0, 1), got {drop}")
-    if record.unchanged is None:
-        raise ValueError("run was recorded without class probabilities")
     below = record.unchanged < 1.0 - drop
     if not below.any():
         return None

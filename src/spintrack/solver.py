@@ -36,7 +36,7 @@ from scipy.linalg import blas, cython_lapack, lapack
 from . import observables
 from .assembly import cn_bands, detector_entries
 from .model import ConfigurationError
-from .spinspace import mirrors
+from .spinspace import SideAssignment, classify_all, mirrors
 from .state import StateVector
 
 # The detector-system iteration stops at this relative residual, and forgets
@@ -566,10 +566,9 @@ def _step_threads(threads, values):
 class RunRecord:
     """Per-step diagnostic series plus the final state.
 
-    All series have length num_steps + 1 and include t = 0.  The five class
-    probability series, whose fields are in ConfigClass order
-    (`observables.CLASS_FIELDS`), are None when the run was not given side
-    labels.
+    All series have length num_steps + 1 and include t = 0; the five class
+    probability series have their fields in ConfigClass order
+    (`observables.CLASS_FIELDS`).
     `max_step_residual` is the largest relative residual of any step, after
     refinement, `capacitance_iterations` (length num_steps) holds each
     step's detector solve iterations (`CapacitanceSolver.correct`'s counts,
@@ -591,11 +590,11 @@ class RunRecord:
     times: np.ndarray
     norm2: np.ndarray
     energy: np.ndarray
-    unchanged: np.ndarray | None
-    one_spin: np.ndarray | None
-    left_track: np.ndarray | None
-    right_track: np.ndarray | None
-    multi_track: np.ndarray | None
+    unchanged: np.ndarray
+    one_spin: np.ndarray
+    left_track: np.ndarray
+    right_track: np.ndarray
+    multi_track: np.ndarray
     final_state: StateVector
     max_step_residual: float | None = None
     capacitance_iterations: np.ndarray | None = None
@@ -606,8 +605,13 @@ class RunRecord:
     notes: list = field(default_factory=list)
 
 
-def run(system, initial, num_steps, config=None, sides=None, threads=2):
+def run(system, initial, num_steps, config=None, threads=2):
     """Advance `num_steps` Crank-Nicolson steps, recording diagnostics.
+
+    The record's class series sum each channel's probability into its
+    ConfigClass, with each detector's side decided by
+    `SideAssignment.from_grid` from H's detector indices; a run without
+    detectors has one channel, which is unchanged.
 
     Each step costs one linear solve and one B-matvec: the product B x is
     the next right-hand side, and it also yields the residual check
@@ -651,8 +655,6 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     initial : StateVector
     num_steps : int, >= 1
     config : SolveConfig, optional
-    sides : SideAssignment, optional
-        When given, the configuration-class probability series are recorded.
     threads : int, optional
         The most threads the steps may run on; a caller that runs other
         work at the same time passes 1.
@@ -673,7 +675,9 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
     times = system.dt * np.arange(num_steps + 1)
     norm2 = np.empty(num_steps + 1)
     energy = np.empty(num_steps + 1)
-    classes = np.empty((num_steps + 1, len(observables.CLASS_FIELDS))) if sides is not None else None
+    classes = np.empty((num_steps + 1, len(observables.CLASS_FIELDS)))
+    det = system.h.detector_indices
+    tags = classify_all(SideAssignment.from_grid(det, shape[1])) if len(det) else np.zeros(1, np.int8)
     solver = make_linear_solver(system, config)
     orbits = solver.orbits(_mirror_images(system.h, initial.values))
     weights = orbits.weights
@@ -686,8 +690,7 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         probs = observables.channel_probs(state, t=times[k]).probs[orbits.slot]
         norm2[k] = probs.sum()
         energy[k] = energy_scale * _dot(x, bx, weights).imag
-        if classes is not None:
-            classes[k] = observables.class_sums(probs, sides)
+        classes[k] = observables.class_sums(probs, tags)
 
     def lane(segments, c, bc):
         solver.solve_rows(c, segments)
@@ -790,13 +793,12 @@ def run(system, initial, num_steps, config=None, sides=None, threads=2):
         if worker is not None:
             worker.close()
     del solver, b, bx, spare, rhs  # the stepping arrays go before the full final state is built
-    # column c of `classes` is the series of class c, CLASS_FIELDS[c]
-    series = classes.T if classes is not None else [None] * len(observables.CLASS_FIELDS)
     return RunRecord(
         times=times,
         norm2=norm2,
         energy=energy,
-        **dict(zip(observables.CLASS_FIELDS, series, strict=True)),
+        # column c of `classes` is the series of class c, CLASS_FIELDS[c]
+        **dict(zip(observables.CLASS_FIELDS, classes.T, strict=True)),
         final_state=StateVector(orbits.expand(x), dx),
         max_step_residual=worst,
         capacitance_iterations=iterations,

@@ -60,6 +60,17 @@ class SideAssignment:
         if any(s not in (LEFT, RIGHT) for s in self.signs):
             raise ValueError(f"side labels must be -1 or +1, got {self.signs}")
 
+    @classmethod
+    def from_grid(cls, grid_indices, num_points):
+        """The sides of detectors at `grid_indices` of a grid of `num_points` points.
+
+        A detector is left when it lies before the grid's middle,
+        2 i < num_points - 1: on a `model.build_grid` grid that is x < 0,
+        and a point at x = 0 is right.  The mirror map i -> num_points - 1 - i
+        reflects about the same middle.
+        """
+        return cls(tuple(LEFT if 2 * i < num_points - 1 else RIGHT for i in grid_indices))
+
     @property
     def num_spins(self):
         return len(self.signs)

@@ -47,7 +47,7 @@ class RunCache:
             h = st.assemble_hamiltonian(params, grid, layout)
             system = st.assemble_cn(h, tgrid.dt, params.hbar)
             psi0 = st.initial_state(params, grid, h.num_channels)
-            record = st.run(system, psi0, tgrid.num_steps, sides=layout.sides)
+            record = st.run(system, psi0, tgrid.num_steps)
             channels = st.channel_probs(record.final_state, t=tgrid.t_final)
             classes = st.class_probs(channels, layout.sides)
             self._runs[key] = SimpleNamespace(

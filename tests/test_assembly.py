@@ -195,7 +195,7 @@ def test_assemble_cn_sum_identity():
     grid, layout = small_instance(2, 100)
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, 0.065 / 350, params.hbar)
-    run(system, initial_state(params, grid, h.num_channels), 3, sides=layout.sides)
+    run(system, initial_state(params, grid, h.num_channels), 3)
     assert "b" not in vars(system)
     dev = system.a + system.b - 2.0 * sparse.identity(system.dim, dtype=complex, format="csc")
     assert dev.nnz == 0 or np.max(np.abs(dev.data)) == 0.0

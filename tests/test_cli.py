@@ -729,6 +729,20 @@ def test_int_value_beyond_int64_is_config_error(tmp_path, capsys, command, key):
     assert not (tmp_path / "nested").exists()
 
 
+@pytest.mark.parametrize("command, key", [("info", "num_points"), ("info", "num_steps"), ("run", "num_steps")])
+def test_array_length_beyond_numpy_is_config_error(tmp_path, capsys, command, key):
+    # 2**62 fits in 64 bits, but numpy holds no array of that many complex
+    # values: it is refused while the config is resolved, before any array
+    # is allocated or any directory made
+    out = tmp_path / "nested" / "out"
+    preset = {"epsilon": 0.1, "num_spins": 2, key: 2**62}
+    cfg = _write(tmp_path / "cfg.json", {"preset": preset, "out_dir": str(out)})
+    assert cli.main([command, "-c", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.search(rf"^config error: {key} must be at most \d+, the longest array numpy holds", err, re.M), err
+    assert not (tmp_path / "nested").exists()
+
+
 def test_memory_error_is_config_error(tmp_path, monkeypatch, capsys):
     # a run that runs out of memory exits 2 like one that the footprint check
     # refuses; nothing large is allocated: the MemoryError is raised by hand

@@ -59,10 +59,10 @@ def _compact(num_spins, num_points=201, half_length=0.75, rho=100.0, kappa=1, x0
     return system, initial_state(params, grid, h.num_channels), layout
 
 
-def _full_run(system, psi0, layout, monkeypatch):
+def _full_run(system, psi0, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solver_module, "_mirror_images", lambda h, values: np.arange(len(values)))
-        return run(system, psi0, STEPS, sides=layout.sides)
+        return run(system, psi0, STEPS)
 
 
 def _disagreement(stored, full):
@@ -78,8 +78,8 @@ def test_stored_path_matches_full_path(num_spins, boundary_mode, monkeypatch):
     for rho in (0.0, 10.0, 100.0, 150.0):
         for kappa in (1, 2):
             system, psi0, layout = _compact(num_spins, rho=rho, kappa=kappa, boundary_mode=boundary_mode)
-            stored = run(system, psi0, STEPS, sides=layout.sides)
-            full = _full_run(system, psi0, layout, monkeypatch)
+            stored = run(system, psi0, STEPS)
+            full = _full_run(system, psi0, monkeypatch)
             assert stored.stored_channels == ORBITS[num_spins]
             assert full.stored_channels == 1 << num_spins
             state, classes = _disagreement(stored, full)
@@ -105,7 +105,7 @@ def _control(monkeypatch, name, broken, step):
     system, psi0, layout = _compact(4)
     monkeypatch.setattr(_Orbits, name, broken)
     with pytest.raises(SolverError, match=f"^step {step}: refinement stalled: solve residual"):
-        run(system, psi0, STEPS, sides=layout.sides)
+        run(system, psi0, STEPS)
 
 
 def test_control_b_without_reversing_x(monkeypatch):
@@ -134,7 +134,7 @@ def test_ghost_boundary_drifts_the_norm_once_the_packet_reaches_it():
     drift = {}
     for mode in ("ghost", "symmetrized"):
         system, psi0, layout = _compact(4, rho=0.0, x0=-0.3, boundary_mode=mode)
-        record = run(system, psi0, STEPS, sides=layout.sides)
+        record = run(system, psi0, STEPS)
         drift[mode] = np.max(np.abs(record.norm2 - 1.0))  # summary.json's norm2_max_drift
     assert drift["ghost"] > 1e-2
     assert drift["symmetrized"] <= 1e-12
@@ -165,8 +165,8 @@ def test_two_threads_match_one_bit_for_bit(case, boundary_mode, monkeypatch):
     # in a step's first solve and in each refinement round alike
     monkeypatch.setattr(solver_module, "TWO_THREAD_MIN_VALUES", 0)
     system, psi0, layout = _compact(4, boundary_mode=boundary_mode, **TWO_THREAD_CASES[case])
-    one = run(system, psi0, STEPS, sides=layout.sides, threads=1)
-    two = run(system, psi0, STEPS, sides=layout.sides)
+    one = run(system, psi0, STEPS, threads=1)
+    two = run(system, psi0, STEPS)
     assert (one.threads, two.threads) == (1, 2)
     assert two.stored_channels == (ORBITS[4] if case == "mirror-orbits" else 16)
     # the cut at half the rows falls inside a solver group
@@ -197,7 +197,7 @@ def test_a_worker_error_fails_its_step_and_no_thread_outlives_run(monkeypatch):
         real_pin(pid, cpus)
 
     monkeypatch.setattr(solver_module.os, "sched_setaffinity", pin)
-    assert run(system, psi0, 5, sides=layout.sides).threads == 2
+    assert run(system, psi0, 5).threads == 2
     assert threading.active_count() == before
     # the worker pinned itself, and only itself, to one CPU of this process
     [(pid, cpus, on_main)] = pinned
@@ -218,7 +218,7 @@ def test_a_worker_error_fails_its_step_and_no_thread_outlives_run(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_tridiagonal_solve", solve)
     with pytest.raises(SolverError, match="^step 2: injected$"):
-        run(system, psi0, 5, sides=layout.sides)
+        run(system, psi0, 5)
     assert threading.active_count() == before
 
 
@@ -385,10 +385,9 @@ def test_run_traces_three_stored_vectors_beyond_its_operators(num_spins):
         try:
             if keep:
                 psi0 = initial_state(params, grid, h.num_channels)
-                record = run(system, psi0, tgrid.num_steps, SolveConfig(), layout.sides)
+                record = run(system, psi0, tgrid.num_steps, SolveConfig())
             else:
-                record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps,
-                             SolveConfig(), layout.sides)
+                record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps, SolveConfig())
             assert record.stored_channels == ORBITS[num_spins]
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -409,7 +408,7 @@ def test_dense_oracle_on_the_stored_path():
     tgrid = model.TimeGrid(t_final=0.045, num_steps=70)
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, tgrid.dt, params.hbar)
-    record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps, sides=layout.sides)
+    record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps)
     assert record.stored_channels == ORBITS[2]
     assert 1.0 - record.unchanged[-1] >= 1e-3
     max_abs, prob_diff = differences(record.final_state, dense_run(params, grid, layout, tgrid))
@@ -425,7 +424,7 @@ def _stores_every_channel(system, psi0):
 def test_packet_off_the_origin_takes_the_full_path():
     system, psi0, layout = _compact(4, x0=0.05)
     assert _stores_every_channel(system, psi0)
-    assert run(system, psi0, 5, sides=layout.sides).stored_channels == 16
+    assert run(system, psi0, 5).stored_channels == 16
 
 
 def _run_layout(grid, layout):
@@ -433,7 +432,7 @@ def _run_layout(grid, layout):
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, 0.065 / 100, params.hbar)
     psi0 = initial_state(params, grid, h.num_channels)
-    return system, psi0, run(system, psi0, 5, sides=layout.sides)
+    return system, psi0, run(system, psi0, 5)
 
 
 def _tie_grid_layout():
@@ -462,7 +461,7 @@ def test_tie_grid_preset_n8_keeps_left_right_symmetry():
     layout = model.place_detectors(geom, grid)
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, tgrid.dt, params.hbar)
-    record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps, sides=layout.sides)
+    record = run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps)
     assert record.stored_channels == ORBITS[8]
     assert record.left_track[-1] > 1e-2
     # equal up to the order of the class sums
@@ -497,4 +496,4 @@ def test_nan_in_an_unstored_row_takes_the_full_path_and_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(SolverError, match="step 1"):
-            run(system, psi0, 5, sides=layout.sides)
+            run(system, psi0, 5)

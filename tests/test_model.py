@@ -10,6 +10,7 @@ from spintrack import (
     MAX_SPINS,
     ConfigurationError,
     Geometry,
+    SideAssignment,
     TimeGrid,
     build_grid,
     initial_state,
@@ -110,6 +111,19 @@ def test_place_detectors_snapping_bound():
     assert layout.sides.signs == (-1, -1, 1, 1)
     # snapped layout stays mirror symmetric on the reference grid
     assert np.all(layout.grid_indices + layout.grid_indices[::-1] == grid.num_points - 1)
+
+
+@pytest.mark.parametrize("num_points", [99, 100, 1000, 1001])
+def test_side_rule_is_the_sign_of_x(num_points):
+    # the ends of the grid and the points around its middle; on an odd grid
+    # the middle point is x = 0 exactly, and it is right
+    grid = build_grid(1.5, num_points)
+    mid = (num_points - 1) // 2
+    indices = np.array([0, 1, *range(mid - 3, mid + 4), num_points - 2, num_points - 1])
+    sides = SideAssignment.from_grid(indices, num_points)
+    assert sides.signs == tuple(-1 if y < 0 else 1 for y in grid.xs[indices])
+    if num_points % 2:
+        assert grid.xs[mid] == 0.0 and sides.signs[list(indices).index(mid)] == 1
 
 
 # the epsilon = 0.1 presets, N = 2..24, on which snapping each detector on

@@ -4,16 +4,29 @@ Its comparison with the production path over the 24-case matrix runs as
 `spintrack validate`, in tests/test_cli.py.
 """
 
+import dataclasses
 import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spintrack import TimeGrid, assemble_hamiltonian, initial_state
+from spintrack import (
+    TimeGrid,
+    assemble_cn,
+    assemble_hamiltonian,
+    channel_probs,
+    class_probs,
+    initial_state,
+    place_detectors,
+    preset_from_epsilon,
+    run,
+)
+from spintrack.observables import CLASS_FIELDS
 from spintrack.oracle import (
     dense_hamiltonian,
     dense_run,
+    exact_final_state,
     scaled_params,
     small_instance,
 )
@@ -68,6 +81,33 @@ def test_free_single_spin_channels_evolve_independently():
         psi = np.linalg.solve(a, b @ psi)
     assert np.max(np.abs(final.values[0] - psi)) <= 1e-12
     assert np.all(final.values[1] == 0.0)
+
+
+def test_cn_classes_converge_to_the_exact_propagator_at_second_order():
+    # The N = 4 preset at rho = 100 against exp(-i H t / hbar) psi0 at
+    # t = 0.065 (about 1 s): the largest class error reads 8.6e-5, 2.1e-5
+    # and 5.3e-6 at K = 175, 350 and 700 steps, quartering with each halved
+    # step.  A run at rho (1 + 1e-3), the control, misses by 3.2e-4.
+    params, geom, grid, tgrid = preset_from_epsilon(0.1, 4, rho=100.0)
+    layout = place_detectors(geom, grid)
+    psi0 = initial_state(params, grid, 2**4)
+
+    def classes(state):
+        cls = class_probs(channel_probs(state), layout.sides)
+        return np.array([getattr(cls, name) for name in CLASS_FIELDS])
+
+    def class_error(rho, num_steps):
+        h = assemble_hamiltonian(dataclasses.replace(params, rho=rho), grid, layout)
+        final = run(assemble_cn(h, tgrid.t_final / num_steps, params.hbar), psi0, num_steps).final_state
+        return np.max(np.abs(classes(final) - exact))
+
+    h = assemble_hamiltonian(params, grid, layout)
+    exact = classes(exact_final_state(h, psi0, tgrid.t_final, params.hbar))
+    errors = [class_error(params.rho, k) for k in (175, 350, 700)]
+    assert errors[1] <= 3e-5
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 <= coarse / fine <= 4.2
+    assert class_error(params.rho * (1 + 1e-3), 350) > 3e-5
 
 
 def _readme_quickstart():

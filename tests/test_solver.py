@@ -63,7 +63,7 @@ def test_run_rejects_nonfinite_state(value):
     last = system.h.num_points - 1
     for points in ([50], [40, last - 40]):
         with pytest.raises(SolverError, match="step 1"):
-            run(system, _with_entries(psi0, value, points), 5, sides=layout.sides)
+            run(system, _with_entries(psi0, value, points), 5)
 
 
 def _iterations(solver, rhs):
@@ -109,7 +109,7 @@ def _full_path(monkeypatch):
     )
 
 
-def _stepped_run(system, psi0, layout, num_steps):
+def _stepped_run(system, psi0, num_steps):
     """run() plus the per-step states from solves on one shared solver.
 
     The chain carries B x on to the next step's right-hand side and
@@ -118,7 +118,7 @@ def _stepped_run(system, psi0, layout, num_steps):
     checks run()'s per-step capacitance iteration counts, refinement
     included, against the shared solver's.
     """
-    record = run(system, psi0, num_steps, sides=layout.sides)
+    record = run(system, psi0, num_steps)
     shared = make_linear_solver(system, SolveConfig())
     states = [psi0]
     iterations = []
@@ -150,7 +150,7 @@ def test_run_matches_full_path(monkeypatch):
     _full_path(monkeypatch)
     system, psi0, layout = _system(num_points=120)
     cfg = SolveConfig()
-    record, states = _stepped_run(system, psi0, layout, 30)
+    record, states = _stepped_run(system, psi0, 30)
 
     for prev, cur in zip(states[:-1], states[1:]):
         rhs = system.b @ prev.values.ravel()
@@ -174,7 +174,7 @@ def test_run_energy_matches_full_path_backward(monkeypatch):
     # with dt < 0 the factor dt / 2 hbar in the energy changes sign
     _full_path(monkeypatch)
     system, psi0, layout = _system(num_points=120, dt=-0.065 / 350)
-    record, states = _stepped_run(system, psi0, layout, 30)
+    record, states = _stepped_run(system, psi0, 30)
     np.testing.assert_array_equal(record.final_state.values, states[-1].values)
     for k, state in enumerate(states):
         full = observables.energy(state, system.h)
@@ -255,6 +255,15 @@ def test_single_free_channel_norm_preserved():
     assert abs(after - before) <= 1e-12
 
 
+def test_detector_free_run_records_its_channel_as_unchanged():
+    # a run without detectors has one channel, with no flip to count
+    system = _free_channel_system()
+    record = run(system, initial_state(scaled_params(), build_grid(1.5, 200), 1), 5)
+    np.testing.assert_array_equal(record.unchanged, record.norm2)
+    for name in observables.CLASS_FIELDS[1:]:
+        np.testing.assert_array_equal(getattr(record, name), np.zeros(6))
+
+
 def test_iterative_matches_direct():
     # the minimal-residual iteration against a dense solve of the same
     # detector system, (I + G K) v = w, formed column by column
@@ -286,7 +295,7 @@ def test_run_from_zero_state_stays_zero(recwarn):
     # every right-hand side is zero, so the residual check falls back to the
     # absolute residual, which is exactly zero, and no step iterates
     system, psi0, layout = _system(num_points=120)
-    record = run(system, StateVector.zeros(*psi0.values.shape, psi0.dx), 10, sides=layout.sides)
+    record = run(system, StateVector.zeros(*psi0.values.shape, psi0.dx), 10)
     assert not record.final_state.values.any()
     assert record.max_step_residual == 0.0
     assert not record.capacitance_iterations.any()
@@ -352,7 +361,7 @@ def test_iterative_restarts_converge(rng, monkeypatch):
 def test_solve_paths_do_not_build_a(rng):
     # A is built only when read; neither run() nor a many-iteration solve reads it
     system, psi0, layout = _system(num_points=120)
-    run(system, psi0, 3, sides=layout.sides)
+    run(system, psi0, 3)
     assert "a" not in vars(system)
     system = _large_alpha_system(1e3)
     make_linear_solver(system, SolveConfig()).solve(rng.standard_normal(system.dim) + 0j)
@@ -374,7 +383,7 @@ def test_run_rejects_zero_steps():
 
 def test_run_decoupled_stays_in_channel_zero():
     system, psi0, layout = _system(rho=0.0, num_points=120)
-    record = run(system, psi0, 30, sides=layout.sides)
+    record = run(system, psi0, 30)
     final = record.final_state
     assert np.all(final.values[1:] == 0.0)
     assert record.unchanged[-1] == pytest.approx(1.0, abs=1e-12)
@@ -384,7 +393,7 @@ def test_run_decoupled_stays_in_channel_zero():
 
 def test_run_series_shapes_and_observers():
     system, psi0, layout = _system(num_points=120)
-    record = run(system, psi0, 20, sides=layout.sides)
+    record = run(system, psi0, 20)
     for series in (record.times, record.norm2, record.energy, record.unchanged):
         assert len(series) == 21
     assert record.times[0] == 0.0
@@ -393,7 +402,7 @@ def test_run_series_shapes_and_observers():
 
 def test_run_norm_and_energy_conserved():
     system, psi0, layout = _system(num_points=150)
-    record = run(system, psi0, 60, sides=layout.sides)
+    record = run(system, psi0, 60)
     assert np.max(np.abs(record.norm2 - 1.0)) <= 1e-10
     assert np.max(np.abs(record.energy - record.energy[0])) <= 1e-8 * abs(record.energy[0])
     # StateVector.norm2 is a BLAS dot; compare it with the abs^2 sum
@@ -411,7 +420,7 @@ def test_time_reversal_through_the_flip_coupling():
     layout = place_detectors(geom, grid)
     h = assemble_hamiltonian(params, grid, layout)
     psi0 = initial_state(params, grid, h.num_channels)
-    forward = run(assemble_cn(h, tgrid.dt, params.hbar), psi0, tgrid.num_steps, sides=layout.sides)
+    forward = run(assemble_cn(h, tgrid.dt, params.hbar), psi0, tgrid.num_steps)
     assert forward.unchanged[-1] < 0.7
     echoes = []
     for rho in (params.rho, params.rho * (1 + 1e-6)):
@@ -426,8 +435,8 @@ def test_time_reversal_through_the_flip_coupling():
 
 def test_serial_runs_bitwise_identical():
     system, psi0, layout = _system(num_points=120)
-    rec1 = run(system, psi0, 25, sides=layout.sides)
-    rec2 = run(system, psi0, 25, sides=layout.sides)
+    rec1 = run(system, psi0, 25)
+    rec2 = run(system, psi0, 25)
     np.testing.assert_array_equal(rec1.final_state.values, rec2.final_state.values)
     np.testing.assert_array_equal(rec1.norm2, rec2.norm2)
     np.testing.assert_array_equal(rec1.energy, rec2.energy)
@@ -557,7 +566,7 @@ def test_direct_preset_run_matches_sparse_lu():
     h = assemble_hamiltonian(setup.params, setup.grid, setup.layout)
     system = assemble_cn(h, setup.tgrid.dt, setup.params.hbar)
     psi0 = initial_state(setup.params, setup.grid, h.num_channels)
-    record = run(system, psi0, setup.tgrid.num_steps, sides=setup.layout.sides)
+    record = run(system, psi0, setup.tgrid.num_steps)
     lu = sparse_linalg.splu(system.a)
     x = psi0.values.ravel()
     for _ in range(setup.tgrid.num_steps):
@@ -573,7 +582,7 @@ def test_buffered_run_matches_step_chain():
     # run() advances one state buffer in place; the chain of solves
     # allocates afresh
     system, psi0, layout = _system(num_spins=3, num_points=120)
-    record = run(system, psi0, 25, sides=layout.sides)
+    record = run(system, psi0, 25)
     state = _solve_chain(system, psi0, 25, make_linear_solver(system, SolveConfig()))[-1]
     np.testing.assert_array_equal(record.final_state.values, state.values)
 
@@ -587,7 +596,7 @@ def test_run_final_state_owns_its_memory(monkeypatch):
 
     monkeypatch.setattr("spintrack.solver.make_linear_solver", capture)
     system, psi0, layout = _system(num_spins=3, num_points=120)
-    final = run(system, psi0, 5, sides=layout.sides).final_state.values
+    final = run(system, psi0, 5).final_state.values
     buffers = [v for v in vars(built[0]).values() if isinstance(v, np.ndarray)]
     assert buffers
     assert not any(np.shares_memory(final, buf) for buf in buffers)
@@ -618,12 +627,12 @@ def test_strong_coupling_steps_refine_below_rtol(monkeypatch):
     h = assemble_hamiltonian(params, grid, layout)
     system = assemble_cn(h, tgrid.dt, params.hbar)
     psi0 = initial_state(params, grid, h.num_channels)
-    record = run(system, psi0, steps, sides=layout.sides)
+    record = run(system, psi0, steps)
     assert record.refined_steps >= 1
     assert record.max_step_residual <= SolveConfig().rtol
     monkeypatch.setattr(solver_module, "REFINEMENT_ROUNDS", 0)
     with pytest.raises(SolverError, match="step 30: solve residual"):
-        run(system, psi0, steps, sides=layout.sides)
+        run(system, psi0, steps)
 
 
 def test_refined_run_matches_the_dense_oracle():
@@ -636,7 +645,7 @@ def test_refined_run_matches_the_dense_oracle():
     system = assemble_cn(h, tgrid.dt, params.hbar)
     # the packet is not mirror-even, so the run stores every channel; it
     # must equal the chain of full-space solves, refinement included, bit for bit
-    record, states = _stepped_run(system, initial_state(params, grid, h.num_channels), layout, tgrid.num_steps)
+    record, states = _stepped_run(system, initial_state(params, grid, h.num_channels), tgrid.num_steps)
     np.testing.assert_array_equal(record.final_state.values, states[-1].values)
     assert record.refined_steps >= 5
     assert record.max_step_residual <= SolveConfig().rtol
